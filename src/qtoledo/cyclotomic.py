@@ -1,9 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis of Q[x]/Phi_N(x).  Mixed-order
-arithmetic lifts both operands to Q(zeta_lcm).  Real elements (fixed by
-zeta -> 1/zeta) get a certified sign under a chosen complex embedding:
-an exact zero test first, then adaptive-precision interval evaluation.
+An element is stored in the power basis of Q[x]/Phi_N(x) as a tuple of
+integer numerators over one positive common denominator, in lowest terms
+(gcd(den, *nums) == 1).  That normal form is unique, so equality within
+one field is a tuple comparison, and every ring operation runs in plain
+int arithmetic: products by Kronecker substitution (both operands packed
+into one Python int) followed by reduction with the sparse rows
+x^m mod Phi_N, inverses by an integer extended Euclid on (Phi_N, a).
+Mixed-order arithmetic lifts both operands to Q(zeta_lcm).  Real elements
+(fixed by zeta -> 1/zeta) get a certified sign under a chosen complex
+embedding: an exact zero test first, then adaptive-precision interval
+evaluation.
 """
 
 from __future__ import annotations
@@ -77,32 +84,139 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class CycloNum:
-    """An element of Q(zeta_N) in the power basis of Q[x]/Phi_N."""
+@lru_cache(maxsize=None)
+def _sparse_power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of _power_table(n) as (index, coefficient) pairs of nonzeros."""
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in _power_table(n))
 
-    __slots__ = ("order", "coeffs")
+
+def _reduce(n: int, prod: list[int]) -> list[int]:
+    """prod (a polynomial of degree < 2 phi(n)) reduced mod Phi_n, in place.
+
+    Each term c x^m of degree m >= phi(n) is replaced by c (x^m mod Phi_n),
+    read from the sparse power table.
+    """
+    phi = euler_phi(n)
+    table = _sparse_power_table(n)
+    for m in range(phi, len(prod)):
+        c = prod[m]
+        if c:
+            for k, p in table[m % n]:
+                prod[k] += c * p
+    del prod[phi:]
+    return prod
+
+
+def _poly_mul_int(a, b) -> list[int]:
+    """The product of two nonzero integer polynomials, by Kronecker substitution.
+
+    Both are evaluated at 2^k, with k wide enough that every product
+    coefficient fits in k - 1 bits plus a sign; one int multiply then gives
+    the product, read back as signed base-2^k digits.
+    """
+    k = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() + 2
+    pa = 0
+    for c in reversed(a):
+        pa = (pa << k) + c
+    pb = 0
+    for c in reversed(b):
+        pb = (pb << k) + c
+    v = pa * pb
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        d = v & mask
+        v >>= k
+        if d >= half:
+            d -= full
+            v += 1
+        out.append(d)
+    return out
+
+
+def _trim_int(p) -> list[int]:
+    out = list(p)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _inverse_int(n: int, a) -> tuple[list[int], int]:
+    """Integers s, g with s*a = g mod Phi_n and g != 0, for a != 0.
+
+    The extended Euclidean algorithm on (Phi_n, a) by pseudo-division: each
+    elimination step scales the dividend by lc/gcd(lc, c) instead of
+    dividing, and every remainder is freed of the integer content it shares
+    with its cofactor, so no rational number ever appears.  The invariant
+    r = s*a mod Phi_n holds for every (r, s) pair.
+    """
+    r0, s0 = list(cyclotomic_polynomial(n)), [0]
+    r1, s1 = _trim_int(a), [1]
+    while len(r1) > 1:
+        lc, width = r1[-1], len(r1)
+        r, s = r0, s0
+        while len(r) >= width:
+            c = r[-1]
+            shift = len(r) - width
+            g = math.gcd(lc, c)
+            u, v = lc // g, c // g
+            r = [u * x for x in r] if u != 1 else list(r)
+            s = [u * x for x in s] if u != 1 else list(s)
+            for j, y in enumerate(r1, shift):
+                r[j] -= v * y
+            if len(s) < shift + len(s1):
+                s.extend([0] * (shift + len(s1) - len(s)))
+            for j, y in enumerate(s1, shift):
+                s[j] -= v * y
+            r.pop()  # the leading term is now eliminated
+        r, s = _trim_int(r), _trim_int(s)
+        g = math.gcd(*r, *s)
+        if g > 1:
+            r, s = [x // g for x in r], [x // g for x in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    if not r1[0]:
+        raise ArithmeticError("element not invertible (Phi_N should be irreducible)")
+    return s1, r1[0]
+
+
+class CycloNum:
+    """An element of Q(zeta_N): nums[j]/den is the coefficient of zeta_N^j.
+
+    Stored in lowest terms: den > 0, gcd(den, *nums) == 1, and zero is
+    (0, ..., 0)/1.  The constructor accepts ints and Fractions; `coeffs`
+    gives the coefficients back as Fractions.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _init(self, order, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycloNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(value) -> "CycloNum":
-        return CycloNum(1, (Fraction(value),))
+        if type(value) is int:
+            return _from_ints(1, (value,), 1)
+        value = Fraction(value)
+        return _from_ints(1, (value.numerator,), value.denominator)
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "CycloNum":
-        row = _power_table(order)[power % order]
-        return CycloNum(order, row)
+        return _from_ints(order, _power_table(order)[power % order], 1)
 
     # -- order management ---------------------------------------------
 
@@ -112,17 +226,7 @@ class CycloNum:
             return self
         if order % self.order:
             raise ValueError("can only lift to a multiple of the current order")
-        step = order // self.order
-        table = _power_table(order)
-        phi = euler_phi(order)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * step) % order]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return CycloNum(order, out)
+        return _from_ints(order, _map_powers(self.nums, order, order // self.order), self.den)
 
     @staticmethod
     def unify(a: "CycloNum", b: "CycloNum") -> tuple["CycloNum", "CycloNum"]:
@@ -134,14 +238,21 @@ class CycloNum:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        a, b = CycloNum.unify(self, other)
-        return CycloNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = CycloNum.unify(self, _coerce(other))
+        da, db = a.den, b.den
+        if da == db:
+            nums = tuple(x + y for x, y in zip(a.nums, b.nums))
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            nums = tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums))
+            da *= fa
+        return _from_ints(a.order, nums, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, tuple(-c for c in self.coeffs))
+        return _from_ints(self.order, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other) -> "CycloNum":
         return self + (-_coerce(other))
@@ -151,47 +262,35 @@ class CycloNum:
 
     def __mul__(self, other) -> "CycloNum":
         other = _coerce(other)
+        if self.order == 1 or other.order == 1:
+            # scaling by a rational needs no reduction
+            if self.order == 1:
+                self, other = other, self
+            c = other.nums[0]
+            return _from_ints(self.order, tuple(c * x for x in self.nums), self.den * other.den)
         a, b = CycloNum.unify(self, other)
-        n, phi = a.order, len(a.coeffs)
-        table = _power_table(n)
-        out = [Fraction(0)] * phi
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if not cb:
-                    continue
-                c = ca * cb
-                m = i + j
-                if m < phi:
-                    out[m] += c
-                else:
-                    row = table[m % n]
-                    for k in range(phi):
-                        if row[k]:
-                            out[k] += c * row[k]
-        return CycloNum(n, out)
+        n, phi = a.order, len(a.nums)
+        an, bn = _trim_int(a.nums), _trim_int(b.nums)
+        if not (an[-1] and bn[-1]):
+            return _from_ints(n, (0,) * phi, 1)
+        prod = _reduce(n, _poly_mul_int(an, bn))
+        return _from_ints(n, tuple(prod) + (0,) * (phi - len(prod)), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
-        if self.is_zero():
+        """Field inverse via an integer extended Euclid mod Phi_N."""
+        nums, n = self.nums, self.order
+        support = [j for j, c in enumerate(nums) if c]
+        if not support:
             raise ZeroDivisionError("inversion of zero cyclotomic element")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, _trimmed(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) != 0 or not r1[0]:
-            raise ArithmeticError("element not invertible (Phi_N should be irreducible)")
-        inv_lead = 1 / r1[0]
-        phi = len(self.coeffs)
-        out = [c * inv_lead for c in s1][:phi]
-        out += [Fraction(0)] * (phi - len(out))
-        return CycloNum(self.order, out)
+        if len(support) == 1:
+            # (c/den) zeta^j has inverse (den/c) zeta^-j
+            j = support[0]
+            return _from_ints(n, tuple(self.den * x for x in _power_table(n)[-j % n]), nums[j])
+        s, g = _inverse_int(n, nums)  # deg s < phi(n), as in any extended Euclid
+        s += [0] * (len(nums) - len(s))
+        return _from_ints(n, tuple(self.den * x for x in s), g)
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).inverse()
@@ -212,9 +311,14 @@ class CycloNum:
         return result
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (CycloNum, int, Fraction)):
-            return NotImplemented
-        return (self - _coerce(other)).is_zero()
+        if isinstance(other, CycloNum):
+            a, b = CycloNum.unify(self, other)
+            return a.den == b.den and a.nums == b.nums
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
+        return NotImplemented
 
     __hash__ = None
 
@@ -225,18 +329,54 @@ class CycloNum:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_conjugation_fixed(self) -> bool:
-        return (self - conjugate(self)).is_zero()
+        return conjugate(self) == self
+
+
+_set_order = CycloNum.order.__set__
+_set_nums = CycloNum.nums.__set__
+_set_den = CycloNum.den.__set__
+
+
+def _init(obj: CycloNum, order: int, nums: tuple[int, ...], den: int):
+    # bring integer numerators over a nonzero denominator to lowest terms
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(c // g for c in nums)
+        den //= g
+    _set_order(obj, order)
+    _set_nums(obj, nums)
+    _set_den(obj, den)
+
+
+def _from_ints(order: int, nums: tuple[int, ...], den: int) -> CycloNum:
+    """A CycloNum from integer numerators over a nonzero denominator."""
+    obj = object.__new__(CycloNum)
+    _init(obj, order, nums, den)
+    return obj
+
+
+def _map_powers(nums, order: int, step: int) -> tuple[int, ...]:
+    """Numerators of sum nums[j] zeta^(j*step) in the power basis of Q(zeta_order)."""
+    table = _sparse_power_table(order)
+    out = [0] * euler_phi(order)
+    for j, c in enumerate(nums):
+        if c:
+            for k, p in table[(j * step) % order]:
+                out[k] += c * p
+    return tuple(out)
 
 
 def _coerce(value) -> CycloNum:
@@ -247,56 +387,6 @@ def _coerce(value) -> CycloNum:
     raise TypeError(f"cannot coerce {type(value)!r} into a cyclotomic number")
 
 
-# -- bare polynomial helpers over Fraction ------------------------------
-
-def _trimmed(coeffs) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _degree(p) -> int:
-    return len(p) - 1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trimmed(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trimmed(out)
-
-
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    dn = _degree(den)
-    if dn == 0:
-        return [c / den[0] for c in num], [Fraction(0)]
-    q = [Fraction(0)] * max(len(num) - dn, 1)
-    while _degree(num) >= dn and any(num):
-        shift = _degree(num) - dn
-        c = num[-1] / den[-1]
-        q[shift] += c
-        for j, d in enumerate(den):
-            num[j + shift] -= c * d
-        num = _trimmed(num)
-        if num == [Fraction(0)]:
-            break
-    return _trimmed(q), _trimmed(num)
-
-
 # -- Galois action -------------------------------------------------------
 
 def galois(a: CycloNum, k: int) -> CycloNum:
@@ -304,16 +394,7 @@ def galois(a: CycloNum, k: int) -> CycloNum:
     n = a.order
     if math.gcd(k, n) != 1:
         raise ValueError(f"exponent {k} is not coprime to the order {n}")
-    table = _power_table(n)
-    phi = len(a.coeffs)
-    out = [Fraction(0)] * phi
-    for j, c in enumerate(a.coeffs):
-        if c:
-            row = table[(j * k) % n]
-            for m in range(phi):
-                if row[m]:
-                    out[m] += c * row[m]
-    return CycloNum(n, out)
+    return _from_ints(n, _map_powers(a.nums, n, k), a.den)
 
 
 def conjugate(a: CycloNum) -> CycloNum:
@@ -432,9 +513,9 @@ def embed_complex(a: CycloNum, emb: Embedding) -> complex:
         emb = emb.extend(lcm)
     k = emb.exponent if emb.order > 1 else 0
     z = complex(math.cos(2 * math.pi * k / a.order), math.sin(2 * math.pi * k / a.order)) if a.order > 1 else 1.0
-    total, power = 0j, 1 + 0j
-    for c in a.coeffs:
-        total += float(c) * power
+    total, power, den = 0j, 1 + 0j, a.den
+    for c in a.nums:
+        total += (c / den) * power
         power *= z
     return total
 
@@ -448,11 +529,11 @@ def _interval_real(a: CycloNum, emb: Embedding, bits: int):
         k = emb.exponent if n > 1 else 0
         total = iv.mpf(0)
         two_pi = 2 * iv.pi
-        for j, c in enumerate(a.coeffs):
+        for j, c in enumerate(a.nums):
             if c:
                 angle = two_pi * iv.mpf(j * k % n) / n
-                total += iv.mpf(c.numerator) / c.denominator * iv.cos(angle)
-        return total
+                total += iv.mpf(c) * iv.cos(angle)
+        return total / a.den
     finally:
         iv.prec = old
 
@@ -468,7 +549,7 @@ def sign_real(a: CycloNum, emb: Embedding) -> int:
     if a.is_zero():
         return 0
     if a.is_rational():
-        v = a.coeffs[0]
+        v = a.nums[0]
         return (v > 0) - (v < 0)
     if emb.order != a.order:
         lcm = math.lcm(a.order, emb.order)

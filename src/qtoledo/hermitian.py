@@ -372,6 +372,10 @@ def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
 
     Searches for the least N with U^N scalar, identifies the scalar as a
     root of unity, then splits eigenspaces in the enlarged cyclotomic field.
+    The characteristic polynomial is computed once at the base order of U,
+    and a candidate root of unity lambda gets a kernel solve only when
+    Horner's rule gives charpoly(lambda) = 0; every other candidate has an
+    empty eigenspace, so the filter changes neither the result nor its order.
     Returns a list of (eigenvalue, turn_fraction, Signature).
     """
     n = u.dim
@@ -400,11 +404,17 @@ def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
     emb = u.embedding.extend(field_order)
     mat = tuple(tuple(x.lift(field_order) for x in row) for row in u.matrix)
     h = tuple(tuple(x.lift(field_order) for x in row) for row in u.form.entries)
+    poly = [c.lift(field_order) for c in charpoly(u.matrix)]
     out = []
     total = 0
     k_exp = emb.exponent
     for j in range(full_order):
         lam = CycloNum.zeta(field_order, (j * (field_order // full_order)) % field_order)
+        value = poly[n]
+        for c in reversed(poly[:n]):
+            value = value * lam + c
+        if not value.is_zero():
+            continue
         shifted = mat_sub(mat, mat_scale(identity(n), lam))
         basis = kernel_basis(shifted)
         if not basis:

@@ -25,6 +25,7 @@ from .hermitian import (
     identity,
     mat_inv,
     mat_mul,
+    mat_pow,
     mat_scale,
     mat_sub,
     signature,
@@ -82,7 +83,7 @@ def four_point_data(level: int, emb: Embedding, i: int) -> FourPointData:
     f1 = -(quantum_int(2 * i + 2, q) * quantum_int(2 * i + 1, q)) / \
         (quantum_int(2 * i, q) * two * three * three) if i > 0 else CycloNum.rational(0)
     g_signs = (
-        -quantum_int_sign(2 * i + 2, emb) if i < r - 1 or True else 0,
+        -quantum_int_sign(2 * i + 2, emb),
         -quantum_int_sign(2 * i, emb),
     )
     return FourPointData(
@@ -246,8 +247,9 @@ def _lagrange_apply(m: Matrix, points: list[CycloNum], values: list[CycloNum]) -
                 continue
             term = mat_mul(term, mat_sub(m, mat_scale(identity(n), x_l)))
             denom = denom * (x_k - x_l)
+        weight = y_k * denom.inverse()
         out = tuple(
-            tuple(out[a][b] + term[a][b] * y_k * denom.inverse() for b in range(n))
+            tuple(out[a][b] + term[a][b] * weight for b in range(n))
             for a in range(n)
         )
     return out
@@ -279,12 +281,8 @@ def _validate_rep(rep: PuncturedTorusRep):
             raise ArithmeticError("curve operators have different spectra")
 
     # triangle-group relations hold projectively
-    one = identity(n)
-    for word, power in ((rep.t_gamma, rep.level), (rep.t_delta, rep.level)):
-        acc = one
-        for _ in range(power):
-            acc = mat_mul(acc, word)
-        if not _is_scalar_matrix(acc):
+    for word in (rep.t_gamma, rep.t_delta):
+        if not _is_scalar_matrix(mat_pow(word, rep.level)):
             raise ArithmeticError("twist does not have the right projective order")
     td_tg = mat_mul(rep.t_gamma, rep.t_delta)
     cube = mat_mul(td_tg, mat_mul(td_tg, td_tg))

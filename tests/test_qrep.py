@@ -5,7 +5,20 @@ import pytest
 
 from qtoledo.cyclotomic import CycloNum, Embedding, quantum_int, sign_real
 from qtoledo.fusion import so3_algebra
-from qtoledo.hermitian import IsometryWithForm, charpoly, mat_mul, toledo_triangle_meyer
+from qtoledo.hermitian import (
+    HermMatrix,
+    IsometryWithForm,
+    charpoly,
+    conj_transpose,
+    eigen_split,
+    identity,
+    kernel_basis,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    signature,
+    toledo_triangle_meyer,
+)
 from qtoledo.qrep import (
     four_point_data,
     four_point_toledo,
@@ -143,3 +156,46 @@ def test_color_out_of_range():
         four_point_toledo(7, Embedding(7, 1), 3, 3)
     with pytest.raises(ValueError):
         punctured_torus_rep(7, Embedding(7, 1), 3)
+
+
+def _eigen_scan(u: IsometryWithForm):
+    """eigen_split without its characteristic-polynomial filter.
+
+    Every root of unity of the order of U gets a kernel solve; nonempty
+    kernels yield (eigenvalue, turn, signature of the form on the kernel).
+    """
+    n = u.dim
+    base = math.lcm(*[x.order for row in u.matrix for x in row])
+    power, order = u.matrix, 1
+    while power != identity(n):
+        power, order = mat_mul(power, u.matrix), order + 1
+    field = math.lcm(base, order, u.embedding.order)
+    emb = u.embedding.extend(field)
+    mat = tuple(tuple(x.lift(field) for x in row) for row in u.matrix)
+    out = []
+    for j in range(order):
+        lam = CycloNum.zeta(field, j * (field // order))
+        basis = kernel_basis(mat_sub(mat, mat_scale(identity(n), lam)))
+        if basis:
+            vecs = tuple(tuple((x,) for x in v) for v in basis)
+            gram = tuple(tuple(mat_mul(conj_transpose(vb), mat_mul(u.form.entries, va))[0][0]
+                               for va in vecs) for vb in vecs)
+            turn = F((j * emb.exponent) % order, order)
+            out.append((lam, turn, signature(HermMatrix(gram, emb))))
+    return out
+
+
+@pytest.mark.parametrize("level,k", [(5, 1), (5, 2), (7, 1), (7, 3), (9, 1), (9, 4),
+                                     (11, 1), (11, 3)])
+def test_eigen_split_filter_matches_full_scan(level, k):
+    # skipping the candidates with charpoly(lambda) != 0 loses no eigenvalue
+    emb = Embedding(level, k)
+    for i in range(1, (level - 1) // 2):
+        rep = punctured_torus_rep(level, emb, i)
+        tg = rep.t_gamma
+        tdtg = mat_mul(rep.t_delta, tg)
+        for word in (tg, tdtg, mat_mul(tg, tdtg)):
+            u = IsometryWithForm(word, rep.form)
+            got, want = eigen_split(u), _eigen_scan(u)
+            assert [(lam.order, lam.nums, turn, sig) for lam, turn, sig in got] == \
+                [(lam.order, lam.nums, turn, sig) for lam, turn, sig in want], (level, k, i)
