@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .cyclotomic import CycloNum, Embedding, cyclo_from_json, cyclo_to_json
+from .cyclotomic import Embedding, cyclo_from_json, cyclo_to_json
 from .eulerchi import chi_bar, chi_twisted
 from .fusion import gluing_checks, signature_table, so3_algebra, su2_algebra
 from .hermitian import HermMatrix, IsometryWithForm, meyer_cocycle, signature
@@ -461,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(cc)
     cc.set_defaults(func=cmd_classes_check)
     cr = csub.add_parser("reduce")
-    cr.add_argument("--g", type=int)
-    cr.add_argument("--n", type=int)
     cr.add_argument("--class", required=True, dest="class")
     add_format(cr)
     cr.set_defaults(func=cmd_classes_reduce)

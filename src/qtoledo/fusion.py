@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import Embedding, sin_turn_sign
+from .hermitian import determinant, solve
 
 Vector = tuple[Fraction, ...]
 
@@ -166,7 +167,7 @@ class FrobeniusAlgebra:
     # -- semi-simplicity and the Frobenius element --------------------------
 
     def semisimple_witness(self) -> Fraction:
-        return _rational_det(self.gram())
+        return determinant(self.gram())
 
     def is_semisimple(self) -> bool:
         return self.semisimple_witness() != 0
@@ -176,7 +177,7 @@ class FrobeniusAlgebra:
         """The element with counit(x) = trace(alpha x) for all x."""
         if self._alpha is None:
             rhs = [Fraction(1)] + [Fraction(0)] * (self.rank - 1)
-            sol = _solve_rational(self.gram(), rhs)
+            sol = solve(self.gram(), rhs)
             object.__setattr__(self, "_alpha", tuple(sol))
         return self._alpha
 
@@ -185,7 +186,7 @@ class FrobeniusAlgebra:
         """Omega = alpha^{-1}, the handle element."""
         if self._omega_el is None:
             rhs = [Fraction(1)] + [Fraction(0)] * (self.rank - 1)
-            sol = _solve_rational(self.mult_matrix(self.alpha), rhs)
+            sol = solve(self.mult_matrix(self.alpha), rhs)
             object.__setattr__(self, "_omega_el", tuple(sol))
         return self._omega_el
 
@@ -209,44 +210,6 @@ class FrobeniusAlgebra:
         """R eta^{-1} as a symmetric 2-tensor, for boundary terms."""
         r = self.rank
         return tuple(tuple(matrix[i][j] * self.eps[j] for j in range(r)) for i in range(r))
-
-
-def _rational_det(m) -> Fraction:
-    m = [list(map(Fraction, row)) for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
-
-
-def _solve_rational(a, b) -> list[Fraction]:
-    a = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a, b)]
-    n = len(a)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
 
 
 # -- construction ------------------------------------------------------------
@@ -391,48 +354,3 @@ def gluing_checks(algebra: FrobeniusAlgebra, samples: int = 100, seed: int = 0) 
         if sep_lhs != sep_rhs:
             failures.append(("separating", (g1, g2), (c1, c2), sep_lhs, sep_rhs))
     return {"samples": samples, "failures": failures, "passed": not failures}
-
-
-def conjecture_report(level: int) -> dict:
-    """Diagnostics on the numerically observed number-field properties.
-
-    Reported, never asserted: whether each SO3 algebra at the level is a
-    field, which embedding pairs give isomorphic fields (tested by factoring
-    one minimal polynomial over the other's field), and the ratio between
-    the basis-lattice discriminant and the polynomial discriminant.
-    """
-    import sympy
-
-    x = sympy.Symbol("x")
-    out = {"level": level, "embeddings": [], "isomorphic_pairs": []}
-    import math as _math
-
-    polys = {}
-    for k in range(1, (level - 1) // 2 + 1):
-        if _math.gcd(k, level) != 1:
-            continue
-        algebra = so3_algebra(level, Embedding(level, k))
-        m1 = algebra.mult_matrix(1) if algebra.rank > 1 else ((Fraction(0),),)
-        poly = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in m1]).charpoly(x).as_expr()
-        factors = sympy.factor_list(poly)[1]
-        is_field = len(factors) == 1 and factors[0][1] == 1
-        polys[k] = poly
-        out["embeddings"].append({
-            "exponent": k,
-            "is_field": bool(is_field),
-            "charpoly": str(poly),
-            "poly_discriminant": str(sympy.discriminant(poly, x)),
-            "trace_lattice_discriminant": str(algebra.semisimple_witness()),
-        })
-    ks = sorted(polys)
-    for i, k1 in enumerate(ks):
-        for k2 in ks[i + 1:]:
-            try:
-                root = sympy.rootof(sympy.Poly(polys[k2], x), 0)
-                parts = sympy.factor_list(polys[k1], extension=[root])[1]
-                iso = any(sympy.Poly(f, x).degree() == 1 for f, _ in parts)
-            except Exception:
-                iso = polys[k1] == polys[k2]
-            if iso:
-                out["isomorphic_pairs"].append((k1, k2))
-    return out

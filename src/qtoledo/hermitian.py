@@ -1,11 +1,14 @@
-"""Exact signatures of Hermitian matrices over cyclotomic fields.
+"""Exact linear algebra and signatures of Hermitian matrices over cyclotomic fields.
 
-Contains the linear algebra used everywhere downstream: characteristic
-polynomials by the Faddeev-LeVerrier recursion, signature counting by
-Descartes' rule (valid because Hermitian spectra are real), the Meyer
-cocycle of a pair of isometries, eigenvalue splitting of finite-order
-isometries into exact roots of unity, and the rational G-function that
-corrects the Meyer cocycle into a Toledo invariant.
+Contains the linear algebra used everywhere downstream: one Gauss-Jordan
+elimination (`rref`) that runs unchanged over `Fraction` and `CycloNum`
+entries and gives kernels, inverses, unique solutions of overdetermined
+systems and determinants; characteristic polynomials by the
+Faddeev-LeVerrier recursion; signature counting by Descartes' rule (valid
+because Hermitian spectra are real); the Meyer cocycle of a pair of
+isometries; eigenvalue splitting of finite-order isometries into exact
+roots of unity; and the rational G-function that corrects the Meyer
+cocycle into a Toledo invariant.
 """
 
 from __future__ import annotations
@@ -87,58 +90,8 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
-    n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def mat_trace(a: Matrix) -> CycloNum:
     return sum((a[i][i] for i in range(len(a))), CycloNum.rational(0))
-
-
-def kernel_basis(a: Matrix) -> list[tuple[CycloNum, ...]]:
-    """Exact right-kernel basis via reduced row echelon form."""
-    rows = [list(r) for r in a]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [CycloNum.rational(0)] * n_cols
-        vec[fc] = CycloNum.rational(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def charpoly(a: Matrix) -> list[CycloNum]:
@@ -155,9 +108,110 @@ def charpoly(a: Matrix) -> list[CycloNum]:
     return coeffs
 
 
-def determinant(a: Matrix) -> CycloNum:
-    c0 = charpoly(a)[0]
-    return c0 if len(a) % 2 == 0 else -c0
+def is_scalar(m: Matrix) -> CycloNum | None:
+    """The scalar c when m = c * identity, else None."""
+    d, zero = m[0][0], CycloNum.rational(0)
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x != (d if i == j else zero):
+                return None
+    return d
+
+
+# -- one exact elimination over Fraction or CycloNum ---------------------------
+
+def rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Returns (rows, pivots, scale): the reduced rows as lists, the pivot
+    column of each leading row, and the product of the pivots times the
+    sign of the row swaps, which is the determinant of a nonsingular square
+    input.  Entries are touched only by *, -, Fraction(1) / p and truth
+    tests, so Fraction and CycloNum entries keep their type and int input
+    stays exact.
+    """
+    rows = [list(r) for r in rows]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    scale = Fraction(1)
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        p = rows[r][c]
+        scale = scale * p
+        inv = Fraction(1) / p
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots, scale
+
+
+def _zero_one(rows):
+    """Zero and one of the field the entries live in."""
+    if any(isinstance(x, CycloNum) for row in rows for x in row):
+        return CycloNum.rational(0), CycloNum.rational(1)
+    return Fraction(0), Fraction(1)
+
+
+def kernel_basis(a) -> list[tuple]:
+    """Exact right-kernel basis, one vector per free column of the RREF."""
+    rows, pivots, _ = rref(a)
+    zero, one = _zero_one(a)
+    n_cols = len(a[0]) if a else 0
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        vec = [zero] * n_cols
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def mat_inv(a):
+    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
+    n = len(a)
+    zero, one = _zero_one(a)
+    rows, pivots, _ = rref([list(row) + [one if i == j else zero for j in range(n)]
+                            for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def solve(a, b) -> list:
+    """The unique x with a x = b, where a may have more rows than columns.
+
+    Raises ArithmeticError when the system is underdetermined or inconsistent.
+    """
+    n = len(a[0])
+    rows, pivots, _ = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ArithmeticError("underdetermined system")
+    if len(pivots) > n:
+        raise ArithmeticError("inconsistent system")
+    return [row[n] for row in rows[:n]]
+
+
+def determinant(a):
+    """det(a) as the signed product of the pivots."""
+    rows, pivots, scale = rref(a)
+    if len(pivots) < len(a):
+        return rows[-1][-1]  # the last row of a singular matrix reduces to zero
+    return scale
 
 
 # -- Hermitian matrices and signatures --------------------------------------
@@ -261,17 +315,6 @@ def _i_unit(order: int, exponent: int) -> CycloNum:
     if exponent % 4 == 1:
         return CycloNum.zeta(order, order // 4)
     return CycloNum.zeta(order, 3 * (order // 4))
-
-
-def _is_scalar(m: Matrix) -> CycloNum | None:
-    d = m[0][0]
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            target = d if i == j else CycloNum.rational(0)
-            if not (m[i][j] - target).is_zero():
-                return None
-    return d
 
 
 def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
@@ -389,7 +432,7 @@ def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
     scalar = None
     scalar_power = None
     for k in range(1, power_bound + 1):
-        scalar = _is_scalar(power)
+        scalar = is_scalar(power)
         if scalar is not None:
             scalar_power = k
             break

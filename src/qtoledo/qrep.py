@@ -9,7 +9,6 @@ tau_{1,1} from the Meyer signature plus G-function corrections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,18 +18,15 @@ from .hermitian import (
     HermMatrix,
     IsometryWithForm,
     Matrix,
-    as_matrix,
     charpoly,
-    g_function,
     identity,
-    mat_inv,
+    is_scalar,
     mat_mul,
     mat_pow,
     mat_scale,
     mat_sub,
-    signature,
+    toledo_triangle_meyer,
     toledo_triangle_pu11,
-    _skew_form_signature,
 )
 
 
@@ -282,54 +278,31 @@ def _validate_rep(rep: PuncturedTorusRep):
 
     # triangle-group relations hold projectively
     for word in (rep.t_gamma, rep.t_delta):
-        if not _is_scalar_matrix(mat_pow(word, rep.level)):
+        if is_scalar(mat_pow(word, rep.level)) is None:
             raise ArithmeticError("twist does not have the right projective order")
     td_tg = mat_mul(rep.t_gamma, rep.t_delta)
     cube = mat_mul(td_tg, mat_mul(td_tg, td_tg))
-    if not _is_scalar_matrix(cube):
+    if is_scalar(cube) is None:
         raise ArithmeticError("(T_gamma T_delta)^3 is not scalar")
     half = mat_mul(td_tg, rep.t_gamma)
-    if not _is_scalar_matrix(mat_mul(half, half)):
+    if is_scalar(mat_mul(half, half)) is None:
         raise ArithmeticError("(T_gamma T_delta T_gamma)^2 is not scalar")
-
-
-def _is_scalar_matrix(m: Matrix) -> bool:
-    d = m[0][0]
-    for a in range(len(m)):
-        for b in range(len(m)):
-            target = d if a == b else CycloNum.rational(0)
-            if not (m[a][b] - target).is_zero():
-                return False
-    return True
 
 
 def tau_11(level: int, emb: Embedding, i: int,
            algebra: FrobeniusAlgebra | None = None) -> Fraction:
-    """tau_{1,1}(e_i): Meyer signature of the twist pair plus G-corrections.
+    """tau_{1,1}(e_i): the triangle-group Toledo pairing of T_gamma and T_delta T_gamma.
 
-    Vanishes for i = 0 (the block is unitary definite there).  The
-    G-coboundary signs are oriented as in toledo_triangle_meyer, the
-    orientation that makes the U(1) case vanish identically.
+    That is the Meyer signature of the twist pair plus G-corrections (see
+    toledo_triangle_meyer).  Vanishes for i = 0 (the block is unitary
+    definite there).
     """
     if i == 0:
         return Fraction(0)
     rep = punctured_torus_rep(level, emb, i, algebra)
-    n = rep.dim
-    one = identity(n)
     form = rep.form
-    tg = rep.t_gamma
-    tdtg = mat_mul(rep.t_delta, tg)        # the second triangle generator
-    tgtdtg = mat_mul(tg, tdtg)             # their product
-    try:
-        inv = mat_inv(mat_sub(one, tg))
-    except ZeroDivisionError:
-        raise ArithmeticError("1 - T_gamma is singular; the displayed formula does not apply")
-    s = mat_mul(mat_sub(one, mat_inv(tdtg)), mat_mul(inv, mat_sub(one, tgtdtg)))
-    sig = _skew_form_signature(form.entries, s, emb)
-    g_tg = g_function(IsometryWithForm(tg, form))
-    g_tdtg = g_function(IsometryWithForm(tdtg, form))
-    g_tgtdtg = g_function(IsometryWithForm(tgtdtg, form))
-    return Fraction(sig, 2) - Fraction(g_tg + g_tdtg - g_tgtdtg, 2)
+    return toledo_triangle_meyer(IsometryWithForm(rep.t_gamma, form),
+                                 IsometryWithForm(mat_mul(rep.t_delta, rep.t_gamma), form))
 
 
 def pivot_tau04_table(level: int, emb: Embedding) -> dict[tuple[int, int], Fraction]:

@@ -10,19 +10,18 @@ closed formulas.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Embedding
-from .fusion import FrobeniusAlgebra, so3_algebra, unitary_partner, _solve_rational
+from .fusion import FrobeniusAlgebra, so3_algebra, unitary_partner
+from .hermitian import as_matrix, charpoly, determinant, kernel_basis, solve
 from .mgnclasses import (
     DELTA_IRR,
     KAPPA1T,
     PSI,
     H2Class,
-    canonical_separating_label,
     separating_labels,
 )
 from .qrep import pivot_tau04_table, tau11_table
@@ -142,34 +141,10 @@ def _perp_basis(v: FrobeniusAlgebra) -> list[Mat]:
     r = v.rank
     sym = _symmetric_basis(v)
     mults = [v.mult_matrix(k) for k in range(r)]
-    rows = []
-    for mk in mults:
-        rows.append([sum(b[i][j] * mk[j][i] for i in range(r) for j in range(r)) for b in sym])
-    # rational nullspace of the r x len(sym) constraint matrix
-    ncols = len(sym)
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    rr = 0
-    for c in range(ncols):
-        piv = next((k for k in range(rr, len(mat)) if mat[k][c]), None)
-        if piv is None:
-            continue
-        mat[rr], mat[piv] = mat[piv], mat[rr]
-        inv = 1 / mat[rr][c]
-        mat[rr] = [x * inv for x in mat[rr]]
-        for k in range(len(mat)):
-            if k != rr and mat[k][c]:
-                f = mat[k][c]
-                mat[k] = [x - f * y for x, y in zip(mat[k], mat[rr])]
-        pivots.append(c)
-        rr += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows = [[sum(b[i][j] * mk[j][i] for i in range(r) for j in range(r)) for b in sym]
+            for mk in mults]
     basis = []
-    for fc in free:
-        coeffs = [Fraction(0)] * ncols
-        coeffs[fc] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            coeffs[pc] = -mat[k][fc]
+    for coeffs in kernel_basis(rows):
         m = [[Fraction(0)] * r for _ in range(r)]
         for c, coef in enumerate(coeffs):
             if coef:
@@ -220,67 +195,9 @@ def poly_discriminant(coeffs: list[Fraction]) -> Fraction:
         for k, c in enumerate(reversed(deriv)):
             row[shift + k] = c
         rows.append(row)
-    res = _det(rows)
+    res = determinant(rows)
     sign = (-1) ** (n * (n - 1) // 2)
     return sign * res / coeffs[-1]
-
-
-def _det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((k for k in range(c, n) if m[k][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for k in range(c + 1, n):
-            if m[k][c]:
-                f = m[k][c] * inv
-                for t in range(c, n):
-                    m[k][t] -= f * m[c][t]
-    return det
-
-
-def _rational_charpoly(m: Mat) -> list[Fraction]:
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    acc = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        acc = [[sum(m[i][t] * acc[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c = -Fraction(sum(acc[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-        for i in range(n):
-            acc[i][i] += c
-    return coeffs
-
-
-def _poly_gcd_degree(p: list[Fraction], q: list[Fraction]) -> int:
-    a, b = [x for x in p], [x for x in q]
-
-    def deg(u):
-        d = len(u) - 1
-        while d > 0 and u[d] == 0:
-            d -= 1
-        return d if any(u) else -1
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        f = a[deg(a)] / b[deg(b)]
-        shift = da - db
-        for k in range(db + 1):
-            a[k + shift] -= f * b[k]
-        if deg(a) < deg(b):
-            a, b = b, a
-    return deg(a)
 
 
 def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
@@ -293,9 +210,8 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     """
     r = v.rank
     mw = v.mult_matrix(r - 1)
-    cp = _rational_charpoly(mw)
-    deriv = [cp[k] * k for k in range(1, len(cp))]
-    if _poly_gcd_degree(cp, deriv + [Fraction(0)]) > 0:
+    cp = [c.rational_value() for c in charpoly(as_matrix(mw))]
+    if poly_discriminant(cp) == 0:  # a repeated root
         raise ArithmeticError("pivot multiplication does not have simple spectrum")
 
     # A_w(e_i) = sum_j tau04[(i,j)] eps_j e_j
@@ -309,7 +225,12 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
         for j in range(r):
             rows.append([col[i][j] for col in columns])
             rhs.append(target[i][j])
-    coeffs = _lstsq_exact(rows, rhs)
+    try:
+        coeffs = solve(rows, rhs)
+    except ArithmeticError as e:
+        hint = {"underdetermined system": "pivot spectrum not simple?",
+                "inconsistent system": "tau tables are not realizable"}[str(e)]
+        raise ArithmeticError(f"{e}: {hint}") from None
     perp = [[Fraction(0)] * r for _ in range(r)]
     for c, x in zip(coeffs, basis):
         if c:
@@ -326,7 +247,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
         col_0 = tuple(perp[a][0] for a in range(r))
         inner = v.trace(col_i) - v.trace(v.multiply(col_0, v.basis(i)))
         rhs2.append(-2 * (Fraction(tau11[i]) - Fraction(1, 24) * inner))
-    r1_vec = tuple(_solve_rational(gram, rhs2))
+    r1_vec = tuple(solve(gram, rhs2))
 
     mr1 = v.mult_matrix(r1_vec)
     full = tuple(tuple(mr1[i][j] + perp[i][j] for j in range(r)) for i in range(r))
@@ -343,43 +264,14 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
             raise ArithmeticError(f"tau11 round trip fails at {i}")
 
     if r > 1:
-        disc = poly_discriminant(_rational_charpoly(v.mult_matrix(1)))
+        cp = [c.rational_value() for c in charpoly(as_matrix(v.mult_matrix(1)))]
+        disc = poly_discriminant(cp)
         bound = 6 * v.level * disc.numerator * disc.numerator
         for row in out.matrix:
             for x in row:
                 if bound % x.denominator:
                     raise ArithmeticError(f"denominator of {x} exceeds the bound {bound}")
     return out
-
-
-def _lstsq_exact(rows, rhs):
-    """Solve an overdetermined consistent rational system, asserting uniqueness."""
-    n_unknowns = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    rr = 0
-    for c in range(n_unknowns):
-        piv = next((k for k in range(rr, len(aug)) if aug[k][c]), None)
-        if piv is None:
-            continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        inv = 1 / aug[rr][c]
-        aug[rr] = [x * inv for x in aug[rr]]
-        for k in range(len(aug)):
-            if k != rr and aug[k][c]:
-                f = aug[k][c]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[rr])]
-        pivots.append(c)
-        rr += 1
-    if len(pivots) != n_unknowns:
-        raise ArithmeticError("underdetermined system: pivot spectrum not simple?")
-    for k in range(rr, len(aug)):
-        if aug[k][n_unknowns]:
-            raise ArithmeticError("inconsistent system: tau tables are not realizable")
-    sol = [Fraction(0)] * n_unknowns
-    for k, c in enumerate(pivots):
-        sol[c] = aug[k][n_unknowns]
-    return sol
 
 
 def solve_level(level: int, emb: Embedding) -> R1Matrix:

@@ -92,13 +92,13 @@ def test_unitary_so3_alpha_closed_form():
 
 def _in_powers_of_e1(v: FrobeniusAlgebra, vec):
     """Coordinates of vec in the basis 1, e1, e1^2, ..."""
-    from qtoledo.fusion import _solve_rational
+    from qtoledo.hermitian import solve
 
     powers = [v.basis(0)]
     for _ in range(v.rank - 1):
         powers.append(v.multiply(powers[-1], 1))
     cols = tuple(zip(*powers))
-    return _solve_rational([list(c) for c in cols], list(vec))
+    return solve([list(c) for c in cols], list(vec))
 
 
 def test_su2_standard_root_signs():

@@ -9,10 +9,13 @@ from qtoledo.hermitian import (
     HermMatrix,
     IsometryWithForm,
     charpoly,
+    _skew_form_signature,
     conj_transpose,
     eigen_split,
+    g_function,
     identity,
     kernel_basis,
+    mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -130,12 +133,23 @@ def test_tau11_level7_table():
 
 
 def test_tau11_matches_triangle_meyer():
-    # the assembled display equals the generic triangle-group pairing
+    # tau_11 equals the displayed formula: the signature of
+    # h (1 - (T_d T_g)^-1) (1 - T_g)^-1 (1 - T_g T_d T_g) / i minus G-terms
     for level, k, i in ((7, 1, 1), (7, 2, 1), (11, 1, 3)):
-        rep = punctured_torus_rep(level, Embedding(level, k), i)
-        a = IsometryWithForm(rep.t_gamma, rep.form)
-        b = IsometryWithForm(mat_mul(rep.t_delta, rep.t_gamma), rep.form)
-        assert tau_11(level, Embedding(level, k), i) == toledo_triangle_meyer(a, b)
+        emb = Embedding(level, k)
+        rep = punctured_torus_rep(level, emb, i)
+        form = rep.form
+        one = identity(rep.dim)
+        tg = rep.t_gamma
+        tdtg = mat_mul(rep.t_delta, tg)
+        tgtdtg = mat_mul(tg, tdtg)
+        s = mat_mul(mat_sub(one, mat_inv(tdtg)),
+                    mat_mul(mat_inv(mat_sub(one, tg)), mat_sub(one, tgtdtg)))
+        sig = _skew_form_signature(form.entries, s, emb)
+        g_terms = (g_function(IsometryWithForm(tg, form))
+                   + g_function(IsometryWithForm(tdtg, form))
+                   - g_function(IsometryWithForm(tgtdtg, form)))
+        assert tau_11(level, emb, i) == F(sig, 2) - g_terms / 2
 
 
 def test_tau11_scale_invariance():

@@ -76,6 +76,26 @@ def test_level7_q2_matrix_consistent_with_table():
     assert tau_from_r1_04(v, stale, 1, 1, 2, 2) != table[(1, 1, 2, 2)]
 
 
+
+def _perturbed_tau04(level, k, entry):
+    table = dict(pivot_tau04_table(level, Embedding(level, k)))
+    table[entry] += F(1, level)
+    return table
+
+
+def test_solve_r1_refuses_unrealizable_tables():
+    emb = Embedding(7, 1)
+    v = so3_algebra(7, emb)
+    tau11 = tau11_table(7, emb, v)
+    # an off-diagonal entry breaks the symmetry the perp space can realize
+    with pytest.raises(ArithmeticError) as err:
+        solve_r1(v, _perturbed_tau04(7, 1, (0, 1)), tau11)
+    assert str(err.value) == "inconsistent system: tau tables are not realizable"
+    # a realizable table whose R_1 leaves the 6*level*disc^2 lattice
+    with pytest.raises(ArithmeticError, match="exceeds the bound 22218$"):
+        solve_r1(v, _perturbed_tau04(7, 1, (1, 1)), tau11)
+
+
 def test_level7_q3_r1_vanishes():
     emb = Embedding(7, 3)
     r1 = solve_level(7, emb)
