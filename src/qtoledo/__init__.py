@@ -15,7 +15,6 @@ from .cyclotomic import (
     embed_complex,
     galois,
     quantum_int,
-    quantum_factorial,
     sign_real,
     trace_to_Q,
 )

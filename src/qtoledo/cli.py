@@ -123,7 +123,7 @@ def _load_matrix(path: str):
     return HermMatrix(tuple(tuple(row) for row in entries), emb)
 
 
-def _load_square(path: str, emb: Embedding):
+def _load_square(path: str):
     data = json.loads(Path(path).read_text())
     return tuple(tuple(cyclo_from_json(x) for x in row) for row in data["entries"])
 
@@ -137,8 +137,8 @@ def cmd_herm_signature(args) -> str:
 
 def cmd_herm_meyer(args) -> str:
     form = _load_matrix(args.form)
-    a = IsometryWithForm(_load_square(args.a, form.embedding), form)
-    b = IsometryWithForm(_load_square(args.b, form.embedding), form)
+    a = IsometryWithForm(_load_square(args.a), form)
+    b = IsometryWithForm(_load_square(args.b), form)
     payload = {"meyer_cocycle": meyer_cocycle(a, b)}
     return _envelope("herm meyer", vars_of(args), payload, args.format)
 

@@ -469,13 +469,6 @@ def quantum_int(n: int, q: CycloNum) -> CycloNum:
     return total
 
 
-def quantum_factorial(n: int, q: CycloNum) -> CycloNum:
-    total = CycloNum.rational(1)
-    for m in range(1, n + 1):
-        total = total * quantum_int(m, q)
-    return total
-
-
 # -- embeddings and certified signs ---------------------------------------
 
 @dataclass(frozen=True)
@@ -503,9 +496,6 @@ class Embedding:
         while math.gcd(k, order) != 1:
             k += self.order
         return Embedding(order, k)
-
-    def compose_galois(self, k: int) -> "Embedding":
-        return Embedding(self.order, (self.exponent * k) % self.order)
 
 
 def embed_complex(a: CycloNum, emb: Embedding) -> complex:

@@ -1,14 +1,17 @@
 """Exact linear algebra and signatures of Hermitian matrices over cyclotomic fields.
 
-Contains the linear algebra used everywhere downstream: one Gauss-Jordan
-elimination (`rref`) that runs unchanged over `Fraction` and `CycloNum`
-entries and gives kernels, inverses, unique solutions of overdetermined
-systems and determinants; characteristic polynomials by the
-Faddeev-LeVerrier recursion; signature counting by Descartes' rule (valid
-because Hermitian spectra are real); the Meyer cocycle of a pair of
-isometries; eigenvalue splitting of finite-order isometries into exact
-roots of unity; and the rational G-function that corrects the Meyer
-cocycle into a Toledo invariant.
+Contains the linear algebra used everywhere downstream.  The matrix helpers
+(products, traces, diagonal matrices, linear combinations, Gram matrices of
+a form, characteristic polynomials by the Faddeev-LeVerrier recursion) and
+one Gauss-Jordan elimination (`rref`) are field-generic: they run unchanged
+over `Fraction` and over `CycloNum` entries, take zero and one from the
+entries and test entries for zero by their truth value, so the entry type
+is kept.  `rref` gives kernels, inverses, unique solutions of
+overdetermined systems and determinants.  On these rest signature counting
+by Descartes' rule (valid because Hermitian spectra are real); the Meyer
+cocycle of a pair of isometries; eigenvalue splitting of finite-order
+isometries into exact roots of unity; and the rational G-function that
+corrects the Meyer cocycle into a Toledo invariant.
 """
 
 from __future__ import annotations
@@ -19,13 +22,25 @@ from fractions import Fraction
 
 from .cyclotomic import CycloNum, Embedding, conjugate, sign_real
 
-Matrix = tuple[tuple[CycloNum, ...], ...]
+Matrix = tuple[tuple, ...]  # entries in one field: Fraction or CycloNum
 
-#: default bound for the scalar-power search in eigen_split
+#: eigen_split looks for a scalar power U^k up to k = SCALAR_POWER_FACTOR * base_order**2
 SCALAR_POWER_FACTOR = 24
 
 
-# -- matrix helpers over CycloNum ------------------------------------------
+# -- matrix helpers over one field -------------------------------------------
+
+def _zero_one(rows):
+    """Zero and one of the field the entries live in."""
+    if any(isinstance(x, CycloNum) for row in rows for x in row):
+        return CycloNum.rational(0), CycloNum.rational(1)
+    return Fraction(0), Fraction(1)
+
+
+def _field_order(*mats) -> int:
+    """The lcm of the orders of the CycloNum entries of the matrices."""
+    return math.lcm(*(x.order for m in mats for row in m for x in row))
+
 
 def as_matrix(rows) -> Matrix:
     out = []
@@ -37,9 +52,16 @@ def as_matrix(rows) -> Matrix:
     return tuple(out)
 
 
+def diagonal(values) -> Matrix:
+    """The square matrix with the given diagonal and zeros elsewhere."""
+    values = tuple(values)
+    zero, _ = _zero_one((values,))
+    n = len(values)
+    return tuple(tuple(values[i] if i == j else zero for j in range(n)) for i in range(n))
+
+
 def identity(n: int) -> Matrix:
-    one, zero = CycloNum.rational(1), CycloNum.rational(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return diagonal((CycloNum.rational(1),) * n)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -54,32 +76,50 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+def lin_comb(coeffs, mats) -> Matrix:
+    """The sum of c * m over paired coefficients and matrices (at least one matrix)."""
+    zero, _ = _zero_one((coeffs, *mats[0]))
+    out = tuple(tuple(zero for _ in row) for row in mats[0])
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = mat_add(out, mat_scale(m, c))
+    return out
+
+
+def _dot(u, v, zero):
+    s = zero
+    for x, y in zip(u, v):
+        if x and y:
+            s = s + x * y
+    return s
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = CycloNum.rational(0)
-            for t in range(k):
-                if not a[i][t].is_zero() and not bt[j][t].is_zero():
-                    s = s + a[i][t] * bt[j][t]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    zero, _ = _zero_one((*a, *b))
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col, zero) for col in bt) for row in a)
 
 
-def mat_vec(a: Matrix, v) -> tuple[CycloNum, ...]:
-    return tuple(sum((a[i][j] * v[j] for j in range(len(v))), CycloNum.rational(0)) for i in range(len(a)))
+def mat_vec(a: Matrix, v) -> tuple:
+    zero, _ = _zero_one((*a, v))
+    return tuple(_dot(row, v, zero) for row in a)
 
 
 def conj_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(conjugate(a[j][i]) for j in range(len(a))) for i in range(len(a[0])))
+    """The conjugate transpose; rational entries are their own conjugates."""
+    return tuple(tuple(conjugate(x) if isinstance(x, CycloNum) else x for x in col)
+                 for col in zip(*a))
+
+
+def gram(h: Matrix, vs, ws) -> Matrix:
+    """V^* h W for the matrices V and W whose columns are the vectors vs and ws."""
+    v, w = tuple(zip(*vs)), tuple(zip(*ws))
+    return mat_mul(conj_transpose(v), mat_mul(h, w))
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
-    result = identity(len(a))
+    _, one = _zero_one(a)
+    result = diagonal((one,) * len(a))
     base = a
     while n:
         if n & 1:
@@ -90,30 +130,31 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
-def mat_trace(a: Matrix) -> CycloNum:
-    return sum((a[i][i] for i in range(len(a))), CycloNum.rational(0))
+def mat_trace(a: Matrix):
+    zero, _ = _zero_one(a)
+    return sum((row[i] for i, row in enumerate(a)), zero)
 
 
-def charpoly(a: Matrix) -> list[CycloNum]:
+def charpoly(a: Matrix) -> list:
     """Coefficients [c0, ..., cn] of det(xI - A), via Faddeev-LeVerrier."""
     n = len(a)
-    coeffs = [CycloNum.rational(0)] * (n + 1)
-    coeffs[n] = CycloNum.rational(1)
-    m = identity(n)
+    zero, one = _zero_one(a)
+    coeffs = [zero] * n + [one]
+    am = a  # A M_k, starting from M_1 = I
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
         c = mat_trace(am) * Fraction(-1, k)
         coeffs[n - k] = c
-        m = mat_add(am, mat_scale(identity(n), c))
+        if k < n:
+            am = mat_mul(a, mat_add(am, diagonal((c,) * n)))
     return coeffs
 
 
-def is_scalar(m: Matrix) -> CycloNum | None:
+def is_scalar(m: Matrix):
     """The scalar c when m = c * identity, else None."""
-    d, zero = m[0][0], CycloNum.rational(0)
+    d = m[0][0]
     for i, row in enumerate(m):
         for j, x in enumerate(row):
-            if x != (d if i == j else zero):
+            if (x != d) if i == j else x:
                 return None
     return d
 
@@ -155,13 +196,6 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return rows, pivots, scale
-
-
-def _zero_one(rows):
-    """Zero and one of the field the entries live in."""
-    if any(isinstance(x, CycloNum) for row in rows for x in row):
-        return CycloNum.rational(0), CycloNum.rational(1)
-    return Fraction(0), Fraction(1)
 
 
 def kernel_basis(a) -> list[tuple]:
@@ -240,11 +274,14 @@ class HermMatrix:
     def __post_init__(self):
         m = as_matrix(self.entries)
         object.__setattr__(self, "entries", m)
-        n = len(m)
-        for i in range(n):
-            for j in range(i, n):
-                if not (m[i][j] - conjugate(m[j][i])).is_zero():
-                    raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+        if len(m[0]) != len(m):
+            raise ValueError("matrix is not square")
+        mh = conj_transpose(m)
+        if m != mh:
+            # the mismatches are symmetric, so the first one in row order has i <= j
+            i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row)
+                        if x != mh[i][j])
+            raise ValueError(f"matrix is not Hermitian at ({i},{j})")
 
     @property
     def dim(self) -> int:
@@ -276,10 +313,6 @@ def signature(h: HermMatrix) -> Signature:
     return Signature(pos, neg, zero)
 
 
-def form_signature(gram: Matrix, emb: Embedding) -> Signature:
-    return signature(HermMatrix(gram, emb))
-
-
 # -- isometries --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,11 +326,8 @@ class IsometryWithForm:
         u = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", u)
         h = self.form.entries
-        lhs = mat_mul(conj_transpose(u), mat_mul(h, u))
-        for i in range(len(h)):
-            for j in range(len(h)):
-                if not (lhs[i][j] - h[i][j]).is_zero():
-                    raise ValueError("matrix does not preserve the form")
+        if mat_mul(conj_transpose(u), mat_mul(h, u)) != h:
+            raise ValueError("matrix does not preserve the form")
 
     @property
     def dim(self) -> int:
@@ -353,13 +383,7 @@ def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm) -> int:
 
 def _skew_form_signature(h: Matrix, s: Matrix, emb: Embedding) -> int:
     """Signature of the Hermitian matrix h*s/i (h*s must be skew-Hermitian)."""
-    order = math.lcm(emb.order, 4)
-    for row in s:
-        for x in row:
-            order = math.lcm(order, x.order)
-    for row in h:
-        for x in row:
-            order = math.lcm(order, x.order)
+    order = math.lcm(emb.order, 4, _field_order(s, h))
     big = emb.extend(order)
     i_unit = _i_unit(order, big.exponent)
     w = mat_scale(mat_mul(h, s), i_unit.inverse())
@@ -375,25 +399,14 @@ def _meyer_kernel_form(amat: Matrix, bmat: Matrix, h: Matrix, emb: Embedding) ->
     kernel = kernel_basis(stacked)
     if not kernel:
         return 0
-    order = math.lcm(4, emb.order, *[x.order for row in h for x in row],
-                     *[x.order for vec in kernel for x in vec])
+    order = math.lcm(4, emb.order, _field_order(h, kernel))
     big = emb.extend(order)
     i_inv = _i_unit(order, big.exponent).inverse()
     one_minus_b = mat_sub(one, bmat)
-    gram = []
-    for kb in kernel:  # row index: second (conjugated) argument of the form
-        row = []
-        vb = kb[n:]
-        wb = mat_vec(one_minus_b, vb)
-        for ka in kernel:
-            ua, va = ka[:n], ka[n:]
-            s = CycloNum.rational(0)
-            for i in range(n):
-                for j in range(n):
-                    s = s + conjugate(wb[i]) * h[i][j] * (ua[j] + va[j])
-            row.append(s * i_inv)
-        gram.append(tuple(row))
-    return signature(HermMatrix(tuple(gram), big)).index
+    # the form h(u + v, (1 - B) v') / i, its second (conjugated) argument indexing rows
+    ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
+    sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
+    return signature(HermMatrix(mat_scale(gram(h, ws, sums), i_inv), big)).index
 
 
 def meyer_u1_sign(alpha_turn: Fraction, beta_turn: Fraction) -> int:
@@ -410,7 +423,7 @@ def meyer_u1_sign(alpha_turn: Fraction, beta_turn: Fraction) -> int:
 
 # -- eigenvalue splitting and the G-function ---------------------------------
 
-def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
+def eigen_split(u: IsometryWithForm):
     """Exact eigenvalues (roots of unity) with eigenspace signatures.
 
     Searches for the least N with U^N scalar, identifies the scalar as a
@@ -422,12 +435,8 @@ def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
     Returns a list of (eigenvalue, turn_fraction, Signature).
     """
     n = u.dim
-    base_order = 1
-    for row in u.matrix:
-        for x in row:
-            base_order = math.lcm(base_order, x.order)
-    if power_bound is None:
-        power_bound = SCALAR_POWER_FACTOR * base_order * base_order
+    base_order = _field_order(u.matrix)
+    power_bound = SCALAR_POWER_FACTOR * base_order * base_order
     power = u.matrix
     scalar = None
     scalar_power = None
@@ -458,21 +467,10 @@ def eigen_split(u: IsometryWithForm, power_bound: int | None = None):
             value = value * lam + c
         if not value.is_zero():
             continue
-        shifted = mat_sub(mat, mat_scale(identity(n), lam))
-        basis = kernel_basis(shifted)
+        basis = kernel_basis(mat_sub(mat, diagonal((lam,) * n)))
         if not basis:
             continue
-        gram = []
-        for vb in basis:
-            row = []
-            for va in basis:
-                s = CycloNum.rational(0)
-                for p in range(n):
-                    for q in range(n):
-                        s = s + conjugate(vb[p]) * h[p][q] * va[q]
-                row.append(s)
-            gram.append(tuple(row))
-        sig = signature(HermMatrix(tuple(gram), emb))
+        sig = signature(HermMatrix(gram(h, basis, basis), emb))
         if sig.zero:
             raise ArithmeticError("degenerate form on an eigenspace")
         turn = Fraction((j * k_exp) % full_order, full_order)

@@ -12,18 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign, sign_real
+from .cyclotomic import CycloNum, Embedding, quantum_int, quantum_int_sign, sign_real
 from .fusion import FrobeniusAlgebra, so3_algebra
 from .hermitian import (
     HermMatrix,
     IsometryWithForm,
     Matrix,
     charpoly,
+    conj_transpose,
+    diagonal,
     identity,
     is_scalar,
+    lin_comb,
     mat_mul,
     mat_pow,
-    mat_scale,
     mat_sub,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
@@ -141,12 +143,7 @@ class PuncturedTorusRep:
 
     @property
     def form(self) -> HermMatrix:
-        zero = CycloNum.rational(0)
-        n = self.dim
-        return HermMatrix(
-            tuple(tuple(self.norms[a] if a == b else zero for b in range(n)) for a in range(n)),
-            self.embedding,
-        )
+        return HermMatrix(diagonal(self.norms), self.embedding)
 
     def form_signature(self):
         sig_pos = sum(1 for x in self.norms if sign_real(x, self.embedding) > 0)
@@ -200,9 +197,7 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int,
         elif not low.is_zero():
             raise ArithmeticError("subdiagonal does not vanish at the window edge")
     c_delta = tuple(tuple(row) for row in rows)
-    c_gamma = tuple(
-        tuple(c_values[a] if a == b else zero for b in range(n)) for a in range(n)
-    )
+    c_gamma = diagonal(c_values)
 
     # distinct eigenvalues make the twist a polynomial in the curve operator
     for a in range(n):
@@ -210,9 +205,7 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int,
             if c_values[a] == c_values[b]:
                 raise ArithmeticError("curve-operator eigenvalues collide")
     t_delta = _lagrange_apply(c_delta, c_values, twist_values)
-    t_gamma = tuple(
-        tuple(twist_values[a] if a == b else zero for b in range(n)) for a in range(n)
-    )
+    t_gamma = diagonal(twist_values)
 
     # norms: base sign from the gluing pattern, then the self-adjointness ratio
     j_min = window[0]
@@ -234,47 +227,31 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int,
 def _lagrange_apply(m: Matrix, points: list[CycloNum], values: list[CycloNum]) -> Matrix:
     """Q(m) for the interpolation polynomial through (points[k], values[k])."""
     n = len(m)
-    out = tuple(tuple(CycloNum.rational(0) for _ in range(n)) for _ in range(n))
+    terms, weights = [], []
     for k, (x_k, y_k) in enumerate(zip(points, values)):
         term = identity(n)
         denom = CycloNum.rational(1)
         for l, x_l in enumerate(points):
             if l == k:
                 continue
-            term = mat_mul(term, mat_sub(m, mat_scale(identity(n), x_l)))
+            term = mat_mul(term, mat_sub(m, diagonal((x_l,) * n)))
             denom = denom * (x_k - x_l)
-        weight = y_k * denom.inverse()
-        out = tuple(
-            tuple(out[a][b] + term[a][b] * weight for b in range(n))
-            for a in range(n)
-        )
-    return out
+        terms.append(term)
+        weights.append(y_k * denom.inverse())
+    return lin_comb(weights, terms)
 
 
 def _validate_rep(rep: PuncturedTorusRep):
-    n = rep.dim
-    h = rep.form.entries
-    emb = rep.embedding
-
-    def assert_self_adjoint(mat):
-        prod = mat_mul(h, mat)
-        for a in range(n):
-            for b in range(n):
-                if not (prod[a][b] - conjugate(prod[b][a])).is_zero():
-                    raise ArithmeticError("curve operator is not self-adjoint for the form")
-
-    def assert_isometry(mat):
-        IsometryWithForm(mat, rep.form)
-
-    assert_self_adjoint(rep.c_delta)
-    assert_isometry(rep.t_gamma)
-    assert_isometry(rep.t_delta)
+    form = rep.form
+    prod = mat_mul(form.entries, rep.c_delta)
+    if prod != conj_transpose(prod):
+        raise ArithmeticError("curve operator is not self-adjoint for the form")
+    IsometryWithForm(rep.t_gamma, form)
+    IsometryWithForm(rep.t_delta, form)
 
     # C_delta and C_gamma have one characteristic polynomial
-    pa, pb = charpoly(rep.c_delta), charpoly(rep.c_gamma)
-    for x, y in zip(pa, pb):
-        if not (x - y).is_zero():
-            raise ArithmeticError("curve operators have different spectra")
+    if charpoly(rep.c_delta) != charpoly(rep.c_gamma):
+        raise ArithmeticError("curve operators have different spectra")
 
     # triangle-group relations hold projectively
     for word in (rep.t_gamma, rep.t_delta):

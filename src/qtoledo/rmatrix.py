@@ -16,7 +16,20 @@ from fractions import Fraction
 
 from .cyclotomic import Embedding
 from .fusion import FrobeniusAlgebra, so3_algebra, unitary_partner
-from .hermitian import as_matrix, charpoly, determinant, kernel_basis, solve
+from .hermitian import (
+    charpoly,
+    conj_transpose,
+    determinant,
+    diagonal,
+    kernel_basis,
+    lin_comb,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    mat_trace,
+    mat_vec,
+    solve,
+)
 from .mgnclasses import (
     DELTA_IRR,
     KAPPA1T,
@@ -40,28 +53,18 @@ class R1Matrix:
 
     def __post_init__(self):
         v = self.algebra
-        r = v.rank
         m = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
-        for i in range(r):
-            for j in range(r):
-                if m[i][j] != v.eps[i] * v.eps[j] * m[j][i]:
-                    raise ValueError("R_1 is not eta-self-adjoint")
-        mr1 = v.mult_matrix(self.trace_part)
-        for i in range(r):
-            for j in range(r):
-                if m[i][j] != mr1[i][j] + self.perp_part[i][j]:
-                    raise ValueError("decomposition does not sum to R_1")
-        for k in range(r):
-            mk = v.mult_matrix(k)
-            t = sum(self.perp_part[i][j] * mk[j][i] for i in range(r) for j in range(r))
-            if t != 0:
-                raise ValueError("perp part is not trace-orthogonal to multiplications")
+        eta = diagonal(v.eps)
+        if m != mat_mul(eta, mat_mul(conj_transpose(m), eta)):
+            raise ValueError("R_1 is not eta-self-adjoint")
+        if m != mat_add(v.mult_matrix(self.trace_part), self.perp_part):
+            raise ValueError("decomposition does not sum to R_1")
+        if any(mat_trace(mat_mul(self.perp_part, v.mult_matrix(k))) for k in range(v.rank)):
+            raise ValueError("perp part is not trace-orthogonal to multiplications")
 
     def apply(self, vec) -> tuple[Fraction, ...]:
-        vec = self.algebra.as_vector(vec)
-        r = self.algebra.rank
-        return tuple(sum(self.matrix[i][j] * vec[j] for j in range(r)) for i in range(r))
+        return mat_vec(self.matrix, self.algebra.as_vector(vec))
 
     def denominator(self) -> int:
         return math.lcm(*[x.denominator for row in self.matrix for x in row])
@@ -80,7 +83,8 @@ class R1Matrix:
 
 def tau_from_r1_04(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2, v3, v4) -> Fraction:
     """Degree-2 four-point invariant integrated over the moduli of spheres."""
-    apply = r1.apply if isinstance(r1, R1Matrix) else lambda x: _mat_apply(r1, v.as_vector(x))
+    matrix = r1.matrix if isinstance(r1, R1Matrix) else r1
+    apply = lambda x: mat_vec(matrix, v.as_vector(x))
     vs = [v.as_vector(x) for x in (v1, v2, v3, v4)]
     total = Fraction(0)
     for i in range(4):
@@ -100,21 +104,14 @@ def tau_from_r1_04(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2, v3, v4) -> F
 
 def tau_from_r1_11(v: FrobeniusAlgebra, r1: R1Matrix | Mat, vec) -> Fraction:
     """Degree-2 one-holed-torus invariant integrated over the moduli."""
-    apply = r1.apply if isinstance(r1, R1Matrix) else lambda x: _mat_apply(r1, v.as_vector(x))
     matrix = r1.matrix if isinstance(r1, R1Matrix) else r1
+    apply = lambda x: mat_vec(matrix, v.as_vector(x))
     vec = v.as_vector(vec)
     omega = v.omega_element
     term_psi = v.eta(omega, apply(vec))
     term_kappa = v.eta(omega, v.multiply(vec, apply(v.basis(0))))
-    mv = v.mult_matrix(vec)
-    r = v.rank
-    tr = sum(matrix[i][j] * mv[j][i] for i in range(r) for j in range(r))
+    tr = mat_trace(mat_mul(matrix, v.mult_matrix(vec)))
     return Fraction(1, 24) * (term_psi - term_kappa) - Fraction(1, 2) * tr
-
-
-def _mat_apply(m: Mat, vec):
-    n = len(m)
-    return tuple(sum(m[i][j] * vec[j] for j in range(n)) for i in range(n))
 
 
 # -- solving for R_1 --------------------------------------------------------------
@@ -141,42 +138,22 @@ def _perp_basis(v: FrobeniusAlgebra) -> list[Mat]:
     r = v.rank
     sym = _symmetric_basis(v)
     mults = [v.mult_matrix(k) for k in range(r)]
-    rows = [[sum(b[i][j] * mk[j][i] for i in range(r) for j in range(r)) for b in sym]
-            for mk in mults]
-    basis = []
-    for coeffs in kernel_basis(rows):
-        m = [[Fraction(0)] * r for _ in range(r)]
-        for c, coef in enumerate(coeffs):
-            if coef:
-                for i in range(r):
-                    for j in range(r):
-                        m[i][j] += coef * sym[c][i][j]
-        basis.append(tuple(tuple(row) for row in m))
+    rows = [[mat_trace(mat_mul(b, mk)) for b in sym] for mk in mults]
+    basis = [lin_comb(coeffs, sym) for coeffs in kernel_basis(rows)]
     if len(basis) != r * (r - 1) // 2:
         raise ArithmeticError("unexpected dimension of the perpendicular space")
     return basis
 
 
 def _commutator(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-
-    def mul(x, y):
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-        )
-
-    ab, ba = mul(a, b), mul(b, a)
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def _pivot_operator(v: FrobeniusAlgebra, x: Mat) -> Mat:
     """v -> [[X, M_w], M_w](v) - [[X, M_w], M_w](1) v for the pivot w."""
-    r = v.rank
-    mw = v.mult_matrix(r - 1)
+    mw = v.mult_matrix(v.rank - 1)
     y = _commutator(_commutator(x, mw), mw)
-    col0 = tuple(y[i][0] for i in range(r))
-    m_col0 = v.mult_matrix(col0)
-    return tuple(tuple(y[i][j] - m_col0[i][j] for j in range(r)) for i in range(r))
+    return mat_sub(y, v.mult_matrix(tuple(row[0] for row in y)))
 
 
 def poly_discriminant(coeffs: list[Fraction]) -> Fraction:
@@ -210,8 +187,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     """
     r = v.rank
     mw = v.mult_matrix(r - 1)
-    cp = [c.rational_value() for c in charpoly(as_matrix(mw))]
-    if poly_discriminant(cp) == 0:  # a repeated root
+    if poly_discriminant(charpoly(mw)) == 0:  # a repeated root
         raise ArithmeticError("pivot multiplication does not have simple spectrum")
 
     # A_w(e_i) = sum_j tau04[(i,j)] eps_j e_j
@@ -231,13 +207,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
         hint = {"underdetermined system": "pivot spectrum not simple?",
                 "inconsistent system": "tau tables are not realizable"}[str(e)]
         raise ArithmeticError(f"{e}: {hint}") from None
-    perp = [[Fraction(0)] * r for _ in range(r)]
-    for c, x in zip(coeffs, basis):
-        if c:
-            for i in range(r):
-                for j in range(r):
-                    perp[i][j] += c * x[i][j]
-    perp = tuple(tuple(row) for row in perp)
+    perp = lin_comb(coeffs, basis)
 
     # recover the trace part from tau_{1,1}
     gram = v.gram()
@@ -249,9 +219,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
         rhs2.append(-2 * (Fraction(tau11[i]) - Fraction(1, 24) * inner))
     r1_vec = tuple(solve(gram, rhs2))
 
-    mr1 = v.mult_matrix(r1_vec)
-    full = tuple(tuple(mr1[i][j] + perp[i][j] for j in range(r)) for i in range(r))
-    out = R1Matrix(v, full, r1_vec, perp)
+    out = R1Matrix(v, mat_add(v.mult_matrix(r1_vec), perp), r1_vec, perp)
 
     # exact round trip through both reconstruction formulas
     for i in range(r):
@@ -264,8 +232,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
             raise ArithmeticError(f"tau11 round trip fails at {i}")
 
     if r > 1:
-        cp = [c.rational_value() for c in charpoly(as_matrix(v.mult_matrix(1)))]
-        disc = poly_discriminant(cp)
+        disc = poly_discriminant(charpoly(v.mult_matrix(1)))
         bound = 6 * v.level * disc.numerator * disc.numerator
         for row in out.matrix:
             for x in row:

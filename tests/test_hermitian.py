@@ -102,6 +102,25 @@ def test_rejects_non_hermitian():
         HermMatrix(as_matrix([[0, 1], [2, 0]]), Embedding(1, 0))
 
 
+def test_non_hermitian_error_names_the_first_entry():
+    cases = (
+        ([[0, 1], [2, 0]], "(0,1)"),
+        ([[1, 0, 0], [0, 1, 5], [0, 0, 1]], "(1,2)"),
+        ([[1, 0, 0], [0, 1, 0], [7, 0, 1]], "(0,2)"),
+        ([[Q5, 0], [0, 1]], "(0,0)"),
+    )
+    for rows, where in cases:
+        with pytest.raises(ValueError) as err:
+            HermMatrix(as_matrix(rows), EMB5)
+        assert str(err.value) == f"matrix is not Hermitian at {where}"
+
+
+def test_rejects_non_square():
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            HermMatrix(as_matrix(rows), Embedding(1, 0))
+
+
 # -- Meyer cocycle -----------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
-"""Property tests for the exact elimination core in qtoledo.hermitian.
+"""Property tests for the field-generic linear algebra in qtoledo.hermitian.
 
 `rref` and the routines built on it (kernel_basis, mat_inv, solve,
-determinant) run over Fraction and over CycloNum entries.  Random matrices
-come from Hypothesis, over Q and over Q(zeta_N) for N = 1, 11 and 66, with
-a planted dependent row half of the time so that singular inputs are common.
-sympy is the oracle over Q; over Q(zeta_N) the determinant is checked
-against the independent Faddeev-LeVerrier characteristic polynomial.
+determinant), and the matrix helpers (mat_mul, mat_vec, mat_trace, charpoly,
+diagonal, lin_comb, gram), run over Fraction and over CycloNum entries.
+Random matrices come from Hypothesis, over Q and over Q(zeta_N) for N = 1,
+11 and 66, with a planted dependent row half of the time so that singular
+inputs are common.  sympy is the oracle over Q; over Q(zeta_N) the
+determinant is checked against the independent Faddeev-LeVerrier
+characteristic polynomial, and the helpers against sums written out here.
 """
 
 from fractions import Fraction
@@ -15,14 +17,24 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtoledo.cyclotomic import CycloNum, euler_phi
+from qtoledo import hermitian
+from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi
 from qtoledo.hermitian import (
+    HermMatrix,
     as_matrix,
     charpoly,
+    conj_transpose,
     determinant,
+    diagonal,
+    gram,
+    is_scalar,
     kernel_basis,
+    lin_comb,
     mat_inv,
+    mat_mul,
+    mat_trace,
     rref,
+    signature,
     solve,
 )
 
@@ -221,3 +233,107 @@ def test_cyclonum_truth_value_is_nonzero(a):
     assert bool(a) is (not a.is_zero())
     assert bool(a) is (a != 0)
     assert not CycloNum(a.order, [0] * euler_phi(a.order))
+
+
+# -- the matrix helpers ----------------------------------------------------------
+
+
+def conj(x):
+    return conjugate(x) if isinstance(x, CycloNum) else x
+
+
+def explicit_gram(h, vs, ws):
+    """(v^* h w) for v in vs and w in ws, as a double sum over the entries of h."""
+    n = len(h)
+    out = []
+    for v in vs:
+        row = []
+        for w in ws:
+            acc = Fraction(0)
+            for p in range(n):
+                for q in range(n):
+                    acc = conj(v[p]) * h[p][q] * w[q] + acc
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def square_pairs(draw):
+    """(field, a, b, v, c) with a, b square of one size, v a vector, c a scalar."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    a, b = draw(matrices(field, n, n)), draw(matrices(field, n, n))
+    return field, a, b, [draw(entries(field)) for _ in range(n)], draw(entries(field))
+
+
+@SETTINGS
+@given(square_pairs())
+def test_matrix_helpers_keep_the_entry_type_and_match_explicit_sums(case):
+    field, a, b, v, c = case
+    n = len(a)
+    kind = entry_type(field)
+    ab = mat_mul(a, b)
+    assert [list(row) for row in ab] == [
+        [sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)]
+    av = hermitian.mat_vec(a, v)
+    assert list(av) == mat_vec(a, v)
+    tr = mat_trace(a)
+    assert tr == sum((a[i][i] for i in range(n)), Fraction(0))
+    comb = lin_comb([c, 2, 0], [a, b, a])
+    assert [list(row) for row in comb] == [
+        [c * a[i][j] + 2 * b[i][j] for j in range(n)] for i in range(n)]
+    d = diagonal(v)
+    assert [list(row) for row in d] == [[v[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert is_scalar(diagonal([c] * n)) == c
+    bumped = [list(row) for row in diagonal([c] * n)]
+    bumped[0][-1] += 1
+    assert is_scalar(bumped) == (c + 1 if n == 1 else None)
+    assert is_scalar(a) == (a[0][0] if all(
+        a[i][j] == (a[0][0] if i == j else 0) for i in range(n) for j in range(n)) else None)
+    g = gram(a, b, [v])
+    assert [list(row) for row in g] == explicit_gram(a, b, [v])
+    outputs = [x for m in (ab, comb, d, g, conj_transpose(a)) for row in m for x in row]
+    outputs += list(av) + [tr] + charpoly(a)
+    assert all(type(x) is kind for x in outputs)
+
+
+@SETTINGS
+@given(square(fields=("Q",), max_n=5))
+def test_rational_charpoly_matches_the_cyclotomic_route(case):
+    _field, a = case
+    got = charpoly(a)
+    assert all(type(x) is Fraction for x in got)
+    assert got == [c.rational_value() for c in charpoly(as_matrix(a))]
+
+
+def field_embedding(field):
+    return Embedding(1, 0) if field == "Q" else Embedding(field, 1)
+
+
+@st.composite
+def congruent_pairs(draw):
+    """(field, h, p): h = C^* D C Hermitian with D rational diagonal, p square."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    signs = [draw(st.integers(-1, 1)) for _ in range(n)]
+    d = [[Fraction(signs[i] * draw(st.integers(1, 3))) if i == j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    c = draw(matrices(field, n, n))
+    h = explicit_gram(d, list(zip(*c)), list(zip(*c)))
+    return field, signs, c, h, draw(matrices(field, n, n))
+
+
+@SETTINGS
+@given(congruent_pairs())
+def test_signature_is_invariant_under_congruence(case):
+    field, signs, c, h, p = case
+    emb = field_embedding(field)
+    sig = signature(HermMatrix(as_matrix(h), emb))
+    if determinant(c) != 0:
+        # Sylvester's law of inertia: h is congruent to the diagonal D
+        assert tuple(sig) == (signs.count(1), signs.count(-1), signs.count(0))
+    if determinant(p) != 0:
+        php = gram(h, list(zip(*p)), list(zip(*p)))
+        assert signature(HermMatrix(as_matrix(php), emb)) == sig
