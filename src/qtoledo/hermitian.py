@@ -105,16 +105,19 @@ def mat_vec(a: Matrix, v) -> tuple:
     return tuple(_dot(row, v, zero) for row in a)
 
 
+def _conj(x):
+    """The complex conjugate; rational entries are their own conjugates."""
+    return conjugate(x) if isinstance(x, CycloNum) else x
+
+
 def conj_transpose(a: Matrix) -> Matrix:
-    """The conjugate transpose; rational entries are their own conjugates."""
-    return tuple(tuple(conjugate(x) if isinstance(x, CycloNum) else x for x in col)
-                 for col in zip(*a))
+    return tuple(tuple(_conj(x) for x in col) for col in zip(*a))
 
 
 def gram(h: Matrix, vs, ws) -> Matrix:
     """V^* h W for the matrices V and W whose columns are the vectors vs and ws."""
-    v, w = tuple(zip(*vs)), tuple(zip(*ws))
-    return mat_mul(conj_transpose(v), mat_mul(h, w))
+    v_star = tuple(tuple(_conj(x) for x in v) for v in vs)
+    return mat_mul(v_star, mat_mul(h, tuple(zip(*ws))))
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
@@ -274,7 +277,7 @@ class HermMatrix:
     def __post_init__(self):
         m = as_matrix(self.entries)
         object.__setattr__(self, "entries", m)
-        if len(m[0]) != len(m):
+        if any(len(row) != len(m) for row in m):
             raise ValueError("matrix is not square")
         mh = conj_transpose(m)
         if m != mh:

@@ -207,7 +207,8 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
         hint = {"underdetermined system": "pivot spectrum not simple?",
                 "inconsistent system": "tau tables are not realizable"}[str(e)]
         raise ArithmeticError(f"{e}: {hint}") from None
-    perp = lin_comb(coeffs, basis)
+    # at rank 1 the perpendicular space is zero and has an empty basis
+    perp = lin_comb(coeffs, basis) if basis else diagonal((Fraction(0),) * r)
 
     # recover the trace part from tau_{1,1}
     gram = v.gram()

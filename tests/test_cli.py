@@ -26,6 +26,12 @@ def test_determinism(capsys):
     assert payload["matrix"][0] == ["23/270", "-1/27"]
 
 
+def test_rmatrix_solve_rank1(capsys):
+    code, out, _ = run(capsys, "rmatrix", "solve", "--level", "3")
+    assert code == 0
+    assert json.loads(out)["payload"]["matrix"] == [["0/1"]]
+
+
 def test_sigtable_markdown(capsys):
     code, out, _ = run(capsys, "fusion", "sigtable", "--level", "5", "--format", "md")
     assert code == 0

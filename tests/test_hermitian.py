@@ -119,6 +119,10 @@ def test_rejects_non_square():
     for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
         with pytest.raises(ValueError, match="^matrix is not square$"):
             HermMatrix(as_matrix(rows), Embedding(1, 0))
+    # ragged rows and the empty matrix are refused by as_matrix
+    for rows in ([[1, 0], [0]], [[1, 0], [0, 1, 0]], []):
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            HermMatrix(rows, Embedding(1, 0))
 
 
 # -- Meyer cocycle -----------------------------------------------------------

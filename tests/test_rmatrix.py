@@ -96,6 +96,13 @@ def test_solve_r1_refuses_unrealizable_tables():
         solve_r1(v, _perturbed_tau04(7, 1, (1, 1)), tau11)
 
 
+def test_level3_rank1_r1_is_zero():
+    # rank 1: the perpendicular space is zero, so solve_r1 gets an empty basis
+    r1 = solve_level(3, Embedding(3, 1))
+    assert r1.matrix == ((0,),)
+    assert r1.perp_part == ((0,),)
+
+
 def test_level7_q3_r1_vanishes():
     emb = Embedding(7, 3)
     r1 = solve_level(7, emb)
