@@ -25,7 +25,7 @@ from .fusion import gluing_checks, signature_table, so3_algebra, su2_algebra
 from .hermitian import HermMatrix, IsometryWithForm, meyer_cocycle, signature
 from .mgnclasses import class_from_json, reduce_class, uniformization_check
 from .qrep import four_point_toledo, punctured_torus_rep, tau_11
-from .rmatrix import appendixB_crosscheck, degree2_class, solve_level
+from .rmatrix import appendixB_crosscheck, degree2_class, solve_level, tau_from_r1_04, tau_from_r1_11
 
 
 def _frac(x: Fraction) -> str:
@@ -183,13 +183,11 @@ def cmd_rmatrix_solve(args) -> str:
 
 
 def cmd_rmatrix_class(args) -> str:
-    emb = Embedding(args.level, args.embedding)
-    v = so3_algebra(args.level, emb)
-    r1 = solve_level(args.level, emb)
+    r1 = solve_level(args.level, Embedding(args.level, args.embedding))
     colors = [int(c) for c in args.colors.split(",")] if args.colors else []
     if len(colors) == 1 and args.n > 1:
         colors = colors * args.n
-    cls = degree2_class(v, r1, args.g, args.n, colors)
+    cls = degree2_class(r1, args.g, args.n, colors)
     payload = {"class": cls.to_json()}
     try:
         payload["reduced"] = reduce_class(cls).to_json()
@@ -249,11 +247,8 @@ def _table_fibonacci() -> dict:
 def _table_level7() -> dict:
     out = {"name": "level7", "columns": {}}
     for k in (1, 2, 3):
-        emb = Embedding(7, k)
-        v = so3_algebra(7, emb)
-        r1 = solve_level(7, emb)
-        from .rmatrix import tau_from_r1_04, tau_from_r1_11
-
+        r1 = solve_level(7, Embedding(7, k))
+        v = r1.algebra
         rows = []
         for colors in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)):
             rows.append({

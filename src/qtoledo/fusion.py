@@ -8,50 +8,54 @@ signatures, gluing checks) is plain rational linear algebra.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Embedding, sin_turn_sign
+from .cyclotomic import Embedding, quantum_int_sign
 from .hermitian import determinant, solve
 
 Vector = tuple[Fraction, ...]
 
 
-def _qsign(m: int, scale: int, emb: Embedding) -> int:
-    # sign of [m] where [m] = sin(2*pi*k*scale*m/N)/sin(2*pi*k*scale/N)
-    k = emb.exponent
-    return sin_turn_sign(k * scale * m, emb.order) * sin_turn_sign(k * scale, emb.order)
+def _qfact_sign(n: int, emb: Embedding) -> int:
+    return math.prod(quantum_int_sign(m, emb) for m in range(1, n + 1))
 
 
-def _qfact_sign(n: int, scale: int, emb: Embedding) -> int:
-    s = 1
-    for m in range(1, n + 1):
-        t = _qsign(m, scale, emb)
-        if t == 0:
-            return 0
-        s *= t
-    return s
-
-
-def _triple_sign(x: int, y: int, z: int, scale: int, emb: Embedding) -> int:
+def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:
     """Sign of the triple-point invariant of three colors, 0 if inadmissible."""
     if (x + y + z) % 2:
         return 0
-    a = (y + z - x) // 2
-    b = (x + z - y) // 2
-    c = (x + y - z) // 2
-    if a < 0 or b < 0 or c < 0:
+    a, b, c = (y + z - x) // 2, (x + z - y) // 2, (x + y - z) // 2
+    if min(a, b, c) < 0:
         return 0
     sign = (-1) ** (a + b + c)
-    num = (_qfact_sign(a + b + c + 1, scale, emb)
-           * _qfact_sign(a, scale, emb) * _qfact_sign(b, scale, emb) * _qfact_sign(c, scale, emb))
+    num = _qfact_sign(a + b + c + 1, emb) * _qfact_sign(a, emb) * _qfact_sign(b, emb) * _qfact_sign(c, emb)
     if num == 0:
         return 0
-    den = _qfact_sign(x, scale, emb) * _qfact_sign(y, scale, emb) * _qfact_sign(z, scale, emb)
+    den = _qfact_sign(x, emb) * _qfact_sign(y, emb) * _qfact_sign(z, emb)
     if den == 0:
         raise ArithmeticError("vanishing quantum factorial for an in-range color")
     return sign * num * den
+
+
+def check_so3_level(level: int, emb: Embedding):
+    """Refuse a level that is not an odd integer >= 3, or an embedding of another order."""
+    if level < 3 or level % 2 == 0:
+        raise ValueError("level must be an odd integer >= 3")
+    if emb.order != level:
+        raise ValueError("embedding must have the same order as the level")
+
+
+def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
+    """omega03(e_i, e_j, e_k) of the SO3 algebra at q = zeta_level^k (colors 2i, 2j, 2k).
+
+    The triple-point sign is fixed only up to the gauge e_i -> (-1)^i e_i;
+    the gauge is chosen so that omega03(e_1, e_1, e_1) is +1, that is, a
+    triple of odd index sum is multiplied by the raw (1,1,1) sign.
+    """
+    return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,6 @@ class FrobeniusAlgebra:
     eps: tuple[int, ...]
     omega03: tuple[tuple[tuple[int, ...], ...], ...]
     colors: tuple[int, ...]           # underlying color labels
-    gauge: int = 1                    # +-1 basis normalization applied to e_i -> gauge^i e_i
     _mult: tuple = field(default=None, repr=False, compare=False)
     _trace_vec: Vector = field(default=None, repr=False, compare=False)
     _alpha: Vector = field(default=None, repr=False, compare=False)
@@ -75,12 +78,11 @@ class FrobeniusAlgebra:
         r = self.rank
         if self.eps[0] != 1:
             raise ValueError("unit sign must be +1")
-        for i in range(r):
-            for j in range(r):
-                if self.omega03[0][i][j] != (self.eps[i] if i == j else 0):
-                    raise ValueError("omega03(0,j,k) must reproduce eta")
+        if any(self.omega03[0][i][j] != (self.eps[i] if i == j else 0) for i in range(r) for j in range(r)):
+            raise ValueError("omega03(0,j,k) must reproduce eta")
+        # integer structure constants: e_i e_j = sum_k mult[i][j][k] e_k
         mult = tuple(
-            tuple(tuple(Fraction(self.omega03[i][j][k] * self.eps[k]) for k in range(r)) for j in range(r))
+            tuple(tuple(self.omega03[i][j][k] * self.eps[k] for k in range(r)) for j in range(r))
             for i in range(r)
         )
         object.__setattr__(self, "_mult", mult)
@@ -91,32 +93,25 @@ class FrobeniusAlgebra:
     # -- structural checks -------------------------------------------------
 
     def _check_axioms(self):
-        r = self.rank
+        r, c, w = self.rank, self._mult, self.omega03
+        triples = [(i, j, k) for i in range(r) for j in range(r) for k in range(r)]
+        if any(w[i][j][k] != w[j][i][k] or w[i][j][k] != w[i][k][j] for i, j, k in triples):
+            raise ValueError("omega03 is not fully symmetric")
+        if any(c[0][i][k] != (i == k) for i in range(r) for k in range(r)):
+            raise ValueError("unit law fails")
+        for i, j, k in triples:
+            # (e_i e_j) e_k against e_i (e_j e_k), coefficient by coefficient
+            for l in range(r):
+                if sum(c[i][j][m] * c[m][k][l] for m in range(r)) != \
+                   sum(c[j][k][m] * c[i][m][l] for m in range(r)):
+                    raise ValueError(f"associativity fails at ({i},{j},{k})")
+        # e_1 e_j = sum_i c[1][j][i] e_i: the matrix of e_1 must be tridiagonal, off-diagonal nonzero
         for i in range(r):
             for j in range(r):
-                for k in range(r):
-                    if self.omega03[i][j][k] != self.omega03[j][i][k] or \
-                       self.omega03[i][j][k] != self.omega03[i][k][j]:
-                        raise ValueError("omega03 is not fully symmetric")
-        unit = self.basis(0)
-        for i in range(r):
-            if self.multiply(unit, self.basis(i)) != self.basis(i):
-                raise ValueError("unit law fails")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    lhs = self.multiply(self.multiply(self.basis(i), self.basis(j)), self.basis(k))
-                    rhs = self.multiply(self.basis(i), self.multiply(self.basis(j), self.basis(k)))
-                    if lhs != rhs:
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
-        if r > 1:
-            m1 = self.mult_matrix(1)
-            for i in range(r):
-                for j in range(r):
-                    if abs(i - j) == 1 and m1[i][j] == 0:
-                        raise ValueError("multiplication by e_1 is not tridiagonal-nonzero")
-                    if abs(i - j) > 1 and m1[i][j] != 0:
-                        raise ValueError("multiplication by e_1 is not tridiagonal")
+                if abs(i - j) == 1 and c[1][j][i] == 0:
+                    raise ValueError("multiplication by e_1 is not tridiagonal-nonzero")
+                if abs(i - j) > 1 and c[1][j][i] != 0:
+                    raise ValueError("multiplication by e_1 is not tridiagonal")
 
     # -- basic algebra -------------------------------------------------------
 
@@ -218,46 +213,36 @@ class FrobeniusAlgebra:
 def so3_algebra(level: int, emb: Embedding) -> FrobeniusAlgebra:
     """SO3 fusion algebra at an odd level; basis e_i is the color 2i.
 
-    The basis is normalized so that the top structure constant
-    omega03(1,1,1) is +1, which fixes the sign gauge e_i -> (-1)^i e_i
-    left open by the triple-point sign formula.
+    eps_i is the sign of the quantum integer [2i+1] and omega03 is
+    so3_structure_sign, gauge-fixed so that omega03(1,1,1) is +1; both are
+    exact residue computations at q = zeta_level^k.
     """
-    if level < 3 or level % 2 == 0:
-        raise ValueError("level must be an odd integer >= 3")
-    if emb.order != level:
-        raise ValueError("embedding must have the same order as the level")
+    check_so3_level(level, emb)
     r = (level - 1) // 2
-    eps = tuple(_qsign(2 * i + 1, 1, emb) for i in range(r))
-    if any(e == 0 for e in eps):
-        raise ArithmeticError("degenerate embedding: vanishing eta sign")
-    gauge = 1
-    if r >= 2:
-        base = _triple_sign(2, 2, 2, 1, emb)
-        if base == 0:
-            raise ArithmeticError("inadmissible (1,1,1) triple at this level")
-        gauge = base  # flip e_i -> (-1)^i e_i when the raw sign is -1
+    eps = tuple(quantum_int_sign(2 * i + 1, emb) for i in range(r))
     omega = tuple(
-        tuple(
-            tuple(_triple_sign(2 * i, 2 * j, 2 * k, 1, emb) * gauge ** (i + j + k) for k in range(r))
-            for j in range(r)
-        )
+        tuple(tuple(so3_structure_sign(emb, i, j, k) for k in range(r)) for j in range(r))
         for i in range(r)
     )
-    return FrobeniusAlgebra("so3", level, emb, r, eps, omega, tuple(2 * i for i in range(r)), gauge)
+    return FrobeniusAlgebra("so3", level, emb, r, eps, omega, tuple(2 * i for i in range(r)))
 
 
 def su2_algebra(r: int, emb: Embedding) -> FrobeniusAlgebra:
-    """SU2 fusion algebra for A a primitive 4r-th root of unity; rank r-1."""
+    """SU2 fusion algebra for A a primitive 4r-th root of unity; rank r-1.
+
+    The signs are those of quantum integers at q = A^2: with A = zeta_4r^k,
+    sin(2*pi*2km/4r) = sin(2*pi*km/2r), so they are quantum_int_sign at the
+    order-2r embedding with the same exponent.
+    """
     if r < 2:
         raise ValueError("r must be at least 2")
     if emb.order != 4 * r:
         raise ValueError("embedding must have order 4r")
+    q_emb = Embedding(2 * r, emb.exponent)
     rank = r - 1
-    eps = tuple((-1) ** i * _qsign(i + 1, 2, emb) for i in range(rank))
-    if any(e == 0 for e in eps):
-        raise ArithmeticError("degenerate embedding: vanishing eta sign")
+    eps = tuple((-1) ** i * quantum_int_sign(i + 1, q_emb) for i in range(rank))
     omega = tuple(
-        tuple(tuple(_triple_sign(i, j, k, 2, emb) for k in range(rank)) for j in range(rank))
+        tuple(tuple(_triple_sign(i, j, k, q_emb) for k in range(rank)) for j in range(rank))
         for i in range(rank)
     )
     return FrobeniusAlgebra("su2", 4 * r, emb, rank, eps, omega, tuple(range(rank)))
@@ -308,14 +293,12 @@ def signature_table(algebra: FrobeniusAlgebra, g_max: int, n_max: int):
 
 def verlinde_dimension(level: int, genus: int) -> Fraction:
     """Dimension of the level-l SO3 theory in genus g, with a sine-formula check."""
-    import math as _math
-
     if level < 5 or level % 2 == 0:
         raise ValueError("the closed sine formula is stated for odd level >= 5")
     algebra = so3_algebra(level, Embedding(level, (level - 1) // 2))
     value = algebra.tft_value(genus, [])
     closed = (level / 4.0) ** (genus - 1) * sum(
-        _math.sin(2 * m * _math.pi / level) ** (2 - 2 * genus) for m in range(1, (level - 1) // 2 + 1)
+        math.sin(2 * m * math.pi / level) ** (2 - 2 * genus) for m in range(1, (level - 1) // 2 + 1)
     )
     if abs(float(value) - closed) > 1e-9 * max(1.0, abs(closed)):
         raise ArithmeticError(f"trace and sine formulas disagree: {float(value)} vs {closed}")

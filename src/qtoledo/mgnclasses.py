@@ -314,16 +314,14 @@ def uniformization_check(case: tuple[int, int]) -> dict:
     four-point class, and the delta_irr restriction on (1,2).
     """
     from .cyclotomic import Embedding
-    from .fusion import so3_algebra
     from .rmatrix import degree2_class, solve_level, tau_from_r1_04
 
     if tuple(case) not in {(0, 5), (1, 2), (1, 3), (2, 1)}:
         raise ValueError(f"no uniformization statement for {case}")
     g, n = case
-    emb = Embedding(5, 1)
-    v = so3_algebra(5, emb)
-    r1 = solve_level(5, emb)
-    tau = reduce_class(degree2_class(v, r1, g, n, [1] * n))
+    r1 = solve_level(5, Embedding(5, 1))
+    v = r1.algebra
+    tau = reduce_class(degree2_class(r1, g, n, [1] * n))
     checks = []
 
     def record(name, lhs, rhs):

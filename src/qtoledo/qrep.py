@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, Embedding, quantum_int, quantum_int_sign, sign_real
-from .fusion import FrobeniusAlgebra, so3_algebra
+from .fusion import check_so3_level, so3_structure_sign
 from .hermitian import (
     HermMatrix,
     IsometryWithForm,
@@ -72,6 +72,7 @@ class FourPointData:
 
 
 def four_point_data(level: int, emb: Embedding, i: int) -> FourPointData:
+    check_so3_level(level, emb)
     _check_color(level, i)
     r = _rank(level)
     q = CycloNum.zeta(level)
@@ -100,6 +101,7 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     triangle-group angle formula, with the result certified to lie in
     (-1, 1) with denominator dividing the level.
     """
+    check_so3_level(level, emb)
     _check_color(level, i)
     _check_color(level, j)
     if i != j:
@@ -146,9 +148,8 @@ class PuncturedTorusRep:
         return HermMatrix(diagonal(self.norms), self.embedding)
 
     def form_signature(self):
-        sig_pos = sum(1 for x in self.norms if sign_real(x, self.embedding) > 0)
-        sig_neg = sum(1 for x in self.norms if sign_real(x, self.embedding) < 0)
-        return sig_pos, sig_neg
+        signs = [sign_real(x, self.embedding) for x in self.norms]
+        return signs.count(1), signs.count(-1)
 
 
 def _u_value(m: int, i: int, q: CycloNum, level: int) -> CycloNum:
@@ -160,21 +161,21 @@ def _u_value(m: int, i: int, q: CycloNum, level: int) -> CycloNum:
     return num / den
 
 
-def punctured_torus_rep(level: int, emb: Embedding, i: int,
-                        algebra: FrobeniusAlgebra | None = None) -> PuncturedTorusRep:
+def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep:
     """Construct the torus representation with boundary color e_i.
 
     The form is fixed up to positive scale by self-adjointness of the
-    tridiagonal curve operator; its base sign comes from the gluing-norm
-    pattern and is cross-validated against tr_V(e_i) downstream.
+    tridiagonal curve operator.  Its base sign, on the lowest gluing color
+    2j, is the fusion structure sign fusion.so3_structure_sign(emb, j, j, i)
+    times the sign of [2j+1]; the tests check the resulting signature
+    against tr_V(e_i) of the fusion algebra.
     """
+    check_so3_level(level, emb)
     _check_color(level, i)
     r = _rank(level)
     window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
     if len(window) != r - i:
         raise ArithmeticError("admissibility window has unexpected size")
-    if algebra is None:
-        algebra = so3_algebra(level, emb)
     q = CycloNum.zeta(level)
     n = len(window)
     zero = CycloNum.rational(0)
@@ -209,7 +210,7 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int,
 
     # norms: base sign from the gluing pattern, then the self-adjointness ratio
     j_min = window[0]
-    base = algebra.omega03[j_min][j_min][i] * quantum_int_sign(2 * j_min + 1, emb)
+    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
     if base == 0:
         raise ArithmeticError("degenerate base norm")
     norms = [CycloNum.rational(base)]
@@ -266,17 +267,17 @@ def _validate_rep(rep: PuncturedTorusRep):
         raise ArithmeticError("(T_gamma T_delta T_gamma)^2 is not scalar")
 
 
-def tau_11(level: int, emb: Embedding, i: int,
-           algebra: FrobeniusAlgebra | None = None) -> Fraction:
+def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     """tau_{1,1}(e_i): the triangle-group Toledo pairing of T_gamma and T_delta T_gamma.
 
     That is the Meyer signature of the twist pair plus G-corrections (see
     toledo_triangle_meyer).  Vanishes for i = 0 (the block is unitary
     definite there).
     """
+    check_so3_level(level, emb)
     if i == 0:
         return Fraction(0)
-    rep = punctured_torus_rep(level, emb, i, algebra)
+    rep = punctured_torus_rep(level, emb, i)
     form = rep.form
     return toledo_triangle_meyer(IsometryWithForm(rep.t_gamma, form),
                                  IsometryWithForm(mat_mul(rep.t_delta, rep.t_gamma), form))
@@ -287,7 +288,6 @@ def pivot_tau04_table(level: int, emb: Embedding) -> dict[tuple[int, int], Fract
     return {(i, j): four_point_toledo(level, emb, i, j) for i in range(r) for j in range(r)}
 
 
-def tau11_table(level: int, emb: Embedding,
-                algebra: FrobeniusAlgebra | None = None) -> list[Fraction]:
+def tau11_table(level: int, emb: Embedding) -> list[Fraction]:
     r = _rank(level)
-    return [tau_11(level, emb, i, algebra) for i in range(r)]
+    return [tau_11(level, emb, i) for i in range(r)]

@@ -244,15 +244,15 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
 
 def solve_level(level: int, emb: Embedding) -> R1Matrix:
     """Build the fusion algebra at (level, embedding) and solve for R_1."""
-    v = so3_algebra(level, emb)
-    return solve_r1(v, pivot_tau04_table(level, emb), tau11_table(level, emb, v))
+    return solve_r1(so3_algebra(level, emb), pivot_tau04_table(level, emb), tau11_table(level, emb))
 
 
 # -- degree-2 classes -------------------------------------------------------------
 
 
-def degree2_class(v: FrobeniusAlgebra, r1: R1Matrix, g: int, n: int, colors) -> H2Class:
-    """The Toledo class tau_{g,n}(colors) over the kappa-tilde basis."""
+def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
+    """The Toledo class tau_{g,n}(colors) over the kappa-tilde basis, in r1's algebra."""
+    v = r1.algebra
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable moduli space")
     colors = [v.as_vector(c) for c in colors]
@@ -330,15 +330,14 @@ def presentation_class(v: FrobeniusAlgebra, g: int, n: int) -> H2Class:
 
 def appendixB_crosscheck(g_max: int = 4, n_max: int = 4) -> dict:
     """Compare the closed level-5 class with the presentation pipeline."""
-    emb = Embedding(5, 1)
-    v = so3_algebra(5, emb)
-    r1 = solve_level(5, emb)
+    r1 = solve_level(5, Embedding(5, 1))
+    v = r1.algebra
     report = {"cases": [], "all_equal": True}
     for g in range(g_max + 1):
         for n in range(n_max + 1):
             if 2 * g - 2 + n <= 0:
                 continue
-            direct = degree2_class(v, r1, g, n, [1] * n)
+            direct = degree2_class(r1, g, n, [1] * n)
             viaB = presentation_class(v, g, n)
             equal = direct == viaB
             report["cases"].append({

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -248,3 +250,77 @@ def test_bad_inputs():
         su2_algebra(1, Embedding(4, 1))
     with pytest.raises(ValueError):
         so3_algebra(7, Embedding(5, 1))
+
+
+def _tables(eps, omega):
+    """FrobeniusAlgebra straight from its tables; the constructor runs the structural checks."""
+    rank = len(eps)
+    return FrobeniusAlgebra("so3", 2 * rank + 1, Embedding(2 * rank + 1, 1), rank, tuple(eps),
+                            tuple(tuple(tuple(row) for row in m) for m in omega),
+                            tuple(2 * i for i in range(rank)))
+
+
+def _flip_orbit(omega, triple):
+    """omega with the sign of every permutation of one index triple flipped."""
+    out = [[list(row) for row in m] for m in omega]
+    for i, j, k in set(itertools.permutations(triple)):
+        out[i][j][k] = -out[i][j][k]
+    return out
+
+
+def _relabel(v, perm):
+    """The tables of v in the basis e'_a = e_perm[a]."""
+    r = range(v.rank)
+    return ([v.eps[perm[a]] for a in r],
+            [[[v.omega03[perm[a]][perm[b]][perm[c]] for c in r] for b in r] for a in r])
+
+
+def test_tables_pass_the_structural_checks():
+    # unitary Fibonacci: t^2 = 1 + t
+    assert _tables([1, 1], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]).multiply(1, 1) == (F(1), F(1))
+    v = so3_algebra(7, Embedding(7, 3))
+    assert _tables(v.eps, v.omega03).gram() == v.gram()
+
+
+@pytest.mark.parametrize("eps, omega, message", [
+    ([-1, 1], [[[-1, 0], [0, 1]], [[0, 1], [1, 1]]], "unit sign must be +1"),
+    ([1, 1], [[[1, 0], [0, -1]], [[0, 1], [1, 1]]], "omega03(0,j,k) must reproduce eta"),
+    ([1, 1], [[[1, 0], [0, 1]], [[0, 1], [-1, 1]]], "omega03 is not fully symmetric"),
+    # eta weights that are not signs: e_0 e_1 = 4 e_1
+    ([1, 2], [[[1, 0], [0, 2]], [[0, 2], [2, 0]]], "unit law fails"),
+    (so3_algebra(7, Embedding(7, 3)).eps, _flip_orbit(so3_algebra(7, Embedding(7, 3)).omega03, (1, 1, 1)),
+     "associativity fails at (1,1,2)"),
+    # e_1 <-> e_2 at level 9: e_1 e_1 reaches e_3
+    (*_relabel(so3_algebra(9, Embedding(9, 4)), [0, 2, 1, 3]), "multiplication by e_1 is not tridiagonal"),
+    # group algebra of Z/2 x Z/2: e_1 swaps e_0 <-> e_1 and e_2 <-> e_3, so (1, 2) is zero
+    ([1] * 4, [[[int(i ^ j ^ k == 0) for k in range(4)] for j in range(4)] for i in range(4)],
+     "multiplication by e_1 is not tridiagonal-nonzero"),
+])
+def test_structural_checks_refuse_one_defect(eps, omega, message):
+    with pytest.raises(ValueError) as err:
+        _tables(eps, omega)
+    assert str(err.value) == message
+
+
+def _sine_ratio_sign(m: int, k: int, n: int) -> int:
+    """Sign of [m] = sin(2 pi k m/n) / sin(2 pi k/n), in floating point."""
+    ratio = math.sin(2 * math.pi * k * m / n) / math.sin(2 * math.pi * k / n)
+    assert abs(ratio) > 1e-6
+    return 1 if ratio > 0 else -1
+
+
+def test_eta_signs_match_float_sine_ratios():
+    # independent oracle for the exact residue signs, at every embedding
+    for level in range(3, 22, 2):
+        for k in range(1, level):
+            if math.gcd(k, level) == 1:
+                v = so3_algebra(level, Embedding(level, k))
+                assert v.eps == tuple(_sine_ratio_sign(2 * i + 1, k, level) for i in range(v.rank))
+                assert v.rank < 2 or v.omega03[1][1][1] == 1
+    for r in range(2, 11):
+        for k in range(1, 4 * r):
+            if math.gcd(k, 4 * r) == 1:
+                # quantum integers at q = A^2 with A = exp(2 pi i k/4r)
+                v = su2_algebra(r, Embedding(4 * r, k))
+                assert v.eps == tuple((-1) ** i * _sine_ratio_sign(i + 1, 2 * k, 4 * r)
+                                      for i in range(v.rank))

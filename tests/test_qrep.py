@@ -104,7 +104,7 @@ def test_torus_rep_signature_matches_trace():
             emb = Embedding(level, k)
             v = so3_algebra(level, emb)
             for i in range((level - 1) // 2):
-                rep = punctured_torus_rep(level, emb, i, v)
+                rep = punctured_torus_rep(level, emb, i)
                 p, n = rep.form_signature()
                 tr = v.trace(v.basis(i))
                 if tr != 0:
@@ -213,3 +213,34 @@ def test_eigen_split_filter_matches_full_scan(level, k):
             got, want = eigen_split(u), _eigen_scan(u)
             assert [(lam.order, lam.nums, turn, sig) for lam, turn, sig in got] == \
                 [(lam.order, lam.nums, turn, sig) for lam, turn, sig in want], (level, k, i)
+
+
+def test_torus_path_builds_no_fusion_algebra(monkeypatch):
+    # the base sign of the form comes from fusion.so3_structure_sign alone
+    import qtoledo.fusion
+    import qtoledo.qrep
+
+    def refuse(*args):
+        raise AssertionError("so3_algebra was built")
+
+    for module in (qtoledo.fusion, qtoledo.qrep):
+        monkeypatch.setattr(module, "so3_algebra", refuse, raising=False)
+    assert punctured_torus_rep(7, Embedding(7, 1), 1).form_signature() == (1, 1)
+    assert tau_11(7, Embedding(7, 1), 1) == F(-1, 42)
+    assert tau11_table(7, Embedding(7, 2)) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda level, emb: so3_algebra(level, emb),
+    lambda level, emb: punctured_torus_rep(level, emb, 1),
+    lambda level, emb: four_point_toledo(level, emb, 1, 1),
+    lambda level, emb: four_point_data(level, emb, 1),
+    lambda level, emb: tau_11(level, emb, 0),
+], ids=["so3_algebra", "punctured_torus_rep", "four_point_toledo", "four_point_data", "tau_11"])
+def test_level_and_embedding_are_checked(call):
+    for level, emb, message in ((8, Embedding(8, 1), "level must be an odd integer >= 3"),
+                                (7, Embedding(5, 1), "embedding must have the same order as the level"),
+                                (7, Embedding(21, 1), "embedding must have the same order as the level")):
+        with pytest.raises(ValueError) as err:
+            call(level, emb)
+        assert str(err.value) == message

@@ -70,7 +70,7 @@ def test_level7_q2_matrix_consistent_with_table():
     # reverse engineering of the stale printed matrix
     flipped = dict(pivot_tau04_table(7, emb))
     flipped[(1, 1)] = -flipped[(1, 1)]
-    stale = solve_r1(v, flipped, tau11_table(7, emb, v))
+    stale = solve_r1(v, flipped, tau11_table(7, emb))
     printed = [[-3615, 1027, 1973], [-1027, 3719, -36], [1973, 36, -104]]
     assert stale.matrix == tuple(tuple(F(x, 22218) for x in row) for row in printed)
     assert tau_from_r1_04(v, stale, 1, 1, 2, 2) != table[(1, 1, 2, 2)]
@@ -86,7 +86,7 @@ def _perturbed_tau04(level, k, entry):
 def test_solve_r1_refuses_unrealizable_tables():
     emb = Embedding(7, 1)
     v = so3_algebra(7, emb)
-    tau11 = tau11_table(7, emb, v)
+    tau11 = tau11_table(7, emb)
     # an off-diagonal entry breaks the symmetry the perp space can realize
     with pytest.raises(ArithmeticError) as err:
         solve_r1(v, _perturbed_tau04(7, 1, (0, 1)), tau11)
@@ -174,7 +174,7 @@ def test_degree2_class_level5_closed_formulas(level5):
         for n in range(5):
             if 2 * g - 2 + n <= 0:
                 continue
-            cls = degree2_class(v, r1, g, n, [1] * n)
+            cls = degree2_class(r1, g, n, [1] * n)
             sigma = v.tft_value(g, [1] * n)
             sigma_next = v.tft_value(g, [1] * (n + 1))
             a = F(-23, 270) * sigma - F(1, 27) * sigma_next
@@ -191,7 +191,7 @@ def test_degree2_class_integral_matches_tau04(level5):
     v, r1 = level5
     from qtoledo.mgnclasses import reduce_class
 
-    cls = degree2_class(v, r1, 0, 4, [1] * 4)
+    cls = degree2_class(r1, 0, 4, [1] * 4)
     assert reduce_class(cls).coefficient("point") == tau_from_r1_04(v, r1, 1, 1, 1, 1)
 
 
@@ -200,7 +200,7 @@ def test_degree2_class_unitary_is_zero():
     v = so3_algebra(7, emb)
     r1 = solve_level(7, emb)
     for g, n, colors in ((0, 4, [1, 2, 1, 2]), (1, 2, [1, 1]), (2, 1, [2])):
-        assert degree2_class(v, r1, g, n, colors).is_zero()
+        assert degree2_class(r1, g, n, colors).is_zero()
 
 
 def test_appendix_b_crosscheck():
@@ -212,7 +212,7 @@ def test_appendix_b_crosscheck():
 def test_presentation_psi_equals_closed_psi(level5):
     v, r1 = level5
     for g in range(1, 4):
-        direct = degree2_class(v, r1, g, 2, [1, 1])
+        direct = degree2_class(r1, g, 2, [1, 1])
         via_b = presentation_class(v, g, 2)
         assert direct.coefficient("psi", 1) == via_b.coefficient("psi", 1)
 
