@@ -104,7 +104,8 @@ def cmd_fusion_sigtable(args) -> str:
     payload = {
         "header": ["g\\n"] + [f"n={n}" for n in range(args.nmax + 1)],
         "rows": [[f"g={g}"] + rows[g] for g in range(args.gmax + 1)],
-        "cells": [cell for line in table for cell in line],
+        "cells": [{**cell, "dim": _frac(cell["dim"]), "signature": _frac(cell["signature"])}
+                  for line in table for cell in line],
     }
     return _envelope("fusion sigtable", vars_of(args), payload, args.format)
 

@@ -7,10 +7,13 @@ one field is a tuple comparison, and every ring operation runs in plain
 int arithmetic: products by Kronecker substitution (both operands packed
 into one Python int) followed by reduction with the sparse rows
 x^m mod Phi_N, inverses by an integer extended Euclid on (Phi_N, a).
-Mixed-order arithmetic lifts both operands to Q(zeta_lcm).  Real elements
-(fixed by zeta -> 1/zeta) get a certified sign under a chosen complex
-embedding: an exact zero test first, then adaptive-precision interval
-evaluation.
+Mixed-order arithmetic lifts both operands to Q(zeta_lcm).  A power of a
+root of unity zeta^j and a quantum integer at q = zeta^j are read from the
+table of rows x^m mod Phi_N, with no multiplication.  Real elements (fixed
+by zeta -> 1/zeta) get a certified sign under a chosen complex embedding:
+an exact zero test first, then adaptive-precision interval evaluation.
+mpmath, which does the interval evaluation, is imported on the first one,
+so a computation whose signs are all rational never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 #: hard cap for adaptive interval refinement, in bits
 MAX_SIGN_BITS = 16384
@@ -82,6 +83,17 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
                 shifted[j] -= lead * mod[j]
         cur = shifted
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _root_index(n: int) -> dict[tuple[int, ...], int]:
+    """The exponent m of zeta_n^m, keyed by the row x^m mod Phi_n."""
+    return {row: m for m, row in enumerate(_power_table(n))}
+
+
+def _root_exponent(a: "CycloNum") -> int | None:
+    """m with a = zeta^m in Q(zeta_order), or None if a is no such power."""
+    return _root_index(a.order).get(a.nums) if a.den == 1 else None
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +311,11 @@ class CycloNum:
         return _coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "CycloNum":
+        if n == 0:
+            return CycloNum.rational(1)
+        m = _root_exponent(self)
+        if m is not None:
+            return CycloNum.zeta(self.order, m * n)
         if n < 0:
             return self.inverse() ** (-n)
         result = CycloNum.rational(1)
@@ -455,11 +472,23 @@ def trace_to_Q(a: CycloNum, fixing_exponents=None) -> Fraction:
 # -- quantum integers -----------------------------------------------------
 
 def quantum_int(n: int, q: CycloNum) -> CycloNum:
-    """[n] = (q^n - q^-n)/(q - q^-1), computed by the telescoped sum."""
+    """[n] = (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n).
+
+    For q = zeta^m the n terms are rows of the power table, summed as
+    integers; otherwise the telescoped sum is multiplied out.  [1] is the
+    rational 1, like q^0.
+    """
     if n == 0:
         return CycloNum.rational(0)
     if n < 0:
         return -quantum_int(-n, q)
+    if n == 1:
+        return CycloNum.rational(1)
+    m = _root_exponent(q)
+    if m is not None:
+        order, rows = q.order, _power_table(q.order)
+        terms = (rows[m * (n - 1 - 2 * k) % order] for k in range(n))
+        return _from_ints(order, tuple(map(sum, zip(*terms))), 1)
     total = CycloNum.rational(0)
     power = q ** (n - 1)
     qinv2 = (q * q).inverse()
@@ -514,6 +543,8 @@ def embed_complex(a: CycloNum, emb: Embedding) -> complex:
 
 
 def _interval_real(a: CycloNum, emb: Embedding, bits: int):
+    import mpmath  # loaded on the first interval evaluation, not with the package
+
     iv = mpmath.iv
     old = iv.prec
     try:

@@ -120,19 +120,6 @@ def gram(h: Matrix, vs, ws) -> Matrix:
     return mat_mul(v_star, mat_mul(h, tuple(zip(*ws))))
 
 
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    _, one = _zero_one(a)
-    result = diagonal((one,) * len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result
-
-
 def mat_trace(a: Matrix):
     zero, _ = _zero_one(a)
     return sum((row[i] for i, row in enumerate(a)), zero)
@@ -361,12 +348,13 @@ def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
 
 # -- Meyer cocycle -----------------------------------------------------------
 
-def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm) -> int:
+def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm, ab: Matrix | None = None) -> int:
     """Signature of the pair-of-pants twisted intersection form.
 
     With C = (AB)^-1 and 1-A invertible this is the signature of the
     Hermitian matrix h * (1-B^-1)(1-A)^-1(1-C^-1) / i; otherwise the form
     h(u+v, (1-B)v') / i on the kernel {(u,v): (A^-1-1)u + (B-1)v = 0}.
+    A caller that already holds the product AB passes it as `ab`.
     """
     if a.form is not b.form and a.form.entries != b.form.entries:
         raise ValueError("isometries must share one form")
@@ -379,7 +367,7 @@ def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm) -> int:
         inv_1a = mat_inv(mat_sub(one, amat))
     except ZeroDivisionError:
         return _meyer_kernel_form(amat, bmat, h, emb)
-    c_inv = mat_mul(amat, bmat)  # C = (AB)^-1, so 1 - C^-1 = 1 - AB
+    c_inv = mat_mul(amat, bmat) if ab is None else ab  # C = (AB)^-1, so 1 - C^-1 = 1 - AB
     s = mat_mul(mat_sub(one, mat_inv(bmat)), mat_mul(inv_1a, mat_sub(one, c_inv)))
     return _skew_form_signature(h, s, emb)
 
@@ -525,5 +513,5 @@ def toledo_triangle_meyer(a: IsometryWithForm, b: IsometryWithForm) -> Fraction:
     oriented so that tau vanishes identically on U(1), which pins the sign.
     """
     ab = IsometryWithForm(mat_mul(a.matrix, b.matrix), a.form)
-    mu = meyer_cocycle(a, b)
+    mu = meyer_cocycle(a, b, ab.matrix)
     return Fraction(mu - g_function(a) - g_function(b) + g_function(ab), 2)

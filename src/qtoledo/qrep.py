@@ -5,6 +5,17 @@ representation (curve operators C, twists T = Q(C), and the invariant
 Hermitian form), then evaluates the degree-2 invariants tau_{0,4} and
 tau_{1,1}.  tau_{0,4} comes from the hyperbolic-triangle angle formula,
 tau_{1,1} from the Meyer signature plus G-function corrections.
+
+The torus representation is built and certified from its structure.  C_gamma
+and T_gamma are diagonal; C_delta is tridiagonal with a unit subdiagonal, so
+its left eigenvector for the eigenvalue c is given by the division-free
+recurrence u_0 = 1, u_{a+1} = (c - d_a) u_a - low_a u_{a-1}, and
+T_delta = L^-1 diag(t) L in that eigenbasis.  The certificates are:
+self-adjointness of C_delta and the two twists preserving the form; equal
+spectra, because the recurrence closes at each of the n distinct
+eigenvalues of C_gamma; L T_delta = diag(t) L and L L^-1 = I, which with
+equal t_k^level make both twists of projective order level; and the
+projective relations (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2.
 """
 
 from __future__ import annotations
@@ -12,21 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, Embedding, quantum_int, quantum_int_sign, sign_real
+from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign, sign_real
 from .fusion import check_so3_level, so3_structure_sign
 from .hermitian import (
     HermMatrix,
     IsometryWithForm,
     Matrix,
-    charpoly,
     conj_transpose,
     diagonal,
     identity,
     is_scalar,
-    lin_comb,
     mat_mul,
-    mat_pow,
-    mat_sub,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
 )
@@ -169,6 +176,29 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
     2j, is the fusion structure sign fusion.so3_structure_sign(emb, j, j, i)
     times the sign of [2j+1]; the tests check the resulting signature
     against tr_V(e_i) of the fusion algebra.
+
+    T_delta is the interpolation polynomial of C_delta through the pairs
+    (c_k, t_k) of curve eigenvalues and twists, written in the left
+    eigenbasis of C_delta: T_delta = L^-1 diag(t) L.  C_delta is tridiagonal
+    with a unit subdiagonal, so the eigenvector u for c_k comes from the
+    recurrence u_0 = 1, u_{a+1} = (c_k - d_a) u_a - low_a u_{a-1} (d the
+    diagonal, low the superdiagonal) with no division, and
+    L^-1 = h^-1 L^* diag(1/s_k) with s_k = u_k h^-1 u_k^*, because the
+    eigenvectors of a self-adjoint operator are orthogonal for the form h.
+    That takes n scalar inverses and no matrix inverse.
+
+    The result is certified before it is returned (_validate_rep):
+
+    - C_delta is self-adjoint for the form, and T_gamma, T_delta preserve it;
+    - C_gamma = diag(c) and T_gamma = diag(t) are diagonal, and C_delta is
+      tridiagonal with a unit subdiagonal;
+    - C_delta and C_gamma have one spectrum: the recurrence, one step past
+      the end, gives det(c_k - C_delta), and it vanishes at each of the n
+      distinct c_k;
+    - one product shows L T_delta = diag(t) L and another L L^-1 = I, so
+      T_delta = L^-1 diag(t) L; both twists then have scalar level-th
+      powers because every t_k^level is the same, checked entrywise;
+    - (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2 are scalar.
     """
     check_so3_level(level, emb)
     _check_color(level, i)
@@ -179,6 +209,7 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
     q = CycloNum.zeta(level)
     n = len(window)
     zero = CycloNum.rational(0)
+    u = {m: _u_value(m, i, q, level) for m in range(2 * window[0] - 1, 2 * window[-1] + 2)}
 
     c_values = [q ** (4 * j + 2) + 1 + q ** (-(4 * j + 2)) for j in window]
     # twist orientation: the left-handed convention makes the (2,3,7) line
@@ -188,24 +219,17 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
 
     rows = [[zero] * n for _ in range(n)]
     for a, j in enumerate(window):
-        diag = _u_value(2 * j + 1, i, q, level) + _u_value(2 * j, i, q, level) - 1
+        diag = u[2 * j + 1] + u[2 * j] - 1
         rows[a][a] = diag
         if j + 1 in pos:
             rows[pos[j + 1]][a] = CycloNum.rational(1)
-        low = _u_value(2 * j, i, q, level) * _u_value(2 * j - 1, i, q, level)
+        low = u[2 * j] * u[2 * j - 1]
         if j - 1 in pos:
             rows[pos[j - 1]][a] = low
         elif not low.is_zero():
             raise ArithmeticError("subdiagonal does not vanish at the window edge")
     c_delta = tuple(tuple(row) for row in rows)
     c_gamma = diagonal(c_values)
-
-    # distinct eigenvalues make the twist a polynomial in the curve operator
-    for a in range(n):
-        for b in range(a + 1, n):
-            if c_values[a] == c_values[b]:
-                raise ArithmeticError("curve-operator eigenvalues collide")
-    t_delta = _lagrange_apply(c_delta, c_values, twist_values)
     t_gamma = diagonal(twist_values)
 
     # norms: base sign from the gluing pattern, then the self-adjointness ratio
@@ -214,10 +238,11 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
     if base == 0:
         raise ArithmeticError("degenerate base norm")
     norms = [CycloNum.rational(base)]
-    for a in range(1, n):
-        j = window[a - 1]
-        ratio = _u_value(2 * j + 2, i, q, level) * _u_value(2 * j + 1, i, q, level)
-        norms.append(norms[-1] * ratio)
+    for j in window[:-1]:
+        norms.append(norms[-1] * u[2 * j + 2] * u[2 * j + 1])
+
+    left, right = _eigenbasis(c_delta, c_values, norms)
+    t_delta = mat_mul(right, _scale_rows(twist_values, left))
 
     rep = PuncturedTorusRep(level, emb, i, window, tuple(norms),
                             c_gamma, c_delta, t_gamma, t_delta)
@@ -225,24 +250,51 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
     return rep
 
 
-def _lagrange_apply(m: Matrix, points: list[CycloNum], values: list[CycloNum]) -> Matrix:
-    """Q(m) for the interpolation polynomial through (points[k], values[k])."""
-    n = len(m)
-    terms, weights = [], []
-    for k, (x_k, y_k) in enumerate(zip(points, values)):
-        term = identity(n)
-        denom = CycloNum.rational(1)
-        for l, x_l in enumerate(points):
-            if l == k:
-                continue
-            term = mat_mul(term, mat_sub(m, diagonal((x_l,) * n)))
-            denom = denom * (x_k - x_l)
-        terms.append(term)
-        weights.append(y_k * denom.inverse())
-    return lin_comb(weights, terms)
+def _scale_rows(values, m: Matrix) -> Matrix:
+    """diag(values) * m."""
+    return tuple(tuple(v * x for x in row) for v, row in zip(values, m))
+
+
+def _eigenbasis(c_delta: Matrix, points, norms) -> tuple[Matrix, Matrix]:
+    """(L, L^-1) for the left eigenvectors of C_delta at the distinct points.
+
+    Row k of L is the u with u C_delta = c_k u and u_0 = 1, from the
+    recurrence of punctured_torus_rep's docstring.  Its value one step past
+    the end is det(c_k - C_delta), so it closes (gives 0) at every c_k
+    exactly when C_delta has the n distinct eigenvalues c_k; otherwise this
+    raises.  L^-1 is read off the form h = diag(norms).
+    """
+    n = len(c_delta)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if points[a] == points[b]:
+                raise ArithmeticError("curve-operator eigenvalues collide")
+    left = []
+    for c in points:
+        u = [CycloNum.rational(1)]
+        for a in range(n):
+            nxt = (c - c_delta[a][a]) * u[a]
+            if a:
+                nxt = nxt - c_delta[a - 1][a] * u[a - 1]
+            u.append(nxt)
+        if u.pop():
+            raise ArithmeticError("curve operators have different spectra")
+        left.append(tuple(u))
+    inv_norms = [x.inverse() for x in norms]
+    columns = []
+    for u in left:
+        v = [conjugate(x) * w for x, w in zip(u, inv_norms)]  # h^-1 u^*
+        inv_s = sum((x * y for x, y in zip(u, v)), CycloNum.rational(0)).inverse()
+        columns.append([x * inv_s for x in v])
+    return tuple(left), tuple(zip(*columns))
 
 
 def _validate_rep(rep: PuncturedTorusRep):
+    """Certify the representation (see punctured_torus_rep for the relations).
+
+    Raises ArithmeticError, or ValueError from IsometryWithForm, naming the
+    first relation that fails.
+    """
     form = rep.form
     prod = mat_mul(form.entries, rep.c_delta)
     if prod != conj_transpose(prod):
@@ -250,14 +302,24 @@ def _validate_rep(rep: PuncturedTorusRep):
     IsometryWithForm(rep.t_gamma, form)
     IsometryWithForm(rep.t_delta, form)
 
-    # C_delta and C_gamma have one characteristic polynomial
-    if charpoly(rep.c_delta) != charpoly(rep.c_gamma):
-        raise ArithmeticError("curve operators have different spectra")
+    points = [row[a] for a, row in enumerate(rep.c_gamma)]
+    twists = [row[a] for a, row in enumerate(rep.t_gamma)]
+    if rep.c_gamma != diagonal(points) or rep.t_gamma != diagonal(twists):
+        raise ArithmeticError("gamma operators are not diagonal")
+    c_delta = rep.c_delta
+    off_band = [x for a, row in enumerate(c_delta) for b, x in enumerate(row) if abs(a - b) > 1]
+    if any(off_band) or any(c_delta[a + 1][a] != 1 for a in range(rep.dim - 1)):
+        raise ArithmeticError("curve operator is not tridiagonal with unit subdiagonal")
+    left, right = _eigenbasis(c_delta, points, rep.norms)
+    if mat_mul(left, rep.t_delta) != _scale_rows(twists, left):
+        raise ArithmeticError("twist is not the interpolation of the curve operator")
+    if mat_mul(left, right) != identity(rep.dim):
+        raise ArithmeticError("eigenvector matrix is not inverted through the form")
 
     # triangle-group relations hold projectively
-    for word in (rep.t_gamma, rep.t_delta):
-        if is_scalar(mat_pow(word, rep.level)) is None:
-            raise ArithmeticError("twist does not have the right projective order")
+    powers = [t ** rep.level for t in twists]
+    if any(p != powers[0] for p in powers):
+        raise ArithmeticError("twist does not have the right projective order")
     td_tg = mat_mul(rep.t_gamma, rep.t_delta)
     cube = mat_mul(td_tg, mat_mul(td_tg, td_tg))
     if is_scalar(cube) is None:

@@ -1,8 +1,12 @@
+import argparse
+import hashlib
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qtoledo.cli import main
+from qtoledo.cli import build_parser, main
 from qtoledo.cyclotomic import CycloNum, cyclo_to_json
 
 
@@ -126,3 +130,78 @@ def test_computation_failure_exit_code(capsys):
     code, _, err = run(capsys, "qrep", "tau04", "--level", "7", "--embedding", "1",
                        "--i", "5", "--j", "5")
     assert code == 1 and "error" in err
+
+
+def _subcommands():
+    """Every (command, sub) pair the parser accepts, read from the parser itself."""
+    def choices(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return {(cmd, sub) for cmd, p in choices(build_parser()).items() if cmd != "reproduce"
+            for sub in choices(p)}
+
+
+def _small_calls(tmp_path):
+    """One small call per subcommand that takes --format; file inputs are written first."""
+    one = cyclo_to_json(CycloNum.rational(1))
+    z = cyclo_to_json(CycloNum.zeta(12))
+    (tmp_path / "form.json").write_text(
+        json.dumps({"embedding": {"order": 12, "exponent": 1}, "entries": [[one]]}))
+    (tmp_path / "a.json").write_text(json.dumps({"entries": [[z]]}))
+    (tmp_path / "cls.json").write_text(
+        json.dumps({"g": 1, "n": 2, "coeffs": {"psi_1": "1/1", "psi_2": "1/1"}}))
+    return [
+        ("fusion", "build", "--family", "su2", "--level", "3"),
+        ("fusion", "sigtable", "--level", "7", "--gmax", "2", "--nmax", "3"),
+        ("fusion", "gluing", "--level", "5", "--samples", "3"),
+        ("herm", "signature", "--matrix", str(tmp_path / "form.json")),
+        ("herm", "meyer", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "a.json"),
+         "--form", str(tmp_path / "form.json")),
+        ("qrep", "tau04", "--level", "7", "--embedding", "2", "--i", "2", "--j", "2"),
+        ("qrep", "tau11", "--level", "7", "--i", "1"),
+        ("qrep", "torus", "--level", "7", "--i", "1"),
+        ("rmatrix", "solve", "--level", "5"),
+        ("rmatrix", "class", "--level", "5", "--g", "0", "--n", "4"),
+        ("rmatrix", "crosscheck", "--gmax", "1", "--nmax", "2"),
+        ("classes", "check", "--case", "0,5"),
+        ("classes", "reduce", "--class", str(tmp_path / "cls.json")),
+        ("euler", "chibar", "--g", "1", "--n", "1"),
+        ("euler", "twisted", "--g", "0", "--n", "4", "--level", "5"),
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+def test_every_subcommand_runs_in_every_format(capsys, tmp_path, fmt):
+    calls = _small_calls(tmp_path)
+    assert {call[:2] for call in calls} == _subcommands()
+    for call in calls:
+        code, out, err = run(capsys, *call, "--format", fmt)
+        assert (code, err) == (0, ""), (call, err)
+        assert out.endswith("\n")
+        if fmt == "json":
+            assert json.loads(out)["command"] == " ".join(call[:2])
+
+
+def test_sigtable_json_serializes_rationals(capsys):
+    code, out, _ = run(capsys, "fusion", "sigtable", "--level", "7", "--embedding", "1",
+                       "--gmax", "2", "--nmax", "3")
+    assert code == 0
+    cells = json.loads(out)["payload"]["cells"]
+    assert len(cells) == 12
+    assert cells[0] == {"g": 0, "n": 0, "p": 1, "q": 0, "dim": "1/1", "signature": "1/1",
+                        "stable": False}
+    assert all(c["p"] + c["q"] == Fraction(c["dim"]) for c in cells)
+
+
+def test_torus_outputs_match_the_frozen_manifest(capsys):
+    # the benchmark's frozen record of every `qrep torus` operation: exit code,
+    # stderr and the SHA-256 of stdout, checked here in-process
+    manifest = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "manifest.json"
+    ops = [op for op in json.loads(manifest.read_text())["ops"].values()
+           if op["argv"][:2] == ["qrep", "torus"]]
+    assert len(ops) == 36
+    for op in ops:
+        code, out, err = run(capsys, *op["argv"])
+        assert (code, err) == (op["exit"], op["stderr"]), op["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == op["stdout_sha256"], op["argv"]

@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +179,65 @@ def test_json_round_trip():
     data = cyclo_to_json(a)
     assert data["order"] == 5 and data["coeffs"][0] == "1/3"
     assert cyclo_from_json(data) == a
+
+
+def _exact(a):
+    return a.order, a.nums, a.den
+
+
+def _power_by_products(x, m):
+    """x^m by |m| multiplications, starting from the rational 1."""
+    result = CycloNum.rational(1)
+    for _ in range(abs(m)):
+        result = result * x
+    return result if m >= 0 else result.inverse()
+
+
+def _quantum_int_by_products(n, q):
+    """[n] as the sum of q^(n-1-2k), k < n, the powers multiplied out by q^-2 in turn."""
+    if n < 0:
+        return -_quantum_int_by_products(-n, q)
+    total, power, step = CycloNum.rational(0), _power_by_products(q, n - 1), _power_by_products(q, -2)
+    for _ in range(n):
+        total, power = total + power, power * step
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12, 13, 66])
+def test_table_read_powers_match_products(order):
+    # powers of zeta^j and quantum integers at q = zeta^j are read from the
+    # power table; they equal the multiplied-out values, field order included
+    for j in (1, 5, order - 1):
+        if math.gcd(j, order) != 1 and order > 1:
+            continue
+        q = CycloNum.zeta(order, j)
+        for m in range(-order - 2, order + 3):
+            assert _exact(q ** m) == _exact(_power_by_products(q, m)), (order, j, m)
+            assert _exact(quantum_int(m, q)) == _exact(_quantum_int_by_products(m, q)), (order, j, m)
+    assert _exact(CycloNum.zeta(order) ** 0) == (1, (1,), 1)
+    w = CycloNum.zeta(order) * 2 + 1  # not a root of unity: the products path
+    for m in range(-3, 4):
+        assert _exact(w ** m) == _exact(_power_by_products(w, m)), (order, m)
+        assert _exact(quantum_int(m, w)) == _exact(_quantum_int_by_products(m, w)), (order, m)
+
+
+def _run_python(code: str) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, timeout=120, check=True)
+    return out.stdout
+
+
+def test_mpmath_loads_on_first_interval_evaluation():
+    # a torus call decides every sign exactly, so it never imports mpmath;
+    # the first sign that needs an interval does, and is still certified
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "import qtoledo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qtoledo.cli.main(['qrep', 'torus', '--level', '13', '--embedding', '2', '--i', '3'])\n"
+        "print(code, 'mpmath' in sys.modules)\n"
+        "from qtoledo.cyclotomic import CycloNum, Embedding, sign_real\n"
+        "z = CycloNum.zeta(5)\n"
+        "print(sign_real(z + z.inverse(), Embedding(5, 2)), 'mpmath' in sys.modules)\n")
+    assert out == "0 False\n-1 True\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from qtoledo.hermitian import (
     charpoly,
     _skew_form_signature,
     conj_transpose,
+    diagonal,
     eigen_split,
     g_function,
     identity,
     kernel_basis,
+    lin_comb,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -23,6 +26,7 @@ from qtoledo.hermitian import (
     toledo_triangle_meyer,
 )
 from qtoledo.qrep import (
+    _validate_rep,
     four_point_data,
     four_point_toledo,
     pivot_tau04_table,
@@ -244,3 +248,93 @@ def test_level_and_embedding_are_checked(call):
         with pytest.raises(ValueError) as err:
             call(level, emb)
         assert str(err.value) == message
+
+
+def _lagrange_oracle(m, points, values):
+    """Q(m) for the interpolation polynomial through (points[k], values[k]), densely.
+
+    The sum over k of values[k] * prod_{l != k} (m - points[l]) / (points[k] - points[l]),
+    every product formed as a full matrix product.
+    """
+    n = len(m)
+    terms, weights = [], []
+    for k, (x_k, y_k) in enumerate(zip(points, values)):
+        term = identity(n)
+        denom = CycloNum.rational(1)
+        for l, x_l in enumerate(points):
+            if l != k:
+                term = mat_mul(term, mat_sub(m, diagonal((x_l,) * n)))
+                denom = denom * (x_k - x_l)
+        terms.append(term)
+        weights.append(y_k * denom.inverse())
+    return lin_comb(weights, terms)
+
+
+def _diagonal_of(m):
+    return [row[a] for a, row in enumerate(m)]
+
+
+def _exact(m):
+    """The entries with their field orders, so equal means written identically."""
+    return [[(x.order, x.nums, x.den) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("level", [5, 7, 9, 11, 13])
+def test_t_delta_is_the_lagrange_interpolation(level):
+    # the eigenbasis construction gives the dense interpolation polynomial
+    # Q(C_delta), Q(c_k) = t_k, entry for entry and field order for field order
+    for k in range(1, level):
+        if math.gcd(k, level) != 1:
+            continue
+        for i in range((level - 1) // 2):
+            rep = punctured_torus_rep(level, Embedding(level, k), i)
+            want = _lagrange_oracle(rep.c_delta, _diagonal_of(rep.c_gamma),
+                                    _diagonal_of(rep.t_gamma))
+            assert _exact(rep.t_delta) == _exact(want), (level, k, i)
+
+
+def _corrupt(m, a, b, x):
+    return tuple(tuple(x if (r, c) == (a, b) else y for c, y in enumerate(row))
+                 for r, row in enumerate(m))
+
+
+def _refusal(rep, **changes):
+    with pytest.raises((ArithmeticError, ValueError)) as err:
+        _validate_rep(dataclasses.replace(rep, **changes))
+    return type(err.value), str(err.value)
+
+
+def test_validate_rep_refuses_each_broken_relation():
+    rep = punctured_torus_rep(11, Embedding(11, 2), 2)
+    assert rep.dim == 3
+    _validate_rep(rep)
+    z = CycloNum.zeta(11)
+    c, t, h = rep.c_delta, rep.t_delta, rep.norms
+    points, twists = _diagonal_of(rep.c_gamma), _diagonal_of(rep.t_gamma)
+
+    # one entry of T_delta, of C_delta, one norm
+    assert _refusal(rep, t_delta=_corrupt(t, 0, 1, t[0][1] + 1)) == \
+        (ValueError, "matrix does not preserve the form")
+    assert _refusal(rep, c_delta=_corrupt(c, 1, 1, c[1][1] + 1)) == \
+        (ArithmeticError, "curve operators have different spectra")
+    assert _refusal(rep, norms=(h[0], 2 * h[1], h[2])) == \
+        (ArithmeticError, "curve operator is not self-adjoint for the form")
+
+    # an isometry that is not the interpolation of C_delta
+    assert _refusal(rep, t_delta=mat_scale(t, z)) == \
+        (ArithmeticError, "twist is not the interpolation of the curve operator")
+    # the eigenvalues and twists paired differently
+    assert _refusal(rep, c_gamma=diagonal([points[1], points[0], points[2]])) == \
+        (ArithmeticError, "twist is not the interpolation of the curve operator")
+    # structure: an off-diagonal C_gamma, a self-adjoint C_delta outside the band
+    assert _refusal(rep, c_gamma=_corrupt(rep.c_gamma, 0, 1, CycloNum.rational(1))) == \
+        (ArithmeticError, "gamma operators are not diagonal")
+    wide = _corrupt(_corrupt(c, 0, 2, h[0].inverse()), 2, 0, h[2].inverse())
+    assert _refusal(rep, c_delta=wide) == \
+        (ArithmeticError, "curve operator is not tridiagonal with unit subdiagonal")
+
+    # consistent twists of the wrong order and of the wrong relations
+    for new, message in (([-twists[0]] + twists[1:], "twist does not have the right projective order"),
+                         ([x * x for x in twists], "(T_gamma T_delta)^3 is not scalar")):
+        assert _refusal(rep, t_gamma=diagonal(new), t_delta=_lagrange_oracle(c, points, new)) == \
+            (ArithmeticError, message)

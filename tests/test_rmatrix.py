@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -230,3 +231,26 @@ def test_denominator_bound(level7_q1):
     for row in r1.matrix:
         for x in row:
             assert bound % x.denominator == 0
+
+
+def test_conjugate_embeddings_negate_r1():
+    # k and level - k are complex-conjugate embeddings: the torus values and
+    # R_1 change sign, at every embedding solve_level does not refuse
+    solved = 0
+    for level in (5, 7, 9, 11):
+        for k in range(1, (level - 1) // 2 + 1):
+            if math.gcd(k, level) != 1:
+                continue
+            emb, conj = Embedding(level, k), Embedding(level, level - k)
+            assert tau11_table(level, conj) == [-x for x in tau11_table(level, emb)]
+            try:
+                r1 = solve_level(level, emb)
+            except ValueError as err:
+                assert str(err) == "angles of mixed sign: triangle hypotheses fail"
+                with pytest.raises(ValueError):
+                    solve_level(level, conj)
+                continue
+            assert solve_level(level, conj).matrix == tuple(tuple(-x for x in row)
+                                                            for row in r1.matrix), (level, k)
+            solved += 1
+    assert solved == 11
