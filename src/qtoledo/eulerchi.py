@@ -29,10 +29,17 @@ def bernoulli(n: int) -> Fraction:
     return -total / (n + 1)
 
 
-def harer_zagier(g: int, n: int) -> Fraction:
-    """Orbifold Euler characteristic of the open moduli space M_{g,n}."""
+def _check_moduli(g: int, n: int):
+    """Refuse a negative genus or point count, and an unstable (g, n)."""
+    if g < 0 or n < 0:
+        raise ValueError(f"genus and number of points must be nonnegative, got ({g},{n})")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable moduli space ({g},{n})")
+
+
+def harer_zagier(g: int, n: int) -> Fraction:
+    """Orbifold Euler characteristic of the open moduli space M_{g,n}."""
+    _check_moduli(g, n)
     if g == 0:
         return Fraction((-1) ** (n - 3) * math.factorial(n - 3))
     return ((-1) ** n * (2 * g - 1) * bernoulli(2 * g) / math.factorial(2 * g)
@@ -99,8 +106,7 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def _chi_bar_coeffs(g: int, n: int) -> tuple[Fraction, ...]:
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable moduli space ({g},{n})")
+    _check_moduli(g, n)
     integrand: list[Fraction] = [Fraction(0)]
     if g >= 1 and 2 * (g - 1) - 2 + n + 2 > 0:
         integrand = _poly_add(integrand, list(_chi_bar_coeffs(g - 1, n + 2)))

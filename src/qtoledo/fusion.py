@@ -4,6 +4,12 @@ The algebra attached to a root of unity has structure constants that are
 signs of products of quantum integers, so construction runs on exact
 integer residue arithmetic.  Once built, everything downstream (traces,
 signatures, gluing checks) is plain rational linear algebra.
+
+Vectors are tuples of ``Fraction`` at the API.  Inside, products, the form
+and the trace run on an integer kernel: an operand is put over one common
+denominator (``FrobeniusAlgebra.scaled``), its integer numerators are
+contracted against the integer structure constants, and a ``Fraction`` is
+made only per output coefficient.
 """
 
 from __future__ import annotations
@@ -17,6 +23,28 @@ from .cyclotomic import Embedding, quantum_int_sign
 from .hermitian import determinant, solve
 
 Vector = tuple[Fraction, ...]
+# A vector as (numerators, denominator): coefficient k is numerators[k] / denominator.
+Scaled = tuple[list[int], int]
+# A matrix as (rows of numerators, denominator), likewise.
+ScaledMatrix = tuple[list[list[int]], int]
+
+
+def unscaled(a: Scaled) -> Vector:
+    """The tuple of Fractions a stands for."""
+    nums, den = a
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def scaled_matrix(matrix) -> ScaledMatrix:
+    """A rational matrix as integer numerators over one common denominator."""
+    den = math.lcm(*[x.denominator for row in matrix for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in matrix], den
+
+
+def apply_scaled(m: ScaledMatrix, a: Scaled) -> Scaled:
+    """The matrix m times the column vector a."""
+    (rows, md), (nums, ad) = m, a
+    return [sum(x * y for x, y in zip(row, nums)) for row in rows], md * ad
 
 
 def _qfact_sign(n: int, emb: Embedding) -> int:
@@ -113,47 +141,77 @@ class FrobeniusAlgebra:
                 if abs(i - j) > 1 and c[1][j][i] != 0:
                     raise ValueError("multiplication by e_1 is not tridiagonal")
 
-    # -- basic algebra -------------------------------------------------------
-
     def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.rank))
+        return unscaled(self.scaled(i))
 
     def as_vector(self, v) -> Vector:
+        """A color index as its basis vector; a vector as a tuple of Fractions of length rank."""
         if isinstance(v, int):
             return self.basis(v)
-        return tuple(Fraction(c) for c in v)
+        if not (isinstance(v, tuple) and all(isinstance(c, Fraction) for c in v)):
+            v = tuple(Fraction(c) for c in v)
+        if len(v) != self.rank:
+            raise ValueError(f"vector of length {len(v)} for an algebra of rank {self.rank}")
+        return v
+
+    # -- the integer kernel ---------------------------------------------------
+
+    def scaled(self, v) -> Scaled:
+        """A color index or vector as integer numerators over one common denominator."""
+        if isinstance(v, int):
+            if not 0 <= v < self.rank:
+                raise ValueError(f"color {v} is out of range for an algebra of rank {self.rank}")
+            nums = [0] * self.rank
+            nums[v] = 1
+            return nums, 1
+        v = self.as_vector(v)
+        den = math.lcm(*[c.denominator for c in v])
+        return [c.numerator * (den // c.denominator) for c in v], den
+
+    def multiply_scaled(self, a: Scaled, b: Scaled) -> Scaled:
+        """The product a b, contracted against the integer structure constants."""
+        (an, ad), (bn, bd) = a, b
+        out = [0] * self.rank
+        for i, x in enumerate(an):
+            if x:
+                row = self._mult[i]
+                for j, y in enumerate(bn):
+                    if y:
+                        xy = x * y
+                        for k, c in enumerate(row[j]):
+                            if c:
+                                out[k] += xy * c
+        return out, ad * bd
+
+    def eta_scaled(self, a: Scaled, b: Scaled) -> Fraction:
+        """The form eta(a, b)."""
+        (an, ad), (bn, bd) = a, b
+        return Fraction(sum(x * y * e for x, y, e in zip(an, bn, self.eps)), ad * bd)
+
+    def trace_scaled(self, a: Scaled) -> Fraction:
+        """The trace of multiplication by a."""
+        nums, den = a
+        return Fraction(sum(x * t for x, t in zip(nums, self._trace_vec)), den)
+
+    # -- basic algebra -------------------------------------------------------
 
     def multiply(self, u, v) -> Vector:
-        u, v = self.as_vector(u), self.as_vector(v)
-        r = self.rank
-        out = [Fraction(0)] * r
-        for i in range(r):
-            if u[i]:
-                for j in range(r):
-                    if v[j]:
-                        c = u[i] * v[j]
-                        row = self._mult[i][j]
-                        for k in range(r):
-                            if row[k]:
-                                out[k] += c * row[k]
-        return tuple(out)
+        return unscaled(self.multiply_scaled(self.scaled(u), self.scaled(v)))
 
     def mult_matrix(self, v) -> tuple[Vector, ...]:
         """Matrix of multiplication by v, columns indexed by the basis."""
-        v = self.as_vector(v)
-        cols = [self.multiply(v, self.basis(j)) for j in range(self.rank)]
+        a = self.scaled(v)
+        cols = [unscaled(self.multiply_scaled(a, self.scaled(j))) for j in range(self.rank)]
         return tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank))
 
     def eta(self, u, v) -> Fraction:
-        u, v = self.as_vector(u), self.as_vector(v)
-        return sum(u[i] * v[i] * self.eps[i] for i in range(self.rank))
+        return self.eta_scaled(self.scaled(u), self.scaled(v))
 
     def counit(self, v) -> Fraction:
-        return self.eta(v, self.basis(0))
+        return self.eta(v, 0)
 
     def trace(self, v) -> Fraction:
-        v = self.as_vector(v)
-        return sum(v[i] * self._trace_vec[i] for i in range(self.rank))
+        return self.trace_scaled(self.scaled(v))
 
     def gram(self) -> tuple[Vector, ...]:
         r = self.rank
@@ -191,15 +249,16 @@ class FrobeniusAlgebra:
         """sigma_{g,n}(colors) = tr(v_1 ... v_n alpha^{1-g}), multilinear."""
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        prod = self.basis(0)
+        prod = self.scaled(0)
         for c in colors:
-            prod = self.multiply(prod, self.as_vector(c))
+            prod = self.multiply_scaled(prod, self.scaled(c))
         if genus == 0:
-            prod = self.multiply(prod, self.alpha)
+            prod = self.multiply_scaled(prod, self.scaled(self.alpha))
         else:
+            omega = self.scaled(self.omega_element)
             for _ in range(genus - 1):
-                prod = self.multiply(prod, self.omega_element)
-        return self.trace(prod)
+                prod = self.multiply_scaled(prod, omega)
+        return self.trace_scaled(prod)
 
     def r_tensor(self, matrix) -> tuple[Vector, ...]:
         """R eta^{-1} as a symmetric 2-tensor, for boundary terms."""

@@ -10,12 +10,14 @@ closed formulas.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Embedding
-from .fusion import FrobeniusAlgebra, so3_algebra, unitary_partner
+from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra, unitary_partner
 from .hermitian import (
     charpoly,
     conj_transpose,
@@ -83,33 +85,27 @@ class R1Matrix:
 
 def tau_from_r1_04(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2, v3, v4) -> Fraction:
     """Degree-2 four-point invariant integrated over the moduli of spheres."""
-    matrix = r1.matrix if isinstance(r1, R1Matrix) else r1
-    apply = lambda x: mat_vec(matrix, v.as_vector(x))
-    vs = [v.as_vector(x) for x in (v1, v2, v3, v4)]
-    total = Fraction(0)
-    for i in range(4):
-        rest = v.basis(0)
-        for j, w in enumerate(vs):
-            if j != i:
-                rest = v.multiply(rest, w)
-        total += v.eta(apply(vs[i]), rest)
-    prod = v.basis(0)
-    for w in vs:
-        prod = v.multiply(prod, w)
-    total -= v.eta(prod, apply(v.basis(0)))
-    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        total -= v.eta(apply(v.multiply(vs[a], vs[b])), v.multiply(vs[c], vs[d]))
+    m = scaled_matrix(r1.matrix if isinstance(r1, R1Matrix) else r1)
+    mul, eta = v.multiply_scaled, v.eta_scaled
+    x = [v.scaled(c) for c in (v1, v2, v3, v4)]
+    pair = {(a, b): mul(x[a], x[b]) for a, b in itertools.combinations(range(4), 2)}
+    # the product of the three colors other than the i-th, for i = 0, 1, 2, 3
+    rest = (mul(pair[1, 2], x[3]), mul(pair[0, 2], x[3]), mul(pair[0, 1], x[3]), mul(pair[0, 1], x[2]))
+    total = sum(eta(apply_scaled(m, x[i]), rest[i]) for i in range(4))
+    total -= eta(mul(pair[0, 1], pair[2, 3]), apply_scaled(m, v.scaled(0)))
+    for ab, cd in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        total -= eta(apply_scaled(m, pair[ab]), pair[cd])
     return total
 
 
 def tau_from_r1_11(v: FrobeniusAlgebra, r1: R1Matrix | Mat, vec) -> Fraction:
     """Degree-2 one-holed-torus invariant integrated over the moduli."""
     matrix = r1.matrix if isinstance(r1, R1Matrix) else r1
-    apply = lambda x: mat_vec(matrix, v.as_vector(x))
-    vec = v.as_vector(vec)
-    omega = v.omega_element
-    term_psi = v.eta(omega, apply(vec))
-    term_kappa = v.eta(omega, v.multiply(vec, apply(v.basis(0))))
+    m = scaled_matrix(matrix)
+    x = v.scaled(vec)
+    omega = v.scaled(v.omega_element)
+    term_psi = v.eta_scaled(omega, apply_scaled(m, x))
+    term_kappa = v.eta_scaled(omega, v.multiply_scaled(x, apply_scaled(m, v.scaled(0))))
     tr = mat_trace(mat_mul(matrix, v.mult_matrix(vec)))
     return Fraction(1, 24) * (term_psi - term_kappa) - Fraction(1, 2) * tr
 
@@ -242,8 +238,18 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     return out
 
 
+@lru_cache(maxsize=None)
 def solve_level(level: int, emb: Embedding) -> R1Matrix:
-    """Build the fusion algebra at (level, embedding) and solve for R_1."""
+    """Build the fusion algebra at (level, embedding) and solve for R_1.
+
+    Each (level, embedding) is solved once per process: ``reproduce --all``
+    asks for (5, 1) six times and for each level-7 embedding twice.  The
+    cache is safe to share.  ``R1Matrix`` and ``FrobeniusAlgebra`` are
+    frozen, and the only attributes they fill lazily (``alpha`` and
+    ``omega_element``) are deterministic.  A refusal is raised again on
+    every call, because ``lru_cache`` stores no exceptions.  A CLI call
+    other than ``reproduce`` solves one pair, so it neither gains nor loses.
+    """
     return solve_r1(so3_algebra(level, emb), pivot_tau04_table(level, emb), tau11_table(level, emb))
 
 

@@ -132,6 +132,21 @@ def test_computation_failure_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+def test_out_of_range_color_is_refused(capsys):
+    code, out, err = run(capsys, "rmatrix", "class", "--level", "5", "--g", "1", "--n", "1",
+                         "--colors", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: color 5 is out of range for an algebra of rank 2\n"
+
+
+@pytest.mark.parametrize("g, n", [(-1, 5), (1, -1)])
+def test_negative_genus_or_point_count_is_refused(capsys, g, n):
+    for call in (("euler", "chibar"), ("euler", "twisted", "--level", "5")):
+        code, out, err = run(capsys, *call, "--g", str(g), "--n", str(n))
+        assert (code, out) == (1, "")
+        assert err == f"error: ValueError: genus and number of points must be nonnegative, got ({g},{n})\n"
+
+
 def _subcommands():
     """Every (command, sub) pair the parser accepts, read from the parser itself."""
     def choices(parser):
@@ -194,13 +209,28 @@ def test_sigtable_json_serializes_rationals(capsys):
     assert all(c["p"] + c["q"] == Fraction(c["dim"]) for c in cells)
 
 
-def test_torus_outputs_match_the_frozen_manifest(capsys):
-    # the benchmark's frozen record of every `qrep torus` operation: exit code,
-    # stderr and the SHA-256 of stdout, checked here in-process
+def _frozen_ops(command):
+    """The benchmark's frozen record of every operation of one subcommand."""
     manifest = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "manifest.json"
-    ops = [op for op in json.loads(manifest.read_text())["ops"].values()
-           if op["argv"][:2] == ["qrep", "torus"]]
+    return [op for op in json.loads(manifest.read_text())["ops"].values()
+            if op["argv"][:2] == list(command)]
+
+
+def test_torus_outputs_match_the_frozen_manifest(capsys):
+    # exit code, stderr and the SHA-256 of stdout of every `qrep torus`
+    # operation, checked here in-process
+    ops = _frozen_ops(("qrep", "torus"))
     assert len(ops) == 36
+    for op in ops:
+        code, out, err = run(capsys, *op["argv"])
+        assert (code, err) == (op["exit"], op["stderr"]), op["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == op["stdout_sha256"], op["argv"]
+
+
+def test_solve_outputs_match_the_frozen_manifest(capsys):
+    # every `rmatrix solve` operation, the (9,1) refusal and its message included
+    ops = _frozen_ops(("rmatrix", "solve"))
+    assert len(ops) == 7
     for op in ops:
         code, out, err = run(capsys, *op["argv"])
         assert (code, err) == (op["exit"], op["stderr"]), op["argv"]

@@ -23,6 +23,7 @@ from qtoledo.cyclotomic import (
     sign_real,
     trace_to_Q,
 )
+from qtoledo.cyclotomic import _interval_real
 
 
 def test_cyclotomic_polynomials():
@@ -156,6 +157,44 @@ def test_sign_real_against_float_oracle():
             assert got == (1 if numeric > 0 else -1)
         else:
             assert got == 0 or abs(numeric) > 0
+
+
+def _convergents_near(x, bound):
+    """The first two consecutive continued-fraction convergents p/q of x within bound."""
+    import mpmath
+
+    (p0, q0), (p1, q1) = (1, 0), (int(mpmath.floor(x)), 1)
+    rest = x - p1
+    out = []
+    while len(out) < 2:
+        rest = 1 / rest
+        a = int(mpmath.floor(rest))
+        rest -= a
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        out = out + [(p1, q1)] if abs(x - mpmath.mpf(p1) / q1) < bound else []
+    return out
+
+
+def test_sign_real_beyond_64_bits():
+    # zeta_7 + 1/zeta_7 - p/q for two consecutive convergents p/q of 2cos(2 pi/7):
+    # they lie on either side of it, closer than 2^-80, which 64-bit intervals
+    # cannot resolve; mpmath at 300 bits is the oracle
+    import mpmath
+
+    emb = Embedding(7, 1)
+    z = CycloNum.zeta(7)
+    with mpmath.workprec(300):
+        x = 2 * mpmath.cos(2 * mpmath.pi / 7)
+        bound = mpmath.mpf(2) ** -80
+        signs = []
+        for p, q in _convergents_near(x, bound):
+            error = x - mpmath.mpf(p) / q
+            a = z + z.inverse() - Fraction(p, q)
+            box = _interval_real(a, emb, 64)
+            assert not (box > 0) and not (box < 0)
+            signs.append(sign_real(a, emb))
+            assert signs[-1] == (1 if error > 0 else -1)
+    assert sorted(signs) == [-1, 1]
 
 
 def test_sign_real_zero_is_exact():

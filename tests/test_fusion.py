@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import (
@@ -324,3 +327,64 @@ def test_eta_signs_match_float_sine_ratios():
                 v = su2_algebra(r, Embedding(4 * r, k))
                 assert v.eps == tuple((-1) ** i * _sine_ratio_sign(i + 1, 2 * k, 4 * r)
                                       for i in range(v.rank))
+
+
+# -- the integer kernel against a plain Fraction triple loop -------------------
+
+KERNEL_ALGEBRAS = (
+    [("so3", level, k) for level in range(3, 14, 2) for k in range(1, level) if math.gcd(k, level) == 1]
+    + [("su2", r, k) for r in range(2, 7) for k in range(1, 4 * r) if math.gcd(k, 4 * r) == 1]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_algebra(family, n, k):
+    if family == "so3":
+        return so3_algebra(n, Embedding(n, k))
+    return su2_algebra(n, Embedding(4 * n, k))
+
+
+@st.composite
+def algebra_and_vectors(draw, count):
+    v = _kernel_algebra(*draw(st.sampled_from(KERNEL_ALGEBRAS)))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    return v, [tuple(draw(st.lists(coeff, min_size=v.rank, max_size=v.rank))) for _ in range(count)]
+
+
+def _plain_multiply(v, u, w):
+    """u w from the defining tables: e_i e_j = sum_k omega03(i, j, k) eps_k e_k."""
+    r = range(v.rank)
+    out = [F(0)] * v.rank
+    for i in r:
+        for j in r:
+            for k in r:
+                out[k] += u[i] * w[j] * v.omega03[i][j][k] * v.eps[k]
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_and_vectors(2))
+def test_kernel_matches_a_plain_fraction_loop(case):
+    v, (u, w) = case
+    assert v.multiply(u, w) == _plain_multiply(v, u, w)
+    assert v.eta(u, w) == sum((u[i] * w[i] * v.eps[i] for i in range(v.rank)), F(0))
+    # the trace of multiplication by u, read off the diagonal of its matrix
+    assert v.trace(u) == sum((_plain_multiply(v, u, v.basis(j))[j] for j in range(v.rank)), F(0))
+    assert all(type(c) is Fraction for c in v.multiply(u, w))
+
+
+def test_out_of_range_colors_are_refused():
+    v = so3_algebra(5, Embedding(5, 1))
+    for bad in (2, -1, 9):
+        with pytest.raises(ValueError, match=f"color {bad} is out of range for an algebra of rank 2"):
+            v.basis(bad)
+        with pytest.raises(ValueError, match=f"color {bad} is out of range"):
+            v.tft_value(0, [1, 1, bad])
+    for bad in ((F(1),), (F(1), F(0), F(0))):
+        with pytest.raises(ValueError, match=f"vector of length {len(bad)} for an algebra of rank 2"):
+            v.as_vector(bad)
+        with pytest.raises(ValueError, match="vector of length"):
+            v.multiply(bad, 1)
+    vec = (F(1, 2), F(3))
+    assert v.as_vector(vec) is vec
+    assert v.as_vector([1, F(1, 2)]) == (F(1), F(1, 2))

@@ -219,6 +219,27 @@ def test_eigen_split_filter_matches_full_scan(level, k):
                 [(lam.order, lam.nums, turn, sig) for lam, turn, sig in want], (level, k, i)
 
 
+def test_eigen_split_multiplicities_reproduce_the_power_traces():
+    # sum over eigenvalues of dim(eigenspace) * lambda^m = tr U^m for m = 1 .. #eigenvalues,
+    # a Vandermonde system that fixes every multiplicity; one embedding of each
+    # conjugate pair
+    for level, k in ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (9, 1), (9, 2), (9, 4),
+                     (11, 1), (11, 2), (11, 3), (11, 4), (11, 5)):
+        emb = Embedding(level, k)
+        for i in range((level - 1) // 2):
+            rep = punctured_torus_rep(level, emb, i)
+            tg = rep.t_gamma
+            tdtg = mat_mul(rep.t_delta, tg)
+            for word in (tg, tdtg, mat_mul(tg, tdtg)):
+                split = eigen_split(IsometryWithForm(word, rep.form))
+                power = word
+                for m in range(1, len(split) + 1):
+                    total = sum((lam ** m * (sig.positive + sig.negative) for lam, _, sig in split),
+                                CycloNum.rational(0))
+                    assert total == sum(power[a][a] for a in range(len(word))), (emb, i, m)
+                    power = mat_mul(power, word)
+
+
 def test_torus_path_builds_no_fusion_algebra(monkeypatch):
     # the base sign of the form comes from fusion.so3_structure_sign alone
     import qtoledo.fusion

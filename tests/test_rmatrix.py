@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qtoledo import rmatrix
+from qtoledo.cli import main
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import so3_algebra
 from qtoledo.qrep import pivot_tau04_table, tau11_table
@@ -254,3 +257,45 @@ def test_conjugate_embeddings_negate_r1():
                                                             for row in r1.matrix), (level, k)
             solved += 1
     assert solved == 11
+
+
+def test_tau04_is_symmetric_in_its_four_colors():
+    # the product tree inside tau_from_r1_04 is not symmetric; its value must be
+    for level in (5, 7):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            r1 = solve_level(level, Embedding(level, k))
+            v = r1.algebra
+            colors = list(range(v.rank)) + [(F(1, 2), F(-3)) + (F(2, 7),) * (v.rank - 2)]
+            for quad in itertools.combinations_with_replacement(colors, 4):
+                values = {tau_from_r1_04(v, r1, *p) for p in itertools.permutations(quad)}
+                assert len(values) == 1, (level, k, quad)
+
+
+def test_solve_level_is_cached():
+    emb = Embedding(7, 2)
+    assert solve_level(7, emb) is solve_level(7, emb)
+    assert solve_level(7, Embedding(7, 9)) is solve_level(7, emb)  # the same embedding
+
+
+def test_refusals_are_raised_on_every_call():
+    size = solve_level.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="angles of mixed sign"):
+            solve_level(9, Embedding(9, 1))
+    assert solve_level.cache_info().currsize == size
+
+
+def test_reproduce_all_solves_each_r1_once(monkeypatch, capsys):
+    solved = []
+
+    def counting_solve_r1(v, tau04, tau11):
+        solved.append((v.level, v.embedding.exponent))
+        return solve_r1(v, tau04, tau11)
+
+    solve_level.cache_clear()
+    monkeypatch.setattr(rmatrix, "solve_r1", counting_solve_r1)
+    assert main(["reproduce", "--all"]) == 0
+    assert capsys.readouterr().out.count(": ok") == 6
+    assert sorted(solved) == [(5, 1), (7, 1), (7, 2), (7, 3)]
