@@ -10,7 +10,8 @@ is kept.  `rref` gives kernels, inverses, unique solutions of
 overdetermined systems and determinants.  On these rest signature counting
 by Descartes' rule (valid because Hermitian spectra are real); the Meyer
 cocycle of a pair of isometries; eigenvalue splitting of finite-order
-isometries into exact roots of unity; and the rational G-function that
+isometries into exact roots of unity, by spectral projectors built from
+the powers of the isometry; and the rational G-function that
 corrects the Meyer cocycle into a Toledo invariant.
 """
 
@@ -137,6 +138,18 @@ def charpoly(a: Matrix) -> list:
         if k < n:
             am = mat_mul(a, mat_add(am, diagonal((c,) * n)))
     return coeffs
+
+
+def diagonal_entries(m: Matrix):
+    """The diagonal of m when every entry off it is zero, else None."""
+    if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        return None
+    return tuple(row[i] for i, row in enumerate(m))
+
+
+def scale_rows(values, m: Matrix) -> Matrix:
+    """diag(values) * m."""
+    return tuple(tuple(v * x for x in row) for v, row in zip(values, m))
 
 
 def is_scalar(m: Matrix):
@@ -316,7 +329,9 @@ class IsometryWithForm:
         u = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", u)
         h = self.form.entries
-        if mat_mul(conj_transpose(u), mat_mul(h, u)) != h:
+        norms = diagonal_entries(h)
+        hu = mat_mul(h, u) if norms is None else scale_rows(norms, u)
+        if mat_mul(conj_transpose(u), hu) != h:
             raise ValueError("matrix does not preserve the form")
 
     @property
@@ -414,59 +429,84 @@ def meyer_u1_sign(alpha_turn: Fraction, beta_turn: Fraction) -> int:
 
 # -- eigenvalue splitting and the G-function ---------------------------------
 
+def _least_scalar_power(u: Matrix, diag, bound: int):
+    """(m, c, powers): the least m <= bound with U^m = c I, and U^0, ..., U^(m-1).
+
+    A diagonal U (diag its diagonal, else None) is powered entrywise and
+    keeps only U^0.
+    """
+    powers = [identity(len(u))]
+    power = u if diag is None else diag
+    for m in range(1, bound + 1):
+        if diag is None:
+            scalar = is_scalar(power)
+        else:
+            scalar = power[0] if all(x == power[0] for x in power) else None
+        if scalar is not None:
+            return m, scalar, powers
+        if diag is None:
+            powers.append(power)
+            power = mat_mul(power, u)
+        else:
+            power = tuple(x * y for x, y in zip(power, diag))
+    raise ArithmeticError(f"no scalar power of the isometry up to {bound}")
+
+
 def eigen_split(u: IsometryWithForm):
     """Exact eigenvalues (roots of unity) with eigenspace signatures.
 
-    Searches for the least N with U^N scalar, identifies the scalar as a
-    root of unity, then splits eigenspaces in the enlarged cyclotomic field.
-    The characteristic polynomial is computed once at the base order of U,
-    and a candidate root of unity lambda gets a kernel solve only when
-    Horner's rule gives charpoly(lambda) = 0; every other candidate has an
-    empty eigenspace, so the filter changes neither the result nor its order.
+    Finds the least m with U^m = c I (keeping U^0, ..., U^(m-1)) and the
+    order of c as a root of unity, so U has order F = m * order(c) and is
+    diagonalizable.  Its eigenvalues are among the lambda_j = zeta_F^j with
+    lambda_j^m = c, which are checked in order of j.  The eigenspace of
+    lambda is the column space of the spectral projector
+    Pi = (1/m) sum_k lambda^-k U^k (the identity on it and zero on the other
+    eigenspaces, since x^m - c has distinct roots), spanned by the pivot
+    columns of Pi's rref; an empty one is skipped.  A diagonal U has its
+    eigenspaces read off its diagonal.  Each eigenspace gets the signature
+    of the form on it, which must be nondegenerate.
     Returns a list of (eigenvalue, turn_fraction, Signature).
     """
     n = u.dim
     base_order = _field_order(u.matrix)
     power_bound = SCALAR_POWER_FACTOR * base_order * base_order
-    power = u.matrix
-    scalar = None
-    scalar_power = None
-    for k in range(1, power_bound + 1):
-        scalar = is_scalar(power)
-        if scalar is not None:
-            scalar_power = k
-            break
-        power = mat_mul(power, u.matrix)
-    if scalar is None:
-        raise ArithmeticError(f"no scalar power of the isometry up to {power_bound}")
-    c_order = _root_of_unity_order(scalar, 2 * base_order * scalar_power)
+    diag = diagonal_entries(u.matrix)
+    m, scalar, powers = _least_scalar_power(u.matrix, diag, power_bound)
+    c_order = _root_of_unity_order(scalar, 2 * base_order * m)
     if c_order is None:
         raise ArithmeticError("scalar power is not a root of unity")
-    full_order = scalar_power * c_order  # U^full_order = 1
+    full_order = m * c_order  # U^full_order = 1
     field_order = math.lcm(base_order, full_order, u.embedding.order)
     emb = u.embedding.extend(field_order)
-    mat = tuple(tuple(x.lift(field_order) for x in row) for row in u.matrix)
-    h = tuple(tuple(x.lift(field_order) for x in row) for row in u.form.entries)
-    poly = [c.lift(field_order) for c in charpoly(u.matrix)]
+    h = u.form.entries
+    if diag is not None:
+        diag = [x.lift(field_order) for x in diag]
+    scalar = scalar.lift(field_order)
+    step = field_order // full_order
     out = []
     total = 0
     k_exp = emb.exponent
     for j in range(full_order):
-        lam = CycloNum.zeta(field_order, (j * (field_order // full_order)) % field_order)
-        value = poly[n]
-        for c in reversed(poly[:n]):
-            value = value * lam + c
-        if not value.is_zero():
+        lam = CycloNum.zeta(field_order, j * step)
+        if lam ** m != scalar:
             continue
-        basis = kernel_basis(mat_sub(mat, diagonal((lam,) * n)))
-        if not basis:
+        if diag is not None:
+            index = [a for a, x in enumerate(diag) if x == lam]
+            restricted = tuple(tuple(h[a][b] for b in index) for a in index)
+        else:
+            # m * Pi has the pivot columns of Pi, times m
+            proj = lin_comb([CycloNum.zeta(field_order, -j * step * k) for k in range(m)], powers)
+            _, pivots, _ = rref(proj)
+            basis = [tuple(row[p] for row in proj) for p in pivots]
+            restricted = gram(h, basis, basis)
+        if not restricted:
             continue
-        sig = signature(HermMatrix(gram(h, basis, basis), emb))
+        sig = signature(HermMatrix(restricted, emb))
         if sig.zero:
             raise ArithmeticError("degenerate form on an eigenspace")
         turn = Fraction((j * k_exp) % full_order, full_order)
         out.append((lam, turn, sig))
-        total += len(basis)
+        total += len(restricted)
     if total != n:
         raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
     return out

@@ -34,6 +34,7 @@ from .hermitian import (
     identity,
     is_scalar,
     mat_mul,
+    scale_rows,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
 )
@@ -242,17 +243,12 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
         norms.append(norms[-1] * u[2 * j + 2] * u[2 * j + 1])
 
     left, right = _eigenbasis(c_delta, c_values, norms)
-    t_delta = mat_mul(right, _scale_rows(twist_values, left))
+    t_delta = mat_mul(right, scale_rows(twist_values, left))
 
     rep = PuncturedTorusRep(level, emb, i, window, tuple(norms),
                             c_gamma, c_delta, t_gamma, t_delta)
     _validate_rep(rep)
     return rep
-
-
-def _scale_rows(values, m: Matrix) -> Matrix:
-    """diag(values) * m."""
-    return tuple(tuple(v * x for x in row) for v, row in zip(values, m))
 
 
 def _eigenbasis(c_delta: Matrix, points, norms) -> tuple[Matrix, Matrix]:
@@ -311,7 +307,7 @@ def _validate_rep(rep: PuncturedTorusRep):
     if any(off_band) or any(c_delta[a + 1][a] != 1 for a in range(rep.dim - 1)):
         raise ArithmeticError("curve operator is not tridiagonal with unit subdiagonal")
     left, right = _eigenbasis(c_delta, points, rep.norms)
-    if mat_mul(left, rep.t_delta) != _scale_rows(twists, left):
+    if mat_mul(left, rep.t_delta) != scale_rows(twists, left):
         raise ArithmeticError("twist is not the interpolation of the curve operator")
     if mat_mul(left, right) != identity(rep.dim):
         raise ArithmeticError("eigenvector matrix is not inverted through the form")

@@ -28,7 +28,6 @@ from .hermitian import (
     mat_add,
     mat_mul,
     mat_sub,
-    mat_trace,
     mat_vec,
     solve,
 )
@@ -42,6 +41,12 @@ from .mgnclasses import (
 from .qrep import pivot_tau04_table, tau11_table
 
 Mat = tuple[tuple[Fraction, ...], ...]
+
+
+def _trace_of_product(a: Mat, b: Mat) -> Fraction:
+    """tr(a b) from the r^2 products a_ij b_ji, without forming a b."""
+    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col) if x and y),
+               Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class R1Matrix:
             raise ValueError("R_1 is not eta-self-adjoint")
         if m != mat_add(v.mult_matrix(self.trace_part), self.perp_part):
             raise ValueError("decomposition does not sum to R_1")
-        if any(mat_trace(mat_mul(self.perp_part, v.mult_matrix(k))) for k in range(v.rank)):
+        if any(_trace_of_product(self.perp_part, v.mult_matrix(k)) for k in range(v.rank)):
             raise ValueError("perp part is not trace-orthogonal to multiplications")
 
     def apply(self, vec) -> tuple[Fraction, ...]:
@@ -106,7 +111,7 @@ def tau_from_r1_11(v: FrobeniusAlgebra, r1: R1Matrix | Mat, vec) -> Fraction:
     omega = v.scaled(v.omega_element)
     term_psi = v.eta_scaled(omega, apply_scaled(m, x))
     term_kappa = v.eta_scaled(omega, v.multiply_scaled(x, apply_scaled(m, v.scaled(0))))
-    tr = mat_trace(mat_mul(matrix, v.mult_matrix(vec)))
+    tr = _trace_of_product(matrix, v.mult_matrix(vec))
     return Fraction(1, 24) * (term_psi - term_kappa) - Fraction(1, 2) * tr
 
 
@@ -134,7 +139,7 @@ def _perp_basis(v: FrobeniusAlgebra) -> list[Mat]:
     r = v.rank
     sym = _symmetric_basis(v)
     mults = [v.mult_matrix(k) for k in range(r)]
-    rows = [[mat_trace(mat_mul(b, mk)) for b in sym] for mk in mults]
+    rows = [[_trace_of_product(b, mk) for b in sym] for mk in mults]
     basis = [lin_comb(coeffs, sym) for coeffs in kernel_basis(rows)]
     if len(basis) != r * (r - 1) // 2:
         raise ArithmeticError("unexpected dimension of the perpendicular space")

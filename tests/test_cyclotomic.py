@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import subprocess
@@ -23,7 +24,7 @@ from qtoledo.cyclotomic import (
     sign_real,
     trace_to_Q,
 )
-from qtoledo.cyclotomic import _interval_real
+from qtoledo.cyclotomic import _cos_bounds, _real_bounds
 
 
 def test_cyclotomic_polynomials():
@@ -177,7 +178,7 @@ def _convergents_near(x, bound):
 
 def test_sign_real_beyond_64_bits():
     # zeta_7 + 1/zeta_7 - p/q for two consecutive convergents p/q of 2cos(2 pi/7):
-    # they lie on either side of it, closer than 2^-80, which 64-bit intervals
+    # they lie on either side of it, closer than 2^-80, which 64-bit bounds
     # cannot resolve; mpmath at 300 bits is the oracle
     import mpmath
 
@@ -190,11 +191,35 @@ def test_sign_real_beyond_64_bits():
         for p, q in _convergents_near(x, bound):
             error = x - mpmath.mpf(p) / q
             a = z + z.inverse() - Fraction(p, q)
-            box = _interval_real(a, emb, 64)
-            assert not (box > 0) and not (box < 0)
+            lo, hi = _real_bounds(a, emb.exponent, 64)
+            assert lo <= 0 <= hi
             signs.append(sign_real(a, emb))
             assert signs[-1] == (1 if error > 0 else -1)
     assert sorted(signs) == [-1, 1]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_cos_bounds_enclose_the_cosines(bits):
+    # every angle 2 pi j / n of every order n <= 132 (levels up to 33 lift to
+    # order 4 * 33), against mpmath at 300 bits, whose error is far below the
+    # 2^-40 slack; the bounds are at most 4 apart
+    import mpmath
+
+    slack = mpmath.mpf(2) ** -40
+    with mpmath.workprec(300):
+        scale = mpmath.mpf(2) ** bits
+        for n in range(1, 133):
+            for j, (lo, hi) in enumerate(_cos_bounds(n, 1, bits)):
+                value = mpmath.cos(2 * mpmath.pi * j / n) * scale
+                assert lo - slack <= value <= hi + slack, (n, j, bits)
+                assert hi - lo <= 4, (n, j, bits)
+
+
+def test_cos_bounds_follow_the_embedding():
+    # the table for zeta -> exp(2 pi i k / n) is the k = 1 table at j k mod n
+    for n, k in ((7, 3), (60, 7), (132, 5)):
+        base = _cos_bounds(n, 1, 64)
+        assert _cos_bounds(n, k, 64) == tuple(base[j * k % n] for j in range(n))
 
 
 def test_sign_real_zero_is_exact():
@@ -267,16 +292,22 @@ def _run_python(code: str) -> str:
     return out.stdout
 
 
-def test_mpmath_loads_on_first_interval_evaluation():
-    # a torus call decides every sign exactly, so it never imports mpmath;
-    # the first sign that needs an interval does, and is still certified
+def test_runtime_never_imports_mpmath():
+    # signs are decided in integer arithmetic, so the package runs with mpmath
+    # blocked: reproduce --all matches every golden and a level-11 solve
+    # prints its frozen output
+    manifest = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "manifest.json"
+    frozen = json.loads(manifest.read_text())["ops"]["rmatrix_solve_level_11_embedding_3"]
     out = _run_python(
-        "import contextlib, io, sys\n"
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
         "import qtoledo.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = qtoledo.cli.main(['qrep', 'torus', '--level', '13', '--embedding', '2', '--i', '3'])\n"
-        "print(code, 'mpmath' in sys.modules)\n"
-        "from qtoledo.cyclotomic import CycloNum, Embedding, sign_real\n"
-        "z = CycloNum.zeta(5)\n"
-        "print(sign_real(z + z.inverse(), Embedding(5, 2)), 'mpmath' in sys.modules)\n")
-    assert out == "0 False\n-1 True\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = qtoledo.cli.main(['reproduce', '--all'])\n"
+        "print(code, buf.getvalue().split().count('ok'))\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = qtoledo.cli.main(['rmatrix', 'solve', '--level', '11', '--embedding', '3'])\n"
+        "print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())\n")
+    assert out == f"0 6\n0 {frozen['stdout_sha256']}\n"

@@ -1,24 +1,28 @@
 """Property tests for the integer-numerator CycloNum arithmetic.
 
 Random elements come from Hypothesis; sympy serves as an independent
-oracle for products and inverses (reduction mod Phi_N in Q[x]).
+oracle for products and inverses (reduction mod Phi_N in Q[x]), and mpmath
+for certified signs.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoledo.cyclotomic import (
     CycloNum,
+    Embedding,
     conjugate,
     cyclo_from_json,
     cyclo_to_json,
     euler_phi,
     galois,
     galois_group_exponents,
+    sign_real,
 )
 
 ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 20, 22, 33, 66)
@@ -176,3 +180,29 @@ def test_products_against_sympy(pair):
 def test_inverses_against_sympy(a):
     expected = from_sympy(a.order, sympy.invert(to_sympy(a), modulus(a.order)))
     assert a.inverse().coeffs == expected
+
+
+# -- mpmath oracle -----------------------------------------------------------------
+
+
+@ORACLE_SETTINGS
+@given(elements(ORDERS[2:]), st.data())
+def test_sign_real_against_mpmath(a, data):
+    # a real element a + 1/a, less a dyadic rational up to 2^-100 below its
+    # image, so that some signs need more than 64 bits
+    n = a.order
+    k = data.draw(st.sampled_from(galois_group_exponents(n)))
+    real = a + conjugate(a)
+    with mpmath.workprec(400):
+        image = sum(mpmath.mpf(c) * mpmath.cos(2 * mpmath.pi * (j * k % n) / n)
+                    for j, c in enumerate(real.nums)) / real.den
+        shift = data.draw(st.sampled_from((0, 30, 70, 100)))
+        approx = Fraction(int(mpmath.floor(image * 2 ** shift)), 2 ** shift)
+        real = real - approx
+        image -= mpmath.mpf(approx.numerator) / approx.denominator
+        got = sign_real(real, Embedding(n, k))
+        if real.is_zero():
+            assert got == 0
+        else:
+            assert abs(image) > mpmath.mpf(2) ** -300
+            assert got == (1 if image > 0 else -1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qtoledo.hermitian import (
     Signature,
     as_matrix,
     charpoly,
+    conj_transpose,
     eigen_split,
     g_function,
     identity,
@@ -258,6 +260,44 @@ def test_eigen_split_scalar():
     (_lam, turn, sig) = split[0]
     assert tuple(sig) == (1, 1, 0)
     assert turn == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("order,seed", [(5, 1), (7, 2), (8, 3), (12, 4), (12, 5)])
+def test_eigen_split_of_a_conjugated_diagonal(order, seed):
+    # U = P D P^-1 preserves h = P^-* h_D P^-1 for D a diagonal of roots of
+    # unity and h_D a real diagonal form; two eigenvalues repeat, one of them on
+    # an indefinite eigenspace.  So U = sum lambda P_lambda with the projectors
+    # P_lambda = P E_lambda P^-1, and the split must give D's eigenvalues, their
+    # multiplicities and the signs of h_D on each
+    rng = random.Random(seed)
+    z = CycloNum.zeta(order)
+    exps = [rng.randrange(order) for _ in range(3)]
+    exps += [exps[0], exps[1]]
+    signs = [1, rng.choice((-2, 1)), rng.choice((-1, 3)), -1, 2]
+    n = len(exps)
+    while True:
+        p = tuple(tuple(z ** rng.randrange(order) * rng.randrange(-1, 2) + rng.randrange(-2, 3)
+                        for _ in range(n)) for _ in range(n))
+        try:
+            p_inv = mat_inv(p)
+            break
+        except ZeroDivisionError:
+            continue
+    u = mat_mul(p, mat_mul(diag(*(z ** e for e in exps)), p_inv))
+    h = mat_mul(conj_transpose(p_inv), mat_mul(diag(*signs), p_inv))
+    k = rng.choice([k for k in range(1, order) if math.gcd(k, order) == 1])
+    split = eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, k))))
+    want = {}
+    for e, s in zip(exps, signs):
+        pos, neg = want.get(e, (0, 0))
+        want[e] = (pos + (s > 0), neg + (s < 0))
+    got = {}
+    for lam, turn, sig in split:
+        e = next(e for e in want if lam == z ** e)
+        assert turn == Fraction(e * k % order, order)
+        assert sig.zero == 0
+        got[e] = (sig.positive, sig.negative)
+    assert got == want
 
 
 def test_g_function_values():

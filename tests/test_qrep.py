@@ -177,7 +177,7 @@ def test_color_out_of_range():
 
 
 def _eigen_scan(u: IsometryWithForm):
-    """eigen_split without its characteristic-polynomial filter.
+    """eigen_split by brute force, an oracle for its spectral projectors.
 
     Every root of unity of the order of U gets a kernel solve; nonempty
     kernels yield (eigenvalue, turn, signature of the form on the kernel).
@@ -206,7 +206,7 @@ def _eigen_scan(u: IsometryWithForm):
 @pytest.mark.parametrize("level,k", [(5, 1), (5, 2), (7, 1), (7, 3), (9, 1), (9, 4),
                                      (11, 1), (11, 3)])
 def test_eigen_split_filter_matches_full_scan(level, k):
-    # skipping the candidates with charpoly(lambda) != 0 loses no eigenvalue
+    # the projector split (read off the diagonal for T_gamma) equals the kernel scan
     emb = Embedding(level, k)
     for i in range(1, (level - 1) // 2):
         rep = punctured_torus_rep(level, emb, i)
