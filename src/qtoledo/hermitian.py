@@ -152,14 +152,15 @@ def scale_rows(values, m: Matrix) -> Matrix:
     return tuple(tuple(v * x for x in row) for v, row in zip(values, m))
 
 
+def _common_value(values):
+    """The value every entry equals, else None."""
+    return values[0] if all(x == values[0] for x in values) else None
+
+
 def is_scalar(m: Matrix):
     """The scalar c when m = c * identity, else None."""
-    d = m[0][0]
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if (x != d) if i == j else x:
-                return None
-    return d
+    d = diagonal_entries(m)
+    return None if d is None else _common_value(d)
 
 
 # -- one exact elimination over Fraction or CycloNum ---------------------------
@@ -438,10 +439,7 @@ def _least_scalar_power(u: Matrix, diag, bound: int):
     powers = [identity(len(u))]
     power = u if diag is None else diag
     for m in range(1, bound + 1):
-        if diag is None:
-            scalar = is_scalar(power)
-        else:
-            scalar = power[0] if all(x == power[0] for x in power) else None
+        scalar = is_scalar(power) if diag is None else _common_value(power)
         if scalar is not None:
             return m, scalar, powers
         if diag is None:
