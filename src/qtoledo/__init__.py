@@ -12,11 +12,9 @@ from .cyclotomic import (
     Embedding,
     conjugate,
     cyclotomic_polynomial,
-    embed_complex,
     galois,
     quantum_int,
     sign_real,
-    trace_to_Q,
 )
 from .eulerchi import ChiPoly, chi_bar, chi_twisted, harer_zagier
 from .fusion import (
@@ -26,7 +24,6 @@ from .fusion import (
     so3_algebra,
     su2_algebra,
     unitary_partner,
-    verlinde_dimension,
 )
 from .hermitian import (
     HermMatrix,

@@ -428,53 +428,6 @@ def conjugate(a: CycloNum) -> CycloNum:
     return galois(a, a.order - 1) if a.order > 1 else a
 
 
-def galois_group_exponents(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-
-
-def galois_orbit(a: CycloNum) -> list[CycloNum]:
-    """Distinct Galois conjugates of a (one per coset of its stabilizer)."""
-    seen: list[CycloNum] = []
-    for k in galois_group_exponents(a.order):
-        img = galois(a, k)
-        if not any(img == s for s in seen):
-            seen.append(img)
-    return seen
-
-
-def trace_to_Q(a: CycloNum, fixing_exponents=None) -> Fraction:
-    """Trace of a over Q relative to the subfield it generates.
-
-    By default the subfield is Q(a) itself, so the result is the sum of the
-    distinct conjugates of a.  Passing `fixing_exponents` (the Galois
-    exponents fixing a larger reference subfield K with a in K) computes
-    tr_{K/Q}(a) instead; a must be fixed by every listed exponent.
-    """
-    n = a.order
-    if fixing_exponents is None:
-        total = CycloNum.rational(0)
-        for conj in galois_orbit(a):
-            total = total + conj
-        return total.rational_value()
-    fix = {k % n for k in fixing_exponents}
-    for k in fix:
-        if galois(a, k) != a:
-            raise ValueError("element does not lie in the requested subfield")
-    # sum over coset representatives of the fixing subgroup
-    units = galois_group_exponents(n)
-    if len(units) % len(fix):
-        raise ValueError("fixing exponents do not form a subgroup of the right size")
-    reps, covered = [], set()
-    for k in units:
-        if k not in covered:
-            reps.append(k)
-            covered.update((k * h) % n for h in fix)
-    total = CycloNum.rational(0)
-    for k in reps:
-        total = total + galois(a, k)
-    return total.rational_value()
-
-
 # -- quantum integers -----------------------------------------------------
 
 def quantum_int(n: int, q: CycloNum) -> CycloNum:
@@ -531,21 +484,6 @@ class Embedding:
         while math.gcd(k, order) != 1:
             k += self.order
         return Embedding(order, k)
-
-
-def embed_complex(a: CycloNum, emb: Embedding) -> complex:
-    """Floating-point image of a under the embedding (for oracles only)."""
-    if emb.order != a.order:
-        lcm = math.lcm(a.order, emb.order)
-        a = a.lift(lcm)
-        emb = emb.extend(lcm)
-    k = emb.exponent if emb.order > 1 else 0
-    z = complex(math.cos(2 * math.pi * k / a.order), math.sin(2 * math.pi * k / a.order)) if a.order > 1 else 1.0
-    total, power, den = 0j, 1 + 0j, a.den
-    for c in a.nums:
-        total += (c / den) * power
-        power *= z
-    return total
 
 
 def _atan_inv_fixed(n: int, w: int) -> tuple[int, int]:

@@ -222,9 +222,6 @@ class FrobeniusAlgebra:
     def semisimple_witness(self) -> Fraction:
         return determinant(self.gram())
 
-    def is_semisimple(self) -> bool:
-        return self.semisimple_witness() != 0
-
     @property
     def alpha(self) -> Vector:
         """The element with counit(x) = trace(alpha x) for all x."""
@@ -348,20 +345,6 @@ def signature_table(algebra: FrobeniusAlgebra, g_max: int, n_max: int):
             })
         rows.append(row)
     return rows
-
-
-def verlinde_dimension(level: int, genus: int) -> Fraction:
-    """Dimension of the level-l SO3 theory in genus g, with a sine-formula check."""
-    if level < 5 or level % 2 == 0:
-        raise ValueError("the closed sine formula is stated for odd level >= 5")
-    algebra = so3_algebra(level, Embedding(level, (level - 1) // 2))
-    value = algebra.tft_value(genus, [])
-    closed = (level / 4.0) ** (genus - 1) * sum(
-        math.sin(2 * m * math.pi / level) ** (2 - 2 * genus) for m in range(1, (level - 1) // 2 + 1)
-    )
-    if abs(float(value) - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise ArithmeticError(f"trace and sine formulas disagree: {float(value)} vs {closed}")
-    return value
 
 
 def gluing_checks(algebra: FrobeniusAlgebra, samples: int = 100, seed: int = 0) -> dict:

@@ -1,17 +1,16 @@
 """Exact linear algebra and signatures of Hermitian matrices over cyclotomic fields.
 
 Contains the linear algebra used everywhere downstream.  The matrix helpers
-(products, traces, diagonal matrices, linear combinations, Gram matrices of
-a form, characteristic polynomials by the Faddeev-LeVerrier recursion) and
-one Gauss-Jordan elimination (`rref`) are field-generic: they run unchanged
-over `Fraction` and over `CycloNum` entries, take zero and one from the
-entries and test entries for zero by their truth value, so the entry type
-is kept.  `rref` gives kernels, inverses, unique solutions of
-overdetermined systems and determinants.  On these rest signature counting
-by Descartes' rule (valid because Hermitian spectra are real); the Meyer
-cocycle of a pair of isometries; eigenvalue splitting of finite-order
-isometries into exact roots of unity, by spectral projectors built from
-the powers of the isometry; and the rational G-function that
+(products, diagonal matrices, linear combinations, Gram matrices of a form)
+and one Gauss-Jordan elimination (`rref`) are field-generic: they run
+unchanged over `Fraction` and over `CycloNum` entries, take zero and one
+from the entries and test entries for zero by their truth value, so the
+entry type is kept.  `rref` gives kernels, inverses, unique solutions of
+overdetermined systems and determinants.  On these rest signatures by
+Hermitian congruence (Sylvester's law of inertia: one certified sign per
+pivot); the Meyer cocycle of a pair of isometries; eigenvalue splitting of
+finite-order isometries into exact roots of unity, by spectral projectors
+built from the powers of the isometry; and the rational G-function that
 corrects the Meyer cocycle into a Toledo invariant.
 """
 
@@ -119,25 +118,6 @@ def gram(h: Matrix, vs, ws) -> Matrix:
     """V^* h W for the matrices V and W whose columns are the vectors vs and ws."""
     v_star = tuple(tuple(_conj(x) for x in v) for v in vs)
     return mat_mul(v_star, mat_mul(h, tuple(zip(*ws))))
-
-
-def mat_trace(a: Matrix):
-    zero, _ = _zero_one(a)
-    return sum((row[i] for i, row in enumerate(a)), zero)
-
-
-def charpoly(a: Matrix) -> list:
-    """Coefficients [c0, ..., cn] of det(xI - A), via Faddeev-LeVerrier."""
-    n = len(a)
-    zero, one = _zero_one(a)
-    coeffs = [zero] * n + [one]
-    am = a  # A M_k, starting from M_1 = I
-    for k in range(1, n + 1):
-        c = mat_trace(am) * Fraction(-1, k)
-        coeffs[n - k] = c
-        if k < n:
-            am = mat_mul(a, mat_add(am, diagonal((c,) * n)))
-    return coeffs
 
 
 def diagonal_entries(m: Matrix):
@@ -292,29 +272,39 @@ class HermMatrix:
         return len(self.entries)
 
 
-def _descartes_positive_roots(signs: list[int]) -> int:
-    # number of positive roots of a real-rooted polynomial = sign variations
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
-
-
 def signature(h: HermMatrix) -> Signature:
-    """Exact signature from the characteristic polynomial.
+    """Exact signature by Hermitian congruence (Sylvester's law of inertia).
 
-    All roots are real, so Descartes' rule counts positive and negative
-    eigenvalues exactly; the zero count is the x-adic valuation.
+    A nonzero diagonal entry p is a pivot: its certified sign is counted and
+    the matrix passes to the Schur complement of p.  When the whole diagonal
+    is zero but some h_ab is not, adding h_ab times row b to row a and
+    conj(h_ab) times column b to column a makes the diagonal entry
+    2 h_ab conj(h_ab), which is nonzero.  When every entry left is zero, the
+    number of rows left is the dimension of the kernel.
     """
-    coeffs = charpoly(h.entries)
-    for c in coeffs:
-        if not c.is_conjugation_fixed():
-            raise ArithmeticError("characteristic polynomial not real: input not Hermitian?")
-    zero = 0
-    while zero < len(coeffs) - 1 and coeffs[zero].is_zero():
-        zero += 1
-    signs = [sign_real(c, h.embedding) for c in coeffs[zero:]]
-    pos = _descartes_positive_roots(signs)
-    neg = _descartes_positive_roots([s if (i % 2 == 0) else -s for i, s in enumerate(signs)])
-    return Signature(pos, neg, zero)
+    rows = [list(row) for row in h.entries]
+    signs = []
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[i]), None)
+        if k is None:
+            pair = next(((a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            k, b = pair
+            c = rows[k][b]
+            rows[k] = [x + c * y for x, y in zip(rows[k], rows[b])]
+            c_bar = conjugate(c)
+            for row in rows:
+                row[k] = row[k] + c_bar * row[b]
+        pivot = rows.pop(k)
+        p = pivot.pop(k)
+        signs.append(sign_real(p, h.embedding))
+        p_inv = p.inverse()
+        for row in rows:
+            f = row.pop(k) * p_inv
+            if f:
+                row[:] = [x - f * y if y else x for x, y in zip(row, pivot)]
+    return Signature(signs.count(1), signs.count(-1), len(rows))
 
 
 # -- isometries --------------------------------------------------------------
@@ -414,18 +404,6 @@ def _meyer_kernel_form(amat: Matrix, bmat: Matrix, h: Matrix, emb: Embedding) ->
     ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
     sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
     return signature(HermMatrix(mat_scale(gram(h, ws, sums), i_inv), big)).index
-
-
-def meyer_u1_sign(alpha_turn: Fraction, beta_turn: Fraction) -> int:
-    """Closed U(1) formula sign(sin((a+b)/2) sin(a/2) sin(b/2)), angles in turns."""
-    def s(t: Fraction) -> int:
-        # sign of sin(pi*t), period 2 in t
-        r = t % 2
-        if r == 0 or r == 1:
-            return 0
-        return 1 if r < 1 else -1
-
-    return s(alpha_turn + beta_turn) * s(alpha_turn) * s(beta_turn)
 
 
 # -- eigenvalue splitting and the G-function ---------------------------------

@@ -113,16 +113,6 @@ class H2Class:
         if (self.g, self.n) != (other.g, other.n):
             raise ValueError("classes live on different moduli spaces")
 
-    def in_kappa_basis(self) -> "H2Class":
-        """Rewrite kappa-tilde as kappa_1 - sum(psi_i)."""
-        out = {k: v for k, v in self.coeffs.items() if k != (KAPPA1T,)}
-        t = self.coefficient(KAPPA1T)
-        if t:
-            out[(KAPPA1,)] = out.get((KAPPA1,), Fraction(0)) + t
-            for i in range(1, self.n + 1):
-                out[(PSI, i)] = out.get((PSI, i), Fraction(0)) - t
-        return H2Class(self.g, self.n, out)
-
     def in_kappa_tilde_basis(self) -> "H2Class":
         out = {k: v for k, v in self.coeffs.items() if k != (KAPPA1,)}
         t = self.coefficient(KAPPA1)

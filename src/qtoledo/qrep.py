@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign, sign_real
+from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign
 from .fusion import check_so3_level, so3_structure_sign
 from .hermitian import (
     HermMatrix,
@@ -154,10 +154,6 @@ class PuncturedTorusRep:
     @property
     def form(self) -> HermMatrix:
         return HermMatrix(diagonal(self.norms), self.embedding)
-
-    def form_signature(self):
-        signs = [sign_real(x, self.embedding) for x in self.norms]
-        return signs.count(1), signs.count(-1)
 
 
 def _u_value(m: int, i: int, q: CycloNum, level: int) -> CycloNum:

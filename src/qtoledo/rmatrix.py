@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Embedding
-from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra, unitary_partner
+from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
 from .hermitian import (
-    charpoly,
     conj_transpose,
     determinant,
     diagonal,
@@ -157,25 +156,21 @@ def _pivot_operator(v: FrobeniusAlgebra, x: Mat) -> Mat:
     return mat_sub(y, v.mult_matrix(tuple(row[0] for row in y)))
 
 
-def poly_discriminant(coeffs: list[Fraction]) -> Fraction:
-    """Discriminant of a monic polynomial given low-to-high coefficients."""
-    n = len(coeffs) - 1
-    deriv = [coeffs[k] * k for k in range(1, n + 1)]
-    size = n + (n - 1)
-    rows = []
-    for shift in range(n - 1):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(reversed(coeffs)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(n):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(reversed(deriv)):
-            row[shift + k] = c
-        rows.append(row)
-    res = determinant(rows)
-    sign = (-1) ** (n * (n - 1) // 2)
-    return sign * res / coeffs[-1]
+def _discriminant(v: FrobeniusAlgebra, x: int) -> Fraction:
+    """The discriminant of the characteristic polynomial of M_x, for the basis vector x.
+
+    It is det[tr(x^(i+j))] for i, j < rank: M_(x^k) = M_x^k, so the entries
+    are the power sums of the eigenvalues of M_x, and the matrix is V^T V
+    for their Vandermonde matrix V.  The powers run on the integer kernel.
+    """
+    r = v.rank
+    x = v.scaled(x)
+    power = v.scaled(0)
+    sums = [v.trace_scaled(power)]
+    for _ in range(2 * r - 2):
+        power = v.multiply_scaled(power, x)
+        sums.append(v.trace_scaled(power))
+    return determinant([sums[i:i + r] for i in range(r)])
 
 
 def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
@@ -183,12 +178,14 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
 
     tau04 maps (i, j) to tau_{0,4}(w, w, e_i, e_j) for the pivot w = e_{r-1};
     tau11[i] is tau_{1,1}(e_i).  The output satisfies the self-adjointness,
-    decomposition, and round-trip identities exactly; the denominator bound
-    2*3*level*disc^2 is asserted entry by entry.
+    decomposition, and round-trip identities exactly.  Both discriminants,
+    of the characteristic polynomials of M_w and of M_(e_1), come from the
+    trace form (`_discriminant`): the first must be nonzero, and the
+    denominator bound 2*3*level*disc^2 of the second is asserted entry by
+    entry.
     """
     r = v.rank
-    mw = v.mult_matrix(r - 1)
-    if poly_discriminant(charpoly(mw)) == 0:  # a repeated root
+    if _discriminant(v, r - 1) == 0:  # a repeated root
         raise ArithmeticError("pivot multiplication does not have simple spectrum")
 
     # A_w(e_i) = sum_j tau04[(i,j)] eps_j e_j
@@ -234,7 +231,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
             raise ArithmeticError(f"tau11 round trip fails at {i}")
 
     if r > 1:
-        disc = poly_discriminant(charpoly(v.mult_matrix(1)))
+        disc = _discriminant(v, 1)
         bound = 6 * v.level * disc.numerator * disc.numerator
         for row in out.matrix:
             for x in row:
@@ -359,20 +356,3 @@ def appendixB_crosscheck(g_max: int = 4, n_max: int = 4) -> dict:
             if not equal:
                 report["all_equal"] = False
     return report
-
-
-def level5_sigma_recursion_checks(g_max: int = 4, n_max: int = 6) -> dict:
-    """The d and sigma recursions behind the presentation coefficients."""
-    emb = Embedding(5, 1)
-    v = so3_algebra(5, emb)
-    u = unitary_partner(v)
-    failures = []
-    for g in range(1, g_max + 1):
-        for n in range(n_max + 1):
-            t = [1] * n
-            if v.tft_value(g, t + [1]) != v.tft_value(g, t) - 3 * v.tft_value(g - 1, t):
-                failures.append(("sigma", g, n))
-            d_irr = u.tft_value(g - 1, t + [1, 1])
-            if d_irr + u.tft_value(g - 1, t) != u.tft_value(g, t):
-                failures.append(("d", g, n))
-    return {"failures": failures, "passed": not failures}

@@ -1,0 +1,130 @@
+"""Reference computations that the tests check the package against.
+
+None of these is reached by a computation, CLI command or golden table of
+the package; each is an independent route to a value the package computes
+another way: floating-point images of cyclotomic numbers, characteristic
+polynomials by the Faddeev-LeVerrier recursion and signatures from them by
+Descartes' rule, the sine formula for Verlinde dimensions, the closed U(1)
+Meyer cocycle, the level-5 recursions of the TFT values, and the signature
+of a torus representation's diagonal form.
+"""
+
+import math
+from fractions import Fraction
+
+from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
+from qtoledo.fusion import so3_algebra, unitary_partner
+from qtoledo.hermitian import HermMatrix, Signature, _zero_one, diagonal, mat_add, mat_mul
+
+
+def embed_complex(a: CycloNum, emb: Embedding) -> complex:
+    """Floating-point image of a under the embedding."""
+    if emb.order != a.order:
+        lcm = math.lcm(a.order, emb.order)
+        a = a.lift(lcm)
+        emb = emb.extend(lcm)
+    k = emb.exponent if emb.order > 1 else 0
+    z = complex(math.cos(2 * math.pi * k / a.order), math.sin(2 * math.pi * k / a.order)) if a.order > 1 else 1.0
+    total, power, den = 0j, 1 + 0j, a.den
+    for c in a.nums:
+        total += (c / den) * power
+        power *= z
+    return total
+
+
+# -- characteristic polynomials and signatures from them ---------------------------
+
+
+def mat_trace(a):
+    zero, _ = _zero_one(a)
+    return sum((row[i] for i, row in enumerate(a)), zero)
+
+
+def charpoly(a) -> list:
+    """Coefficients [c0, ..., cn] of det(xI - A), via Faddeev-LeVerrier."""
+    n = len(a)
+    zero, one = _zero_one(a)
+    coeffs = [zero] * n + [one]
+    am = a  # A M_k, starting from M_1 = I
+    for k in range(1, n + 1):
+        c = mat_trace(am) * Fraction(-1, k)
+        coeffs[n - k] = c
+        if k < n:
+            am = mat_mul(a, mat_add(am, diagonal((c,) * n)))
+    return coeffs
+
+
+def _descartes_positive_roots(signs: list[int]) -> int:
+    # number of positive roots of a real-rooted polynomial = sign variations
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
+
+
+def descartes_signature(h: HermMatrix) -> Signature:
+    """The signature from the characteristic polynomial.
+
+    All roots are real, so Descartes' rule counts positive and negative
+    eigenvalues exactly; the zero count is the x-adic valuation.
+    """
+    coeffs = charpoly(h.entries)
+    if not all(c.is_conjugation_fixed() for c in coeffs):
+        raise ArithmeticError("characteristic polynomial not real")
+    zero = 0
+    while zero < len(coeffs) - 1 and coeffs[zero].is_zero():
+        zero += 1
+    signs = [sign_real(c, h.embedding) for c in coeffs[zero:]]
+    pos = _descartes_positive_roots(signs)
+    neg = _descartes_positive_roots([s if (i % 2 == 0) else -s for i, s in enumerate(signs)])
+    return Signature(pos, neg, zero)
+
+
+# -- closed formulas ----------------------------------------------------------------
+
+
+def verlinde_dimension(level: int, genus: int) -> Fraction:
+    """Dimension of the level-l SO3 theory in genus g, with a sine-formula check."""
+    if level < 5 or level % 2 == 0:
+        raise ValueError("the closed sine formula is stated for odd level >= 5")
+    algebra = so3_algebra(level, Embedding(level, (level - 1) // 2))
+    value = algebra.tft_value(genus, [])
+    closed = (level / 4.0) ** (genus - 1) * sum(
+        math.sin(2 * m * math.pi / level) ** (2 - 2 * genus) for m in range(1, (level - 1) // 2 + 1)
+    )
+    if abs(float(value) - closed) > 1e-9 * max(1.0, abs(closed)):
+        raise ArithmeticError(f"trace and sine formulas disagree: {float(value)} vs {closed}")
+    return value
+
+
+def meyer_u1_sign(alpha_turn: Fraction, beta_turn: Fraction) -> int:
+    """Closed U(1) formula sign(sin((a+b)/2) sin(a/2) sin(b/2)), angles in turns."""
+    def s(t: Fraction) -> int:
+        # sign of sin(pi*t), period 2 in t
+        r = t % 2
+        if r == 0 or r == 1:
+            return 0
+        return 1 if r < 1 else -1
+
+    return s(alpha_turn + beta_turn) * s(alpha_turn) * s(beta_turn)
+
+
+def level5_sigma_recursion_checks(g_max: int = 4, n_max: int = 6) -> dict:
+    """The d and sigma recursions behind the presentation coefficients."""
+    emb = Embedding(5, 1)
+    v = so3_algebra(5, emb)
+    u = unitary_partner(v)
+    failures = []
+    for g in range(1, g_max + 1):
+        for n in range(n_max + 1):
+            t = [1] * n
+            if v.tft_value(g, t + [1]) != v.tft_value(g, t) - 3 * v.tft_value(g - 1, t):
+                failures.append(("sigma", g, n))
+            d_irr = u.tft_value(g - 1, t + [1, 1])
+            if d_irr + u.tft_value(g - 1, t) != u.tft_value(g, t):
+                failures.append(("d", g, n))
+    return {"failures": failures, "passed": not failures}
+
+
+def form_signature(rep) -> tuple[int, int]:
+    """(p, q) of the diagonal form of a PuncturedTorusRep, one sign per norm."""
+    signs = [sign_real(x, rep.embedding) for x in rep.norms]
+    return signs.count(1), signs.count(-1)

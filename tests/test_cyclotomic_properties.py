@@ -21,9 +21,14 @@ from qtoledo.cyclotomic import (
     cyclo_to_json,
     euler_phi,
     galois,
-    galois_group_exponents,
     sign_real,
 )
+
+
+def units(n):
+    """The exponents k in 1..n coprime to n: the Galois group of Q(zeta_n)."""
+    return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
 
 ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 20, 22, 33, 66)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -115,8 +120,8 @@ def test_rationals(v):
 
 @SETTINGS
 @given(st.sampled_from(ORDERS).flatmap(lambda n: st.tuples(
-    elements((n,)), elements((n,)), st.sampled_from(galois_group_exponents(n)),
-    st.sampled_from(galois_group_exponents(n)))))
+    elements((n,)), elements((n,)), st.sampled_from(units(n)),
+    st.sampled_from(units(n)))))
 def test_galois_is_a_ring_homomorphism(data):
     a, b, k, l = data
     assert galois(a + b, k) == galois(a, k) + galois(b, k)
@@ -191,7 +196,7 @@ def test_sign_real_against_mpmath(a, data):
     # a real element a + 1/a, less a dyadic rational up to 2^-100 below its
     # image, so that some signs need more than 64 bits
     n = a.order
-    k = data.draw(st.sampled_from(galois_group_exponents(n)))
+    k = data.draw(st.sampled_from(units(n)))
     real = a + conjugate(a)
     with mpmath.workprec(400):
         image = sum(mpmath.mpf(c) * mpmath.cos(2 * mpmath.pi * (j * k % n) / n)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import charpoly, verlinde_dimension
 
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import (
@@ -15,7 +16,6 @@ from qtoledo.fusion import (
     so3_algebra,
     su2_algebra,
     unitary_partner,
-    verlinde_dimension,
 )
 
 F = Fraction
@@ -75,7 +75,7 @@ def test_unitary_so3_alpha_closed_form():
         # check the identification is a ring map: charpoly of M_{e1} kills it
         acc = CycloNum.rational(0)
         m1 = v.mult_matrix(1)
-        from qtoledo.hermitian import as_matrix, charpoly
+        from qtoledo.hermitian import as_matrix
 
         coeffs = charpoly(as_matrix([[c for c in row] for row in m1]))
         val = CycloNum.rational(0)
@@ -141,7 +141,7 @@ def test_semisimplicity():
             if math.gcd(k, level) != 1:
                 continue
             v = so3_algebra(level, Embedding(level, k))
-            assert v.is_semisimple()
+            assert v.semisimple_witness() != 0
     # brute-force 4x4 Gram determinant for level 9, exponent 1
     v = so3_algebra(9, Embedding(9, 1))
     gram = v.gram()

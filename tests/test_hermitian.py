@@ -4,24 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import charpoly, descartes_signature, embed_complex, meyer_u1_sign
 
-from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, embed_complex, quantum_int
+from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi, quantum_int
 from qtoledo.hermitian import (
     HermMatrix,
     IsometryWithForm,
     Signature,
     as_matrix,
-    charpoly,
     conj_transpose,
     eigen_split,
     g_function,
+    gram,
     identity,
     mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
     meyer_cocycle,
-    meyer_u1_sign,
     signature,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
@@ -53,6 +55,56 @@ def test_signature_quantum_diagonal():
 def test_signature_zero_block():
     h = HermMatrix(diag(2, 0, -1, 0), Embedding(1, 0))
     assert tuple(signature(h)) == (1, 1, 2)
+    # zero diagonals: the pair step must add h_ab (not its conjugate) times
+    # row b to row a, or h_01 = zeta_8 would leave 0 on the diagonal
+    z8 = CycloNum.zeta(8)
+    h = HermMatrix(as_matrix([[0, z8], [z8.inverse(), 0]]), Embedding(8, 1))
+    assert tuple(signature(h)) == (1, 1, 0)
+    # rank 2, the last two rows proportional: eigenvalues +-sqrt(|a|^2 + |b|^2) and 0
+    a, b = Q5, 1 + Q5 ** 2
+    zero = CycloNum.rational(0)
+    h = HermMatrix(((zero, a, b), (conjugate(a), zero, zero), (conjugate(b), zero, zero)), EMB5)
+    assert tuple(signature(h)) == (1, 1, 1)
+
+
+@st.composite
+def _hermitian_zero_diagonal_or_singular(draw):
+    """A HermMatrix over Q(zeta_N), N in {5, 7, 8, 12}, often with a zero diagonal or singular."""
+    order = draw(st.sampled_from((5, 7, 8, 12)))
+    phi = euler_phi(order)
+    n = draw(st.integers(1, 5))
+
+    def entry():
+        coeffs = [0] * phi
+        for j in draw(st.lists(st.integers(0, phi - 1), max_size=2)):
+            coeffs[j] = draw(st.integers(-3, 3))
+        return CycloNum(order, coeffs)
+
+    m = [[CycloNum.rational(0)] * n for _ in range(n)]
+    zero_diagonal = draw(st.booleans())
+    for i in range(n):
+        if not zero_diagonal:
+            x = entry()
+            m[i][i] = x + conjugate(x)
+        for j in range(i + 1, n):
+            m[i][j] = entry()
+            m[j][i] = conjugate(m[i][j])
+    if n > 2 and draw(st.booleans()):
+        # C^* m C for C the identity with column k replaced by c e_a + e_b: singular
+        k, a, b = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if k != a and k != b:
+            c = entry()
+            cols = [[CycloNum.rational(int(i == j)) for i in range(n)] for j in range(n)]
+            cols[k] = [c * x + y for x, y in zip(cols[a], cols[b])]
+            m = gram(as_matrix(m), cols, cols)
+    k = draw(st.sampled_from([k for k in range(1, order) if math.gcd(k, order) == 1]))
+    return HermMatrix(m, Embedding(order, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hermitian_zero_diagonal_or_singular())
+def test_signature_matches_the_descartes_oracle(h):
+    assert signature(h) == descartes_signature(h)
 
 
 def _random_rational_hermitian(rng, n):

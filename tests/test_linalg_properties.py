@@ -1,13 +1,14 @@
 """Property tests for the field-generic linear algebra in qtoledo.hermitian.
 
 `rref` and the routines built on it (kernel_basis, mat_inv, solve,
-determinant), and the matrix helpers (mat_mul, mat_vec, mat_trace, charpoly,
-diagonal, lin_comb, gram), run over Fraction and over CycloNum entries.
+determinant), and the matrix helpers (mat_mul, mat_vec, diagonal, lin_comb,
+gram), run over Fraction and over CycloNum entries.
 Random matrices come from Hypothesis, over Q and over Q(zeta_N) for N = 1,
 11 and 66, with a planted dependent row half of the time so that singular
 inputs are common.  sympy is the oracle over Q; over Q(zeta_N) the
 determinant is checked against the independent Faddeev-LeVerrier
-characteristic polynomial, and the helpers against sums written out here.
+characteristic polynomial of tests/oracles.py, and the helpers against sums
+written out here.
 """
 
 from fractions import Fraction
@@ -16,13 +17,13 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import charpoly, mat_trace
 
 from qtoledo import hermitian
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi
 from qtoledo.hermitian import (
     HermMatrix,
     as_matrix,
-    charpoly,
     conj_transpose,
     determinant,
     diagonal,
@@ -32,7 +33,6 @@ from qtoledo.hermitian import (
     lin_comb,
     mat_inv,
     mat_mul,
-    mat_trace,
     rref,
     signature,
     solve,

@@ -3,13 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import charpoly, form_signature
 
 from qtoledo.cyclotomic import CycloNum, Embedding, quantum_int, sign_real
 from qtoledo.fusion import so3_algebra
 from qtoledo.hermitian import (
     HermMatrix,
     IsometryWithForm,
-    charpoly,
     _skew_form_signature,
     conj_transpose,
     diagonal,
@@ -96,7 +96,7 @@ def test_torus_rep_color0_is_definite():
         if math.gcd(k, level) != 1:
             continue
         rep = punctured_torus_rep(level, Embedding(level, k), 0)
-        p, n = rep.form_signature()
+        p, n = form_signature(rep)
         assert n == 0 and p == rep.dim
 
 
@@ -109,7 +109,7 @@ def test_torus_rep_signature_matches_trace():
             v = so3_algebra(level, emb)
             for i in range((level - 1) // 2):
                 rep = punctured_torus_rep(level, emb, i)
-                p, n = rep.form_signature()
+                p, n = form_signature(rep)
                 tr = v.trace(v.basis(i))
                 if tr != 0:
                     assert p - n == tr, (level, k, i)
@@ -250,7 +250,7 @@ def test_torus_path_builds_no_fusion_algebra(monkeypatch):
 
     for module in (qtoledo.fusion, qtoledo.qrep):
         monkeypatch.setattr(module, "so3_algebra", refuse, raising=False)
-    assert punctured_torus_rep(7, Embedding(7, 1), 1).form_signature() == (1, 1)
+    assert form_signature(punctured_torus_rep(7, Embedding(7, 1), 1)) == (1, 1)
     assert tau_11(7, Embedding(7, 1), 1) == F(-1, 42)
     assert tau11_table(7, Embedding(7, 2)) == [0, 0, 0]
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from oracles import level5_sigma_recursion_checks
 
 from qtoledo import rmatrix
 from qtoledo.cli import main
@@ -14,9 +16,8 @@ from qtoledo.qrep import pivot_tau04_table, tau11_table
 from qtoledo.rmatrix import (
     R1Matrix,
     appendixB_crosscheck,
+    _discriminant,
     degree2_class,
-    level5_sigma_recursion_checks,
-    poly_discriminant,
     presentation_class,
     solve_level,
     solve_r1,
@@ -221,15 +222,25 @@ def test_presentation_psi_equals_closed_psi(level5):
         assert direct.coefficient("psi", 1) == via_b.coefficient("psi", 1)
 
 
-def test_poly_discriminant():
-    # x^2 + x + 1 and x^3 - t - 1
-    assert poly_discriminant([F(1), F(1), F(1)]) == -3
-    assert poly_discriminant([F(-1), F(-1), F(0), F(1)]) == -23
+def test_trace_form_discriminant_matches_sympy():
+    # det[tr(x^(i+j))] against the discriminant of sympy's characteristic
+    # polynomial of M_x, at every embedding of levels 3-15 and x = 1, r - 1
+    t = sympy.Symbol("t")
+    for level in range(3, 16, 2):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            v = so3_algebra(level, Embedding(level, k))
+            for x in {1, v.rank - 1} & set(range(v.rank)):
+                m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                                  for row in v.mult_matrix(x)])
+                want = sympy.discriminant(m.charpoly(t).as_expr(), t)
+                assert _discriminant(v, x) == want, (level, k, x)
 
 
 def test_denominator_bound(level7_q1):
     v, r1 = level7_q1
-    disc = poly_discriminant([F(-1), F(-1), F(0), F(1)])
+    disc = -23  # the discriminant of t^3 - t - 1
     bound = 6 * 7 * disc * disc
     for row in r1.matrix:
         for x in row:
