@@ -15,22 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .cyclotomic import Embedding, cyclo_from_json, cyclo_to_json
+from .cyclotomic import Embedding, cyclo_from_json, cyclo_to_json, frac_to_json
 from .eulerchi import chi_bar, chi_twisted
 from .fusion import gluing_checks, signature_table, so3_algebra, su2_algebra
 from .hermitian import HermMatrix, IsometryWithForm, meyer_cocycle, signature
 from .mgnclasses import class_from_json, reduce_class, uniformization_check
 from .qrep import four_point_toledo, punctured_torus_rep, tau_11
 from .rmatrix import appendixB_crosscheck, degree2_class, solve_level, tau_from_r1_04, tau_from_r1_11
-
-
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _envelope(command: str, parameters: dict, payload, fmt: str) -> str:
@@ -88,9 +82,9 @@ def cmd_fusion_build(args) -> str:
         "eps": list(v.eps),
         "omega03": [[[v.omega03[i][j][k] for k in range(v.rank)] for j in range(v.rank)]
                     for i in range(v.rank)],
-        "alpha": [_frac(x) for x in v.alpha],
-        "omega_element": [_frac(x) for x in v.omega_element],
-        "semisimple_witness": _frac(v.semisimple_witness()),
+        "alpha": [frac_to_json(x) for x in v.alpha],
+        "omega_element": [frac_to_json(x) for x in v.omega_element],
+        "semisimple_witness": frac_to_json(v.semisimple_witness()),
     }
     return _envelope("fusion build", vars_of(args), payload, args.format)
 
@@ -104,7 +98,8 @@ def cmd_fusion_sigtable(args) -> str:
     payload = {
         "header": ["g\\n"] + [f"n={n}" for n in range(args.nmax + 1)],
         "rows": [[f"g={g}"] + rows[g] for g in range(args.gmax + 1)],
-        "cells": [{**cell, "dim": _frac(cell["dim"]), "signature": _frac(cell["signature"])}
+        "cells": [{**cell, "dim": frac_to_json(cell["dim"]),
+                   "signature": frac_to_json(cell["signature"])}
                   for line in table for cell in line],
     }
     return _envelope("fusion sigtable", vars_of(args), payload, args.format)
@@ -146,12 +141,12 @@ def cmd_herm_meyer(args) -> str:
 
 def cmd_qrep_tau04(args) -> str:
     value = four_point_toledo(args.level, Embedding(args.level, args.embedding), args.i, args.j)
-    return _envelope("qrep tau04", vars_of(args), {"tau_04": _frac(value)}, args.format)
+    return _envelope("qrep tau04", vars_of(args), {"tau_04": frac_to_json(value)}, args.format)
 
 
 def cmd_qrep_tau11(args) -> str:
     value = tau_11(args.level, Embedding(args.level, args.embedding), args.i)
-    return _envelope("qrep tau11", vars_of(args), {"tau_11": _frac(value)}, args.format)
+    return _envelope("qrep tau11", vars_of(args), {"tau_11": frac_to_json(value)}, args.format)
 
 
 def cmd_qrep_torus(args) -> str:
@@ -219,7 +214,7 @@ def cmd_euler_chibar(args) -> str:
     poly = chi_bar(args.g, args.n)
     payload = {
         "g": args.g, "n": args.n,
-        "coefficients": [_frac(c) for c in poly.coeffs],
+        "coefficients": [frac_to_json(c) for c in poly.coeffs],
         "pretty": str(poly),
     }
     return _envelope("euler chibar", vars_of(args), payload, args.format)
@@ -227,7 +222,7 @@ def cmd_euler_chibar(args) -> str:
 
 def cmd_euler_twisted(args) -> str:
     value = chi_twisted(args.g, args.n, args.level)
-    return _envelope("euler twisted", vars_of(args), {"chi": _frac(value)}, args.format)
+    return _envelope("euler twisted", vars_of(args), {"chi": frac_to_json(value)}, args.format)
 
 
 # -- reproduce: golden tables ----------------------------------------------------
@@ -254,14 +249,14 @@ def _table_level7() -> dict:
         for colors in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)):
             rows.append({
                 "surface": "0,4", "colors": list(colors),
-                "sigma": _frac(v.tft_value(0, list(colors))),
-                "tau": _frac(tau_from_r1_04(v, r1, *colors)),
+                "sigma": frac_to_json(v.tft_value(0, list(colors))),
+                "tau": frac_to_json(tau_from_r1_04(v, r1, *colors)),
             })
         for i in range(3):
             rows.append({
                 "surface": "1,1", "colors": [i],
-                "sigma": _frac(v.tft_value(1, [i])),
-                "tau": _frac(tau_from_r1_11(v, r1, i)),
+                "sigma": frac_to_json(v.tft_value(1, [i])),
+                "tau": frac_to_json(tau_from_r1_11(v, r1, i)),
             })
         out["columns"][f"q{k}"] = rows
     return out
@@ -296,8 +291,8 @@ def _table_euler() -> dict:
             poly = chi_bar(g, n)
             rows.append({
                 "g": g, "n": n,
-                "coefficients": [_frac(c) for c in poly.coeffs],
-                "level5": _frac(chi_twisted(g, n, 5)),
+                "coefficients": [frac_to_json(c) for c in poly.coeffs],
+                "level5": frac_to_json(chi_twisted(g, n, 5)),
             })
     return {"name": "euler", "rows": rows}
 

@@ -14,12 +14,13 @@ table of rows x^m mod Phi_N, with no multiplication.
 Real elements (fixed by zeta -> 1/zeta) get a certified sign under a chosen
 complex embedding zeta -> exp(2 pi i k / N), in integer arithmetic only.
 Zero and rational elements are decided exactly.  Otherwise the sign comes
-from integer bounds lo_j <= 2^b cos(2 pi j k / N) <= hi_j, a table cached
-per (N, k, b) and built in fixed point: pi from Machin's formula, each
-cosine from its Taylor series after folding the angle into [0, pi/2], every
-step rounded outward.  The image of the element then lies in one integer
-interval dot product; its precision b doubles from 64 bits up to
-MAX_SIGN_BITS until the interval excludes zero.
+from integer bounds lo_j <= 2^b cos(2 pi j k / N) <= hi_j, taken only for
+the j of nonzero coefficients, each cached per (j k mod N, N, b) and built
+in fixed point: pi from Machin's formula, the cosine from its Taylor series
+after folding the angle into [0, pi/2], every step rounded outward.  The
+image of the element then lies in one integer interval dot product; its
+precision b doubles from 64 bits up to MAX_SIGN_BITS until the interval
+excludes zero.
 """
 
 from __future__ import annotations
@@ -513,6 +514,7 @@ def _pi_fixed(w: int) -> tuple[int, int]:
     return 16 * a - 4 * b, 16 * ea + 4 * eb
 
 
+@lru_cache(maxsize=None)
 def _cos_fixed(m: int, n: int, bits: int) -> tuple[int, int]:
     """Integers lo <= 2^bits cos(2 pi m / n) <= hi, with hi - lo at most 3.
 
@@ -570,28 +572,22 @@ def _cos_fixed(m: int, n: int, bits: int) -> tuple[int, int]:
     return (lo, hi) if sign > 0 else (-hi, -lo)
 
 
-@lru_cache(maxsize=None)
-def _cos_bounds(n: int, k: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """(lo_j, hi_j) with lo_j <= 2^bits cos(2 pi j k / n) <= hi_j, j = 0, ..., n-1.
-
-    Each bound pair comes from _cos_fixed and is at most 3 wide.
-    """
-    folded = [_cos_fixed(m, n, bits) for m in range(n // 2 + 1)]
-    return tuple(folded[min(j * k % n, n - j * k % n)] for j in range(n))
-
-
 def _real_bounds(a: CycloNum, k: int, bits: int) -> tuple[int, int]:
     """Integers lo <= 2^bits * den * a <= hi for a real a under zeta -> exp(2 pi i k / order).
 
     The image of a real element is its real part, sum_j nums[j] cos(2 pi j k
-    / order) / den: one integer interval dot product with _cos_bounds.
+    / order) / den: one integer interval dot product with the bounds of
+    _cos_fixed, taken only at the nonzero coefficients.
     """
+    n = a.order
     lo = hi = 0
-    for c, (c_lo, c_hi) in zip(a.nums, _cos_bounds(a.order, k, bits)):
-        if c > 0:
-            lo, hi = lo + c * c_lo, hi + c * c_hi
-        elif c < 0:
-            lo, hi = lo + c * c_hi, hi + c * c_lo
+    for j, c in enumerate(a.nums):
+        if c:
+            c_lo, c_hi = _cos_fixed(j * k % n, n, bits)
+            if c > 0:
+                lo, hi = lo + c * c_lo, hi + c * c_hi
+            else:
+                lo, hi = lo + c * c_hi, hi + c * c_lo
     return lo, hi
 
 
@@ -640,8 +636,14 @@ def quantum_int_sign(n: int, emb: Embedding) -> int:
 
 # -- JSON encoding ---------------------------------------------------------
 
+def frac_to_json(x) -> str:
+    """An exact rational (Fraction or int) as the string "p/q"."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
 def cyclo_to_json(a: CycloNum) -> dict:
-    return {"order": a.order, "coeffs": [f"{c.numerator}/{c.denominator}" for c in a.coeffs]}
+    return {"order": a.order, "coeffs": [frac_to_json(c) for c in a.coeffs]}
 
 
 def cyclo_from_json(data: dict) -> CycloNum:

@@ -5,13 +5,15 @@ Contains the linear algebra used everywhere downstream.  The matrix helpers
 and one Gauss-Jordan elimination (`rref`) are field-generic: they run
 unchanged over `Fraction` and over `CycloNum` entries, take zero and one
 from the entries and test entries for zero by their truth value, so the
-entry type is kept.  `rref` gives kernels, inverses, unique solutions of
-overdetermined systems and determinants.  On these rest signatures by
-Hermitian congruence (Sylvester's law of inertia: one certified sign per
-pivot); the Meyer cocycle of a pair of isometries; eigenvalue splitting of
-finite-order isometries into exact roots of unity, by spectral projectors
-built from the powers of the isometry; and the rational G-function that
-corrects the Meyer cocycle into a Toledo invariant.
+entry type is kept.  `rref` gives kernels, unique solutions of
+overdetermined systems and determinants; no routine takes a matrix
+inverse.  On these rest signatures by Hermitian congruence (Sylvester's
+law of inertia: one certified sign per pivot); the Meyer cocycle of a pair
+of isometries, as the signature of one form on one kernel; eigenvalue
+splitting of finite-order isometries into exact roots of unity, by
+spectral projectors built from the powers of the isometry; and the
+rational G-function that corrects the Meyer cocycle into a Toledo
+invariant.
 """
 
 from __future__ import annotations
@@ -199,17 +201,6 @@ def kernel_basis(a) -> list[tuple]:
     return basis
 
 
-def mat_inv(a):
-    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
-    n = len(a)
-    zero, one = _zero_one(a)
-    rows, pivots, _ = rref([list(row) + [one if i == j else zero for j in range(n)]
-                            for i, row in enumerate(a)])
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def solve(a, b) -> list:
     """The unique x with a x = b, where a may have more rows than columns.
 
@@ -357,47 +348,25 @@ def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
 def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm, ab: Matrix | None = None) -> int:
     """Signature of the pair-of-pants twisted intersection form.
 
-    With C = (AB)^-1 and 1-A invertible this is the signature of the
-    Hermitian matrix h * (1-B^-1)(1-A)^-1(1-C^-1) / i; otherwise the form
-    h(u+v, (1-B)v') / i on the kernel {(u,v): (A^-1-1)u + (B-1)v = 0}.
-    A caller that already holds the product AB passes it as `ab`.
+    This is the form h(u+v, (1-B)v') / i on the kernel of the n x 2n matrix
+    [(1-A) | (AB-A)].  That matrix is A [(A^-1-1) | (B-1)], the matrix of
+    Meyer's definition, so both have one kernel and no inverse is taken.
+    The kernel has dimension at least n.  A caller that already holds the
+    product AB passes it as `ab`.
     """
-    if a.form is not b.form and a.form.entries != b.form.entries:
+    if a.form != b.form:
         raise ValueError("isometries must share one form")
     h = a.form.entries
-    emb = a.embedding
     n = len(h)
     one = identity(n)
     amat, bmat = a.matrix, b.matrix
-    try:
-        inv_1a = mat_inv(mat_sub(one, amat))
-    except ZeroDivisionError:
-        return _meyer_kernel_form(amat, bmat, h, emb)
-    c_inv = mat_mul(amat, bmat) if ab is None else ab  # C = (AB)^-1, so 1 - C^-1 = 1 - AB
-    s = mat_mul(mat_sub(one, mat_inv(bmat)), mat_mul(inv_1a, mat_sub(one, c_inv)))
-    return _skew_form_signature(h, s, emb)
-
-
-def _skew_form_signature(h: Matrix, s: Matrix, emb: Embedding) -> int:
-    """Signature of the Hermitian matrix h*s/i (h*s must be skew-Hermitian)."""
-    order = math.lcm(emb.order, 4, _field_order(s, h))
-    big = emb.extend(order)
-    i_unit = _i_unit(order, big.exponent)
-    w = mat_scale(mat_mul(h, s), i_unit.inverse())
-    return signature(HermMatrix(w, big)).index
-
-
-def _meyer_kernel_form(amat: Matrix, bmat: Matrix, h: Matrix, emb: Embedding) -> int:
-    n = len(h)
-    one = identity(n)
-    left = mat_sub(mat_inv(amat), one)   # (A^-1 - 1)
-    right = mat_sub(bmat, one)           # (B - 1)
-    stacked = tuple(tuple(left[i]) + tuple(right[i]) for i in range(n))
-    kernel = kernel_basis(stacked)
-    if not kernel:
-        return 0
-    order = math.lcm(4, emb.order, _field_order(h, kernel))
-    big = emb.extend(order)
+    if ab is None:
+        ab = mat_mul(amat, bmat)
+    left = mat_sub(one, amat)   # A (A^-1 - 1)
+    right = mat_sub(ab, amat)   # A (B - 1)
+    kernel = kernel_basis(tuple(l + r for l, r in zip(left, right)))
+    order = math.lcm(4, a.embedding.order, _field_order(h, kernel))
+    big = a.embedding.extend(order)
     i_inv = _i_unit(order, big.exponent).inverse()
     one_minus_b = mat_sub(one, bmat)
     # the form h(u + v, (1 - B) v') / i, its second (conjugated) argument indexing rows

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from .cyclotomic import frac_to_json
+
 Label = tuple
 
 PSI = "psi"
@@ -26,33 +28,24 @@ POINT = "point"             # integral-one generator where H^2 is a line
 REDUCIBLE = {(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)}
 
 
+def _stable_side(genus: int, points: int) -> bool:
+    """Whether one side of a separating node, with its marked points and the node, is stable."""
+    return 2 * genus - 2 + points >= 0
+
+
 def separating_labels(g: int, n: int) -> list[Label]:
     """Canonical (a, A) labels of separating boundary divisors."""
-    out = []
-    points = tuple(range(1, n + 1))
-    seen = set()
-    for a in range(g + 1):
-        for size in range(n + 1):
-            for subset in combinations(points, size):
-                rest = tuple(p for p in points if p not in subset)
-                b = g - a
-                if 2 * a - 2 + len(subset) < 0 or 2 * b - 2 + len(rest) < 0:
-                    continue
-                key_a = (a, subset)
-                key_b = (b, rest)
-                key = min(key_a, key_b, key=lambda t: (t[0], len(t[1]), t[1]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((DELTA_SEP, key[0], key[1]))
-    return sorted(out)
+    return sorted({canonical_separating_label(g, n, a, subset)
+                   for a in range(g + 1) for size in range(n + 1)
+                   for subset in combinations(range(1, n + 1), size)
+                   if _stable_side(a, size) and _stable_side(g - a, n - size)})
 
 
 def canonical_separating_label(g: int, n: int, a: int, subset) -> Label:
     subset = tuple(sorted(subset))
     rest = tuple(p for p in range(1, n + 1) if p not in subset)
     b = g - a
-    if 2 * a - 2 + len(subset) < 0 or 2 * b - 2 + len(rest) < 0:
+    if not (_stable_side(a, len(subset)) and _stable_side(b, len(rest))):
         raise ValueError(f"unstable boundary label ({a},{subset}) on moduli ({g},{n})")
     key = min((a, subset), (b, rest), key=lambda t: (t[0], len(t[1]), t[1]))
     return (DELTA_SEP, key[0], key[1])
@@ -133,8 +126,7 @@ class H2Class:
         return {
             "g": self.g,
             "n": self.n,
-            "coeffs": {name(k): f"{v.numerator}/{v.denominator}"
-                       for k, v in sorted(self.coeffs.items())},
+            "coeffs": {name(k): frac_to_json(v) for k, v in sorted(self.coeffs.items())},
         }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import Embedding
+from .cyclotomic import Embedding, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
 from .hermitian import (
     conj_transpose,
@@ -79,8 +79,8 @@ class R1Matrix:
         return {
             "level": self.algebra.level,
             "embedding": self.algebra.embedding.exponent,
-            "matrix": [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.matrix],
-            "trace_part": [f"{x.numerator}/{x.denominator}" for x in self.trace_part],
+            "matrix": [[frac_to_json(x) for x in row] for row in self.matrix],
+            "trace_part": [frac_to_json(x) for x in self.trace_part],
         }
 
 

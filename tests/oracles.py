@@ -4,7 +4,10 @@ None of these is reached by a computation, CLI command or golden table of
 the package; each is an independent route to a value the package computes
 another way: floating-point images of cyclotomic numbers, characteristic
 polynomials by the Faddeev-LeVerrier recursion and signatures from them by
-Descartes' rule, the sine formula for Verlinde dimensions, the closed U(1)
+Descartes' rule, matrix inverses by Gauss-Jordan elimination on [A | 1],
+the signature of a skew-Hermitian product h*s/i, which gives the closed
+pair-of-pants form of the Meyer cocycle (the package takes it on a kernel,
+with no inverse), the sine formula for Verlinde dimensions, the closed U(1)
 Meyer cocycle, the level-5 recursions of the TFT values, and the signature
 of a torus representation's diagonal form.
 """
@@ -14,7 +17,19 @@ from fractions import Fraction
 
 from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
 from qtoledo.fusion import so3_algebra, unitary_partner
-from qtoledo.hermitian import HermMatrix, Signature, _zero_one, diagonal, mat_add, mat_mul
+from qtoledo.hermitian import (
+    HermMatrix,
+    Signature,
+    _field_order,
+    _i_unit,
+    _zero_one,
+    diagonal,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    rref,
+    signature,
+)
 
 
 def embed_complex(a: CycloNum, emb: Embedding) -> complex:
@@ -76,6 +91,32 @@ def descartes_signature(h: HermMatrix) -> Signature:
     pos = _descartes_positive_roots(signs)
     neg = _descartes_positive_roots([s if (i % 2 == 0) else -s for i, s in enumerate(signs)])
     return Signature(pos, neg, zero)
+
+
+# -- inverses and the closed Meyer form ---------------------------------------------
+
+
+def mat_inv(a):
+    """Gauss-Jordan inverse; raises ZeroDivisionError on singular input."""
+    n = len(a)
+    zero, one = _zero_one(a)
+    rows, pivots, _ = rref([list(row) + [one if i == j else zero for j in range(n)]
+                            for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def skew_form_signature(h, s, emb: Embedding) -> int:
+    """Signature of the Hermitian matrix h*s/i (h*s must be skew-Hermitian).
+
+    With C = (AB)^-1 and 1-A invertible, s = (1-B^-1)(1-A)^-1(1-C^-1) gives
+    the Meyer cocycle mu(A, B) in closed form.
+    """
+    order = math.lcm(emb.order, 4, _field_order(s, h))
+    big = emb.extend(order)
+    w = mat_scale(mat_mul(h, s), _i_unit(order, big.exponent).inverse())
+    return signature(HermMatrix(w, big)).index
 
 
 # -- closed formulas ----------------------------------------------------------------

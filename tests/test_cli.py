@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qtoledo
 from qtoledo.cli import build_parser, main
 from qtoledo.cyclotomic import CycloNum, cyclo_to_json
 
@@ -130,6 +132,28 @@ def test_computation_failure_exit_code(capsys):
     code, _, err = run(capsys, "qrep", "tau04", "--level", "7", "--embedding", "1",
                        "--i", "5", "--j", "5")
     assert code == 1 and "error" in err
+
+
+def _except_handlers(node, where):
+    """(enclosing qualified name, handler) for every except clause under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield where, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _except_handlers(child, f"{where}.{child.name}" if named else where)
+
+
+def test_only_cli_main_catches_every_exception():
+    # a broad handler hides real faults; only the CLI's exit-code mapping may have one
+    broad = {"Exception", "BaseException"}
+    offenders = []
+    for path in sorted(Path(qtoledo.__file__).parent.glob("*.py")):
+        for where, handler in _except_handlers(ast.parse(path.read_text()), path.stem):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if any(t is None or isinstance(t, ast.Name) and t.id in broad for t in types):
+                offenders.append(f"{where}:{handler.lineno}")
+    assert [o for o in offenders if not o.startswith("cli.main:")] == []
+    assert offenders, "cli.main maps every computation failure to exit code 1"
 
 
 def test_out_of_range_color_is_refused(capsys):

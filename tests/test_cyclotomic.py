@@ -10,6 +10,7 @@ import pytest
 from oracles import embed_complex
 
 from qtoledo.cyclotomic import (
+    MAX_SIGN_BITS,
     CycloNum,
     Embedding,
     conjugate,
@@ -22,7 +23,7 @@ from qtoledo.cyclotomic import (
     quantum_int_sign,
     sign_real,
 )
-from qtoledo.cyclotomic import _cos_bounds, _real_bounds
+from qtoledo.cyclotomic import _cos_fixed, _real_bounds
 
 
 def test_cyclotomic_polynomials():
@@ -187,17 +188,28 @@ def test_cos_bounds_enclose_the_cosines(bits):
     with mpmath.workprec(300):
         scale = mpmath.mpf(2) ** bits
         for n in range(1, 133):
-            for j, (lo, hi) in enumerate(_cos_bounds(n, 1, bits)):
+            for j in range(n):
+                lo, hi = _cos_fixed(j, n, bits)
                 value = mpmath.cos(2 * mpmath.pi * j / n) * scale
                 assert lo - slack <= value <= hi + slack, (n, j, bits)
                 assert hi - lo <= 4, (n, j, bits)
 
 
 def test_cos_bounds_follow_the_embedding():
-    # the table for zeta -> exp(2 pi i k / n) is the k = 1 table at j k mod n
+    # the image of zeta^j under zeta -> exp(2 pi i k / n) is the cosine at j k mod n
     for n, k in ((7, 3), (60, 7), (132, 5)):
-        base = _cos_bounds(n, 1, 64)
-        assert _cos_bounds(n, k, 64) == tuple(base[j * k % n] for j in range(n))
+        for j in range(euler_phi(n)):
+            assert _real_bounds(CycloNum.zeta(n, j), k, 64) == _cos_fixed(j * k % n, n, 64)
+
+
+def test_real_bounds_build_only_the_cosines_they_need():
+    # 2 cos(2 pi 5 / 132) has three nonzero coefficients in the power basis of
+    # Q(zeta_132), so its bound at the top of the precision ladder builds at
+    # most three of the 67 cosines of that order
+    z = CycloNum.zeta(132, 5)
+    _cos_fixed.cache_clear()
+    _real_bounds(z + z.inverse(), 1, MAX_SIGN_BITS)
+    assert _cos_fixed.cache_info().currsize <= 3
 
 
 def test_sign_real_zero_is_exact():

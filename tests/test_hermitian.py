@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly, descartes_signature, embed_complex, meyer_u1_sign
+from oracles import (
+    charpoly,
+    descartes_signature,
+    embed_complex,
+    mat_inv,
+    meyer_u1_sign,
+    skew_form_signature,
+)
 
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi, quantum_int
 from qtoledo.hermitian import (
@@ -19,7 +26,6 @@ from qtoledo.hermitian import (
     g_function,
     gram,
     identity,
-    mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -28,7 +34,6 @@ from qtoledo.hermitian import (
     toledo_triangle_meyer,
     toledo_triangle_pu11,
     _i_unit,
-    _skew_form_signature,
 )
 
 EMB5 = Embedding(5, 1)
@@ -216,6 +221,16 @@ def test_meyer_center_scales_by_signature():
             assert big == small
 
 
+def test_meyer_refuses_forms_under_different_embeddings():
+    # one matrix diag(1, -1) under two embeddings of Q(zeta_12) is two forms
+    z = CycloNum.zeta(12)
+    a = IsometryWithForm(diag(z, z ** 3), HermMatrix(diag(1, -1), Embedding(12, 5)))
+    b = IsometryWithForm(diag(z ** 2, z ** 5), HermMatrix(diag(1, -1), Embedding(12, 1)))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="isometries must share one form"):
+            meyer_cocycle(x, y)
+
+
 def _rand_isometries(rng, count):
     """Random words in U(1,1) generators sharing the form diag(1, -1)."""
     order = 12
@@ -285,7 +300,7 @@ def test_meyer_matrix_variants_agree():
         except ZeroDivisionError:
             continue
         s3 = mat_mul(mat_sub(b.matrix, one), mat_mul(inv3, mat_sub(cmat, one)))
-        assert _skew_form_signature(h, s1, emb) == _skew_form_signature(h, s3, emb) == meyer_cocycle(a, b)
+        assert skew_form_signature(h, s1, emb) == skew_form_signature(h, s3, emb) == meyer_cocycle(a, b)
         checked += 1
     assert checked > 20
 

@@ -1,8 +1,9 @@
 """Property tests for the field-generic linear algebra in qtoledo.hermitian.
 
-`rref` and the routines built on it (kernel_basis, mat_inv, solve,
-determinant), and the matrix helpers (mat_mul, mat_vec, diagonal, lin_comb,
-gram), run over Fraction and over CycloNum entries.
+`rref` and the routines built on it (kernel_basis, solve, determinant,
+and the inverse `mat_inv` of tests/oracles.py, which the package no longer
+has), and the matrix helpers (mat_mul, mat_vec, diagonal, lin_comb, gram),
+run over Fraction and over CycloNum entries.
 Random matrices come from Hypothesis, over Q and over Q(zeta_N) for N = 1,
 11 and 66, with a planted dependent row half of the time so that singular
 inputs are common.  sympy is the oracle over Q; over Q(zeta_N) the
@@ -17,7 +18,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly, mat_trace
+from oracles import charpoly, mat_inv, mat_trace
 
 from qtoledo import hermitian
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi
@@ -31,7 +32,6 @@ from qtoledo.hermitian import (
     is_scalar,
     kernel_basis,
     lin_comb,
-    mat_inv,
     mat_mul,
     rref,
     signature,

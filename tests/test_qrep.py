@@ -3,14 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import charpoly, form_signature
+from oracles import charpoly, form_signature, mat_inv, skew_form_signature
 
 from qtoledo.cyclotomic import CycloNum, Embedding, quantum_int, sign_real
 from qtoledo.fusion import so3_algebra
 from qtoledo.hermitian import (
     HermMatrix,
     IsometryWithForm,
-    _skew_form_signature,
     conj_transpose,
     diagonal,
     eigen_split,
@@ -18,7 +17,6 @@ from qtoledo.hermitian import (
     identity,
     kernel_basis,
     lin_comb,
-    mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -138,8 +136,11 @@ def test_tau11_level7_table():
 
 def test_tau11_matches_triangle_meyer():
     # tau_11 equals the displayed formula: the signature of
-    # h (1 - (T_d T_g)^-1) (1 - T_g)^-1 (1 - T_g T_d T_g) / i minus G-terms
-    for level, k, i in ((7, 1, 1), (7, 2, 1), (11, 1, 3)):
+    # h (1 - (T_d T_g)^-1) (1 - T_g)^-1 (1 - T_g T_d T_g) / i minus G-terms,
+    # the closed form of the Meyer cocycle that the package takes on a kernel
+    cases = [(7, 1, 1), (7, 2, 1), (11, 1, 3)]
+    cases += [(9, 2, i) for i in range(1, 4)] + [(13, 2, i) for i in range(1, 6)]
+    for level, k, i in cases:
         emb = Embedding(level, k)
         rep = punctured_torus_rep(level, emb, i)
         form = rep.form
@@ -149,7 +150,7 @@ def test_tau11_matches_triangle_meyer():
         tgtdtg = mat_mul(tg, tdtg)
         s = mat_mul(mat_sub(one, mat_inv(tdtg)),
                     mat_mul(mat_inv(mat_sub(one, tg)), mat_sub(one, tgtdtg)))
-        sig = _skew_form_signature(form.entries, s, emb)
+        sig = skew_form_signature(form.entries, s, emb)
         g_terms = (g_function(IsometryWithForm(tg, form))
                    + g_function(IsometryWithForm(tdtg, form))
                    - g_function(IsometryWithForm(tgtdtg, form)))
