@@ -1,28 +1,44 @@
 """Exact linear algebra and signatures of Hermitian matrices over cyclotomic fields.
 
-Contains the linear algebra used everywhere downstream.  The matrix helpers
-(products, diagonal matrices, linear combinations, Gram matrices of a form)
-and one Gauss-Jordan elimination (`rref`) are field-generic: they run
-unchanged over `Fraction` and over `CycloNum` entries, take zero and one
-from the entries and test entries for zero by their truth value, so the
-entry type is kept.  `rref` gives kernels, unique solutions of
-overdetermined systems and determinants; no routine takes a matrix
-inverse.  On these rest signatures by Hermitian congruence (Sylvester's
-law of inertia: one certified sign per pivot); the Meyer cocycle of a pair
-of isometries, as the signature of one form on one kernel; eigenvalue
-splitting of finite-order isometries into exact roots of unity, by
-spectral projectors built from the powers of the isometry; and the
-rational G-function that corrects the Meyer cocycle into a Toledo
-invariant.
+Contains the linear algebra used everywhere downstream.  A matrix holds
+`Fraction` or `CycloNum` entries of one field.  Products, matrix-vector
+products, linear combinations and Gram matrices share one integer kernel
+(`_products`): each row and column is put over one common denominator,
+each entry is lifted to the one field order N and packed into a single int
+by Kronecker substitution, and each sum of products is one sum of int
+products, unpacked and reduced mod Phi_N once.  So one `Fraction` or
+`CycloNum` is made per output entry, not per scalar product.  Rational
+systems (`solve`, `determinant`, `kernel_basis`) are scaled row by row to
+integers and eliminated fraction-free (Bareiss); cyclotomic ones go through
+one Gauss-Jordan elimination (`rref`).  No routine takes a matrix inverse.
+On these rest signatures by Hermitian congruence (Sylvester's law of
+inertia: one certified sign per pivot); the Meyer cocycle of a pair of
+isometries, as the signature of one form on one kernel; eigenvalue
+splitting of finite-order isometries into exact roots of unity, with
+multiplicities from the traces of their powers and eigenspaces from
+spectral projectors; and the rational G-function that corrects the Meyer
+cocycle into a Toledo invariant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclotomic import CycloNum, Embedding, conjugate, sign_real
+from .cyclotomic import (
+    CycloNum,
+    Embedding,
+    _from_ints,
+    _map_powers,
+    _reduce,
+    conjugate,
+    euler_phi,
+    sign_real,
+)
 
 Matrix = tuple[tuple, ...]  # entries in one field: Fraction or CycloNum
 
@@ -78,33 +94,176 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
-def lin_comb(coeffs, mats) -> Matrix:
-    """The sum of c * m over paired coefficients and matrices (at least one matrix)."""
-    zero, _ = _zero_one((coeffs, *mats[0]))
-    out = tuple(tuple(zero for _ in row) for row in mats[0])
-    for c, m in zip(coeffs, mats):
-        if c:
-            out = mat_add(out, mat_scale(m, c))
+def _int_vectors(vecs):
+    """Rational vectors as (integer numerators, common denominator)."""
+    out = []
+    for v in vecs:
+        den = math.lcm(*(x.denominator for x in v))
+        out.append(([x.numerator * (den // x.denominator) for x in v], den))
     return out
 
 
-def _dot(u, v, zero):
-    s = zero
-    for x, y in zip(u, v):
-        if x and y:
-            s = s + x * y
-    return s
+def _cyclo_vectors(vecs, order: int):
+    """Each vector as (terms, denominator, largest numerator, masks), all at `order`.
+
+    A term is (numerators, factor to the common denominator), or None for a
+    zero entry; a rational entry has the one numerator.  The masks are the
+    bitmasks of the nonzero entries and of the CycloNums of order `order`,
+    and per order strictly between 1 and `order`, that of its CycloNums.
+    """
+    out = []
+    for v in vecs:
+        terms, nonzero, full, sub = [], 0, 0, {}
+        for k, x in enumerate(v):
+            if not x:
+                terms.append(None)
+                continue
+            nonzero |= 1 << k
+            if not isinstance(x, CycloNum):  # a Fraction or an int
+                terms.append(((x.numerator,), x.denominator))
+                continue
+            if x.order == order:
+                full |= 1 << k
+            elif x.order > 1:
+                sub[x.order] = sub.get(x.order, 0) | 1 << k
+            nums = x.nums if x.order in (1, order) else _map_powers(x.nums, order, order // x.order)
+            terms.append((nums, x.den))
+        den = math.lcm(*(t[1] for t in terms if t))
+        terms = [t and (t[0], den // t[1]) for t in terms]
+        top = max((max(map(abs, t[0])) * t[1] for t in terms if t), default=0)
+        out.append((terms, den, top, (nonzero, full, sub)))
+    return out
+
+
+def _sum_order(row_masks, col_masks, order: int) -> int:
+    """The lcm of the orders of the nonzero factors of sum_k row[k] col[k]."""
+    (row_nonzero, row_full, row_sub), (col_nonzero, col_full, col_sub) = row_masks, col_masks
+    if row_full & col_nonzero or col_full & row_nonzero:
+        return order
+    orders = [o for o, mask in row_sub.items() if mask & col_nonzero]
+    orders += [o for o, mask in col_sub.items() if mask & row_nonzero]
+    return math.lcm(*orders)
+
+
+@lru_cache(maxsize=None)
+def _digits(order: int, width: int):
+    """(pack, unpack, ones, bias, reduced bias) for base-2^width digits at `order`.
+
+    pack and unpack are the struct formats of phi(order) signed and
+    2 phi(order) - 1 unsigned digits, None beyond 64-bit digits; `ones` has a
+    1 in each of phi(order) digits; `bias` has 2^(width-1) in each of
+    2 phi(order) - 1, which `reduced bias` holds reduced mod Phi_order.
+    """
+    phi, length = euler_phi(order), 2 * euler_phi(order) - 1
+    code = {8: "b", 16: "h", 32: "i", 64: "q"}.get(width)
+    one = (1).to_bytes(width // 8, "little")
+    half = 1 << (width - 1)
+    return (code and f"<{phi}{code}", code and f"<{length}{code.upper()}",
+            int.from_bytes(one * phi, "little"), half * int.from_bytes(one * length, "little"),
+            tuple(_reduce(order, [half] * length)))
+
+
+def _pack(terms, order: int, width: int) -> list[int]:
+    """Each term's numerators, times its factor, as the digits of one int in base 2^width.
+
+    The digits are written as width-bit two's complements and read back as
+    one unsigned int; each negative digit then borrows 2^width from the
+    next, and the borrows are the top bits of the digits.
+    """
+    fmt, _, ones, _, _ = _digits(order, width)
+    out = []
+    for t in terms:
+        if t is None:
+            out.append(0)
+            continue
+        nums, scale = t
+        if len(nums) == 1:
+            out.append(nums[0] * scale)
+            continue
+        raw = struct.pack(fmt, *nums) if fmt else \
+            b"".join(c.to_bytes(width // 8, "little", signed=True) for c in nums)
+        u = int.from_bytes(raw, "little")
+        out.append((u - ((u >> (width - 1) & ones) << width)) * scale)
+    return out
+
+
+def _products(rows, cols) -> list[list]:
+    """[[sum_k row[k] col[k] for col in cols] for row in rows], summed as ints.
+
+    All entries lie in Q(zeta_N), N the lcm of the orders of the nonzero
+    CycloNum entries.  Each row and each column is put over one denominator,
+    and each entry is lifted to order N and packed into one int by Kronecker
+    substitution: its phi(N) numerators are the digits in base 2^k (a
+    rational entry is just its numerator).  Every sum of products is then
+    one sum of int products.  The width k bounds each coefficient of such a
+    sum by len(row) * phi(N) * max|a| * max|b|, plus a sign bit, rounded up
+    to 8, 16, 32 or 64 bits or to whole bytes; each sum is unpacked once
+    into its 2 phi(N) - 1 digits, biased by 2^(k-1) to make them
+    nonnegative, and reduced mod Phi_N once.
+
+    The sums are Fractions, or CycloNums if any entry is one.  A CycloNum
+    sum has the order that adding up its CycloNum products would give: the
+    lcm of the orders of its nonzero factors, and 1 if there are none.
+    """
+    entries = [x for v in (*rows, *cols) for x in v]
+    if not any(isinstance(x, CycloNum) for x in entries):
+        b = _int_vectors(cols)
+        return [[Fraction(sum(map(operator.mul, r, c)), row_den * col_den) for c, col_den in b]
+                for r, row_den in _int_vectors(rows)]
+    order = math.lcm(*(x.order for x in entries if isinstance(x, CycloNum) and x))
+    phi = euler_phi(order)
+    a, b = _cyclo_vectors(rows, order), _cyclo_vectors(cols, order)
+    top_a, top_b = (max((t[2] for t in vecs), default=0) for vecs in (a, b))
+    bound = max(max(map(len, rows), default=0) * phi * top_a * top_b, top_a, top_b)
+    bits = bound.bit_length() + 1
+    width = max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
+    _, unpack, _, bias, bias_reduced = _digits(order, width)
+    size = width // 8
+    packed_cols = [_pack(t[0], order, width) for t in b]
+    out = []
+    for row, (terms, row_den, _, row_masks) in zip(rows, a):
+        packed = _pack(terms, order, width)
+        out_row = []
+        for col, (_, col_den, _, col_masks), packed_col in zip(cols, b, packed_cols):
+            s = sum(map(operator.mul, packed, packed_col))
+            d = _sum_order(row_masks, col_masks, order)
+            if d == 1:  # a rational sum: its packed value is its numerator
+                out_row.append(_from_ints(1, (s,), row_den * col_den))
+            elif d == order:
+                raw = (s + bias).to_bytes((2 * phi - 1) * size, "little")
+                digits = list(struct.unpack(unpack, raw)) if unpack else \
+                    [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+                nums = tuple(map(operator.sub, _reduce(order, digits), bias_reduced))
+                out_row.append(_from_ints(order, nums, row_den * col_den))
+            else:  # a subfield sum: redo it over the factors, which lie in Q(zeta_d)
+                pairs = [(x, y) for x, y in zip(row, col) if x and y]
+                out_row.append(_products([[x for x, _ in pairs]], [[y for _, y in pairs]])[0][0])
+        out.append(out_row)
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    zero, _ = _zero_one((*a, *b))
-    bt = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col, zero) for col in bt) for row in a)
+    return tuple(map(tuple, _products(a, tuple(zip(*b)))))
 
 
 def mat_vec(a: Matrix, v) -> tuple:
-    zero, _ = _zero_one((*a, v))
-    return tuple(_dot(row, v, zero) for row in a)
+    return tuple(row[0] for row in _products(a, (v,)))
+
+
+def lin_combs(coeff_rows, mats) -> list[Matrix]:
+    """[sum_k row[k] * mats[k] for row in coeff_rows], as one product."""
+    shape = mats[0]
+    cols = [[m[i][j] for m in mats] for i, row in enumerate(shape) for j in range(len(row))]
+    out = []
+    for sums in _products(coeff_rows, cols):
+        it = iter(sums)
+        out.append(tuple(tuple(next(it) for _ in row) for row in shape))
+    return out
+
+
+def lin_comb(coeffs, mats) -> Matrix:
+    """The sum of c * m over paired coefficients and matrices (at least one matrix)."""
+    return lin_combs([coeffs], mats)[0]
 
 
 def _conj(x):
@@ -118,8 +277,9 @@ def conj_transpose(a: Matrix) -> Matrix:
 
 def gram(h: Matrix, vs, ws) -> Matrix:
     """V^* h W for the matrices V and W whose columns are the vectors vs and ws."""
-    v_star = tuple(tuple(_conj(x) for x in v) for v in vs)
-    return mat_mul(v_star, mat_mul(h, tuple(zip(*ws))))
+    hw = _products(h, ws)
+    v_star = [[_conj(x) for x in v] for v in vs]
+    return tuple(map(tuple, _products(v_star, tuple(zip(*hw)))))
 
 
 def diagonal_entries(m: Matrix):
@@ -184,9 +344,78 @@ def rref(rows):
     return rows, pivots, scale
 
 
+def _bareiss(rows):
+    """Fraction-free row echelon form of integer rows (Bareiss, Math. Comp. 22, 1968).
+
+    Each step multiplies the rows below the pivot by it, subtracts their
+    multiple of the pivot row and divides by the previous pivot.  The
+    division is exact, since every entry stays a minor of the input: after
+    the row swaps, the last pivot is the determinant of the pivot columns
+    of the first rank rows.  Returns (rows, pivots, sign of the swaps).
+    """
+    rows = [list(r) for r in rows]
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p, tail = top[c], top[c + 1:]
+        for row in rows[r + 1:]:
+            f = row[c]
+            row[c:] = [0] + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return rows, pivots, sign
+
+
+def _back_substitute(rows, pivots, c) -> list[Fraction]:
+    """Entries R[i][c], i < rank, of the reduced echelon form of Bareiss rows.
+
+    They solve the triangular system on the pivot columns with right side
+    column c.  By Cramer's rule, d times the solution is integral for d the
+    last pivot, so each step divides exactly.
+    """
+    r = len(pivots)
+    if not r:
+        return []
+    d = rows[r - 1][pivots[-1]]
+    xs = [0] * r  # d times the solution
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[c] - sum(row[pivots[j]] * xs[j] for j in range(i + 1, r))
+        xs[i] = acc // row[pivots[i]]
+    return [Fraction(x, d) for x in xs]
+
+
+def _eliminate(a):
+    """(pivots, column, det): the pivot columns of the reduced echelon form R of a,
+    column(c) = [R[i][c] for i < rank], and the signed product of the pivots.
+
+    Rational input has each row scaled to integers by the lcm of its
+    denominators and goes through `_bareiss`; cyclotomic input through `rref`.
+    """
+    if any(isinstance(x, CycloNum) for row in a for x in row):
+        rows, pivots, scale = rref(a)
+        return pivots, lambda c: [row[c] for row in rows[:len(pivots)]], scale
+    int_rows = _int_vectors(a)
+    rows, pivots, sign = _bareiss([r for r, _ in int_rows])
+    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return (pivots, lambda c: _back_substitute(rows, pivots, c),
+            Fraction(sign * last, math.prod(den for _, den in int_rows)))
+
+
 def kernel_basis(a) -> list[tuple]:
     """Exact right-kernel basis, one vector per free column of the RREF."""
-    rows, pivots, _ = rref(a)
+    pivots, column, _ = _eliminate(a)
     zero, one = _zero_one(a)
     n_cols = len(a[0]) if a else 0
     basis = []
@@ -195,8 +424,8 @@ def kernel_basis(a) -> list[tuple]:
             continue
         vec = [zero] * n_cols
         vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for pc, x in zip(pivots, column(fc)):
+            vec[pc] = -x
         basis.append(tuple(vec))
     return basis
 
@@ -207,20 +436,18 @@ def solve(a, b) -> list:
     Raises ArithmeticError when the system is underdetermined or inconsistent.
     """
     n = len(a[0])
-    rows, pivots, _ = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    pivots, column, _ = _eliminate([list(row) + [bi] for row, bi in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise ArithmeticError("underdetermined system")
     if len(pivots) > n:
         raise ArithmeticError("inconsistent system")
-    return [row[n] for row in rows[:n]]
+    return column(n)
 
 
 def determinant(a):
-    """det(a) as the signed product of the pivots."""
-    rows, pivots, scale = rref(a)
-    if len(pivots) < len(a):
-        return rows[-1][-1]  # the last row of a singular matrix reduces to zero
-    return scale
+    """det(a) as the signed product of the pivots, zero for a singular matrix."""
+    pivots, _, det = _eliminate(a)
+    return det if len(pivots) == len(a) else _zero_one(a)[0]
 
 
 # -- Hermitian matrices and signatures --------------------------------------
@@ -397,17 +624,54 @@ def _least_scalar_power(u: Matrix, diag, bound: int):
     raise ArithmeticError(f"no scalar power of the isometry up to {bound}")
 
 
+def _trace_multiplicities(powers, coeffs, m: int) -> list[int]:
+    """mult(lambda) per eigenvalue candidate, from m mult(lambda) = sum_k lambda^-k tr(U^k).
+
+    powers holds U^0, ..., U^(m-1), where U^m = c I, and coeffs one row
+    (lambda^-k for k < m) per root lambda of x^m - c.  The sums are one
+    matrix-vector product.
+    """
+    zero = CycloNum.rational(0)
+    traces = [sum((row[i] for i, row in enumerate(p)), zero) for p in powers]
+    out = []
+    for s in mat_vec(coeffs, traces):
+        if not s.is_rational() or s.den != 1 or s.nums[0] % m or s.nums[0] < 0:
+            raise ArithmeticError(f"trace sum {s} is not a nonnegative multiple of {m}")
+        out.append(s.nums[0] // m)
+    return out
+
+
+def _eigenspace_basis(proj: Matrix, mult: int) -> list[tuple]:
+    """The pivot columns of a projector that must have rank mult.
+
+    For mult = 1 that is the first nonzero column, with no elimination.
+    """
+    if mult == 1:
+        basis = [col for col in zip(*proj) if any(col)][:1]
+    else:
+        _, pivots, _ = rref(proj)
+        basis = [tuple(row[p] for row in proj) for p in pivots]
+    if len(basis) != mult:
+        raise ArithmeticError(f"eigenspace projector has rank {len(basis)}, "
+                              f"but the traces give multiplicity {mult}")
+    return basis
+
+
 def eigen_split(u: IsometryWithForm):
     """Exact eigenvalues (roots of unity) with eigenspace signatures.
 
     Finds the least m with U^m = c I (keeping U^0, ..., U^(m-1)) and the
     order of c as a root of unity, so U has order F = m * order(c) and is
     diagonalizable.  Its eigenvalues are among the lambda_j = zeta_F^j with
-    lambda_j^m = c, which are checked in order of j.  The eigenspace of
-    lambda is the column space of the spectral projector
-    Pi = (1/m) sum_k lambda^-k U^k (the identity on it and zero on the other
-    eigenspaces, since x^m - c has distinct roots), spanned by the pivot
-    columns of Pi's rref; an empty one is skipped.  A diagonal U has its
+    lambda_j^m = c, taken in order of j.  Multiplicities come first: x^m - c
+    has distinct roots, so m mult(lambda) = sum_k lambda^-k tr(U^k) over
+    k < m, from the traces of the kept powers, and a lambda whose sum is
+    zero is skipped.  Otherwise the eigenspace of lambda is the column
+    space of the spectral projector Pi = (1/m) sum_k lambda^-k U^k (the
+    identity on it and zero on the other eigenspaces).  The basis is the
+    pivot columns of m Pi, and their number must equal the multiplicity;
+    for multiplicity 1 it is the first nonzero column, which is the first
+    pivot column, so no elimination is needed.  A diagonal U has its
     eigenspaces read off its diagonal.  Each eigenspace gets the signature
     of the form on it, which must be nondegenerate.
     Returns a list of (eigenvalue, turn_fraction, Signature).
@@ -424,26 +688,30 @@ def eigen_split(u: IsometryWithForm):
     field_order = math.lcm(base_order, full_order, u.embedding.order)
     emb = u.embedding.extend(field_order)
     h = u.form.entries
-    if diag is not None:
-        diag = [x.lift(field_order) for x in diag]
     scalar = scalar.lift(field_order)
     step = field_order // full_order
+    js = [j for j in range(full_order) if CycloNum.zeta(field_order, j * step) ** m == scalar]
+    if diag is None:
+        coeffs = [[CycloNum.zeta(field_order, -j * step * k) for k in range(m)] for j in js]
+        mults = _trace_multiplicities(powers, coeffs, m)
+        hits = [idx for idx, mult in enumerate(mults) if mult]
+        projs = dict(zip(hits, lin_combs([coeffs[idx] for idx in hits], powers)))
+    else:
+        diag = [x.lift(field_order) for x in diag]
     out = []
     total = 0
     k_exp = emb.exponent
-    for j in range(full_order):
+    for idx, j in enumerate(js):
         lam = CycloNum.zeta(field_order, j * step)
-        if lam ** m != scalar:
-            continue
         if diag is not None:
             index = [a for a, x in enumerate(diag) if x == lam]
             restricted = tuple(tuple(h[a][b] for b in index) for a in index)
-        else:
+        elif mults[idx]:
             # m * Pi has the pivot columns of Pi, times m
-            proj = lin_comb([CycloNum.zeta(field_order, -j * step * k) for k in range(m)], powers)
-            _, pivots, _ = rref(proj)
-            basis = [tuple(row[p] for row in proj) for p in pivots]
+            basis = _eigenspace_basis(projs[idx], mults[idx])
             restricted = gram(h, basis, basis)
+        else:
+            continue
         if not restricted:
             continue
         sig = signature(HermMatrix(restricted, emb))

@@ -24,6 +24,7 @@ from .hermitian import (
     diagonal,
     kernel_basis,
     lin_comb,
+    lin_combs,
     mat_add,
     mat_mul,
     mat_sub,
@@ -139,7 +140,7 @@ def _perp_basis(v: FrobeniusAlgebra) -> list[Mat]:
     sym = _symmetric_basis(v)
     mults = [v.mult_matrix(k) for k in range(r)]
     rows = [[_trace_of_product(b, mk) for b in sym] for mk in mults]
-    basis = [lin_comb(coeffs, sym) for coeffs in kernel_basis(rows)]
+    basis = lin_combs(kernel_basis(rows), sym)
     if len(basis) != r * (r - 1) // 2:
         raise ArithmeticError("unexpected dimension of the perpendicular space")
     return basis

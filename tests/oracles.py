@@ -2,14 +2,19 @@
 
 None of these is reached by a computation, CLI command or golden table of
 the package; each is an independent route to a value the package computes
-another way: floating-point images of cyclotomic numbers, characteristic
-polynomials by the Faddeev-LeVerrier recursion and signatures from them by
-Descartes' rule, matrix inverses by Gauss-Jordan elimination on [A | 1],
-the signature of a skew-Hermitian product h*s/i, which gives the closed
-pair-of-pants form of the Meyer cocycle (the package takes it on a kernel,
-with no inverse), the sine formula for Verlinde dimensions, the closed U(1)
-Meyer cocycle, the level-5 recursions of the TFT values, and the signature
-of a torus representation's diagonal form.
+another way: floating-point images of cyclotomic numbers; matrix products,
+matrix-vector products, linear combinations and Gram matrices with one
+CycloNum or Fraction operation per scalar product (the entry loop that the
+package's packed integer products replace); kernels, solutions and
+determinants read off `rref` (the package eliminates rational input by
+Bareiss instead); characteristic polynomials by the Faddeev-LeVerrier
+recursion and signatures from them by Descartes' rule; matrix inverses by
+Gauss-Jordan elimination on [A | 1]; the signature of a skew-Hermitian
+product h*s/i, which gives the closed pair-of-pants form of the Meyer
+cocycle (the package takes it on a kernel, with no inverse); the sine
+formula for Verlinde dimensions; the closed U(1) Meyer cocycle; the level-5
+recursions of the TFT values; and the signature of a torus
+representation's diagonal form.
 """
 
 import math
@@ -20,12 +25,12 @@ from qtoledo.fusion import so3_algebra, unitary_partner
 from qtoledo.hermitian import (
     HermMatrix,
     Signature,
+    _conj,
     _field_order,
     _i_unit,
     _zero_one,
     diagonal,
     mat_add,
-    mat_mul,
     mat_scale,
     rref,
     signature,
@@ -45,6 +50,83 @@ def embed_complex(a: CycloNum, emb: Embedding) -> complex:
         total += (c / den) * power
         power *= z
     return total
+
+
+# -- the entry loop: one field operation per scalar product --------------------------
+
+
+def _dot(u, v, zero):
+    s = zero
+    for x, y in zip(u, v):
+        if x and y:
+            s = s + x * y
+    return s
+
+
+def mat_mul(a, b):
+    zero, _ = _zero_one((*a, *b))
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col, zero) for col in bt) for row in a)
+
+
+def mat_vec(a, v) -> tuple:
+    zero, _ = _zero_one((*a, v))
+    return tuple(_dot(row, v, zero) for row in a)
+
+
+def lin_comb(coeffs, mats):
+    """The sum of c * m over paired coefficients and matrices (at least one matrix)."""
+    zero, _ = _zero_one((coeffs, *mats[0]))
+    out = tuple(tuple(zero for _ in row) for row in mats[0])
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = mat_add(out, mat_scale(m, c))
+    return out
+
+
+def gram(h, vs, ws):
+    """V^* h W for the matrices V and W whose columns are the vectors vs and ws."""
+    v_star = tuple(tuple(_conj(x) for x in v) for v in vs)
+    return mat_mul(v_star, mat_mul(h, tuple(zip(*ws))))
+
+
+# -- kernels, solutions and determinants read off rref ---------------------------------
+
+
+def rref_kernel_basis(a) -> list[tuple]:
+    """Right-kernel basis, one vector per free column of the RREF."""
+    rows, pivots, _ = rref(a)
+    zero, one = _zero_one(a)
+    n_cols = len(a[0]) if a else 0
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        vec = [zero] * n_cols
+        vec[fc] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def rref_solve(a, b) -> list:
+    """The unique x with a x = b; the same ArithmeticError messages as the package."""
+    n = len(a[0])
+    rows, pivots, _ = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ArithmeticError("underdetermined system")
+    if len(pivots) > n:
+        raise ArithmeticError("inconsistent system")
+    return [row[n] for row in rows[:n]]
+
+
+def rref_determinant(a):
+    """det(a) as the signed product of the pivots."""
+    rows, pivots, scale = rref(a)
+    if len(pivots) < len(a):
+        return rows[-1][-1]  # the last row of a singular matrix reduces to zero
+    return scale
 
 
 # -- characteristic polynomials and signatures from them ---------------------------

@@ -15,6 +15,7 @@ from oracles import (
     skew_form_signature,
 )
 
+from qtoledo import hermitian
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi, quantum_int
 from qtoledo.hermitian import (
     HermMatrix,
@@ -329,13 +330,15 @@ def test_eigen_split_scalar():
     assert turn == Fraction(1, 5)
 
 
-@pytest.mark.parametrize("order,seed", [(5, 1), (7, 2), (8, 3), (12, 4), (12, 5)])
-def test_eigen_split_of_a_conjugated_diagonal(order, seed):
-    # U = P D P^-1 preserves h = P^-* h_D P^-1 for D a diagonal of roots of
-    # unity and h_D a real diagonal form; two eigenvalues repeat, one of them on
-    # an indefinite eigenspace.  So U = sum lambda P_lambda with the projectors
-    # P_lambda = P E_lambda P^-1, and the split must give D's eigenvalues, their
-    # multiplicities and the signs of h_D on each
+CONJUGATED_DIAGONALS = [(5, 1), (7, 2), (8, 3), (12, 4), (12, 5)]
+
+
+def conjugated_diagonal(order, seed):
+    """(U, h, exps, signs): U = P D P^-1 and h = P^-* h_D P^-1 for random P.
+
+    D = diag(zeta^e for e in exps) and h_D = diag(signs); two eigenvalues
+    repeat, one of them on an indefinite eigenspace.
+    """
     rng = random.Random(seed)
     z = CycloNum.zeta(order)
     exps = [rng.randrange(order) for _ in range(3)]
@@ -352,6 +355,16 @@ def test_eigen_split_of_a_conjugated_diagonal(order, seed):
             continue
     u = mat_mul(p, mat_mul(diag(*(z ** e for e in exps)), p_inv))
     h = mat_mul(conj_transpose(p_inv), mat_mul(diag(*signs), p_inv))
+    return u, h, exps, signs, rng
+
+
+@pytest.mark.parametrize("order,seed", CONJUGATED_DIAGONALS)
+def test_eigen_split_of_a_conjugated_diagonal(order, seed):
+    # U = sum lambda P_lambda with the projectors P_lambda = P E_lambda P^-1,
+    # and the split must give D's eigenvalues, their multiplicities and the
+    # signs of h_D on each
+    u, h, exps, signs, rng = conjugated_diagonal(order, seed)
+    z = CycloNum.zeta(order)
     k = rng.choice([k for k in range(1, order) if math.gcd(k, order) == 1])
     split = eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, k))))
     want = {}
@@ -365,6 +378,57 @@ def test_eigen_split_of_a_conjugated_diagonal(order, seed):
         assert sig.zero == 0
         got[e] = (sig.positive, sig.negative)
     assert got == want
+
+
+def recorded_multiplicities(monkeypatch):
+    """Record what eigen_split reads off the traces: (candidate coefficient rows, multiplicities)."""
+    calls = []
+    original = hermitian._trace_multiplicities
+
+    def recording(powers, coeffs, m):
+        mults = original(powers, coeffs, m)
+        calls.append((coeffs, mults))
+        return mults
+
+    monkeypatch.setattr(hermitian, "_trace_multiplicities", recording)
+    return calls
+
+
+@pytest.mark.parametrize("order,seed", CONJUGATED_DIAGONALS)
+def test_trace_multiplicities_are_the_eigenspace_dimensions(order, seed, monkeypatch):
+    u, h, exps, _signs, _rng = conjugated_diagonal(order, seed)
+    calls = recorded_multiplicities(monkeypatch)
+    split = eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, 1))))
+    (coeffs, mults), = calls
+    # each candidate's coefficient row starts lambda^0, lambda^-1: read lambda off it
+    lams = [row[1].inverse() if len(row) > 1 else None for row in coeffs]
+    assert sum(mults) == len(exps)
+    for lam, _turn, sig in split:
+        mult = mults[next(i for i, x in enumerate(lams) if x == lam)]
+        assert mult == sig.positive + sig.negative
+        assert mult == sum(1 for e in exps if CycloNum.zeta(order) ** e == lam)
+    assert len(split) == sum(1 for m in mults if m)
+
+
+@pytest.mark.parametrize("order,seed", CONJUGATED_DIAGONALS[:3])
+def test_a_multiplicity_the_projector_rank_refutes_raises(order, seed, monkeypatch):
+    # move one unit of multiplicity between two eigenvalues: the projector of
+    # the first then has a rank other than the multiplicity claimed for it
+    u, h, _exps, _signs, _rng = conjugated_diagonal(order, seed)
+    original = hermitian._trace_multiplicities
+
+    def shifted(powers, coeffs, m):
+        mults = original(powers, coeffs, m)
+        i = next(i for i, x in enumerate(mults) if x)
+        j = next(j for j, x in enumerate(mults) if x and j != i)
+        mults[i] += 1
+        mults[j] -= 1
+        return mults
+
+    monkeypatch.setattr(hermitian, "_trace_multiplicities", shifted)
+    with pytest.raises(ArithmeticError, match="^eigenspace projector has rank [0-9]+, but the "
+                                              "traces give multiplicity [0-9]+$"):
+        eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, 1))))
 
 
 def test_g_function_values():

@@ -82,6 +82,20 @@ def test_level7_q2_matrix_consistent_with_table():
 
 
 
+def test_solve_r1_names_an_underdetermined_system(monkeypatch):
+    # every column of the system built from one perpendicular basis element:
+    # the columns are dependent, which is what a repeated pivot eigenvalue
+    # does, and the hint is looked up by the text of solve's error
+    emb = Embedding(7, 1)
+    v = so3_algebra(7, emb)
+    pivot_operator = rmatrix._pivot_operator
+    first = rmatrix._perp_basis(v)[0]
+    monkeypatch.setattr(rmatrix, "_pivot_operator", lambda v, x: pivot_operator(v, first))
+    with pytest.raises(ArithmeticError) as err:
+        solve_r1(v, pivot_tau04_table(7, emb), tau11_table(7, emb))
+    assert str(err.value) == "underdetermined system: pivot spectrum not simple?"
+
+
 def _perturbed_tau04(level, k, entry):
     table = dict(pivot_tau04_table(level, Embedding(level, k)))
     table[entry] += F(1, level)
@@ -251,7 +265,7 @@ def test_conjugate_embeddings_negate_r1():
     # k and level - k are complex-conjugate embeddings: the torus values and
     # R_1 change sign, at every embedding solve_level does not refuse
     solved = 0
-    for level in (5, 7, 9, 11):
+    for level in (5, 7, 9, 11, 13):
         for k in range(1, (level - 1) // 2 + 1):
             if math.gcd(k, level) != 1:
                 continue
@@ -267,7 +281,7 @@ def test_conjugate_embeddings_negate_r1():
             assert solve_level(level, conj).matrix == tuple(tuple(-x for x in row)
                                                             for row in r1.matrix), (level, k)
             solved += 1
-    assert solved == 11
+    assert solved == 15
 
 
 def test_tau04_is_symmetric_in_its_four_colors():
