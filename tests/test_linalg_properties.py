@@ -1,9 +1,10 @@
-"""Property tests for the field-generic linear algebra in qtoledo.hermitian.
+"""Property tests for the linear algebra in qtoledo.hermitian.
 
-`rref` and the routines built on it (kernel_basis, solve, determinant,
-and the inverse `mat_inv` of tests/oracles.py, which the package no longer
-has), and the matrix helpers (mat_mul, mat_vec, diagonal, lin_comb, gram),
-run over Fraction and over CycloNum entries.
+`rref`, the routines that eliminate (kernel_basis, solve, determinant: by
+Bareiss on rational input, by `rref` otherwise), the inverse `mat_inv` of
+tests/oracles.py, which the package no longer has, and the matrix helpers
+(mat_mul, mat_vec, diagonal, lin_comb, gram) run over Fraction and over
+CycloNum entries.
 Random matrices come from Hypothesis, over Q and over Q(zeta_N) for N = 1,
 11 and 66, with a planted dependent row half of the time so that singular
 inputs are common.  sympy is the oracle over Q; over Q(zeta_N) the
