@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,16 +103,16 @@ def _int_vectors(vecs):
 
 
 def _cyclo_vectors(vecs, order: int):
-    """Each vector as (terms, denominator, largest numerator, masks), all at `order`.
+    """Each vector as (terms, denominator, largest numerator, nonzero, cyclo), all at `order`.
 
     A term is (numerators, factor to the common denominator), or None for a
-    zero entry; a rational entry has the one numerator.  The masks are the
-    bitmasks of the nonzero entries and of the CycloNums of order `order`,
-    and per order strictly between 1 and `order`, that of its CycloNums.
+    zero entry; a rational entry has the one numerator.  `nonzero` and
+    `cyclo` are the bitmasks of the nonzero entries and of the CycloNums of
+    order above 1.
     """
     out = []
     for v in vecs:
-        terms, nonzero, full, sub = [], 0, 0, {}
+        terms, nonzero, cyclo = [], 0, 0
         for k, x in enumerate(v):
             if not x:
                 terms.append(None)
@@ -122,68 +121,35 @@ def _cyclo_vectors(vecs, order: int):
             if not isinstance(x, CycloNum):  # a Fraction or an int
                 terms.append(((x.numerator,), x.denominator))
                 continue
-            if x.order == order:
-                full |= 1 << k
-            elif x.order > 1:
-                sub[x.order] = sub.get(x.order, 0) | 1 << k
+            if x.order > 1:
+                cyclo |= 1 << k
             nums = x.nums if x.order in (1, order) else _map_powers(x.nums, order, order // x.order)
             terms.append((nums, x.den))
         den = math.lcm(*(t[1] for t in terms if t))
         terms = [t and (t[0], den // t[1]) for t in terms]
         top = max((max(map(abs, t[0])) * t[1] for t in terms if t), default=0)
-        out.append((terms, den, top, (nonzero, full, sub)))
+        out.append((terms, den, top, nonzero, cyclo))
     return out
 
 
-def _sum_order(row_masks, col_masks, order: int) -> int:
-    """The lcm of the orders of the nonzero factors of sum_k row[k] col[k]."""
-    (row_nonzero, row_full, row_sub), (col_nonzero, col_full, col_sub) = row_masks, col_masks
-    if row_full & col_nonzero or col_full & row_nonzero:
-        return order
-    orders = [o for o, mask in row_sub.items() if mask & col_nonzero]
-    orders += [o for o, mask in col_sub.items() if mask & row_nonzero]
-    return math.lcm(*orders)
-
-
 @lru_cache(maxsize=None)
-def _digits(order: int, width: int):
-    """(pack, unpack, ones, bias, reduced bias) for base-2^width digits at `order`.
-
-    pack and unpack are the struct formats of phi(order) signed and
-    2 phi(order) - 1 unsigned digits, None beyond 64-bit digits; `ones` has a
-    1 in each of phi(order) digits; `bias` has 2^(width-1) in each of
-    2 phi(order) - 1, which `reduced bias` holds reduced mod Phi_order.
-    """
-    phi, length = euler_phi(order), 2 * euler_phi(order) - 1
-    code = {8: "b", 16: "h", 32: "i", 64: "q"}.get(width)
-    one = (1).to_bytes(width // 8, "little")
-    half = 1 << (width - 1)
-    return (code and f"<{phi}{code}", code and f"<{length}{code.upper()}",
-            int.from_bytes(one * phi, "little"), half * int.from_bytes(one * length, "little"),
-            tuple(_reduce(order, [half] * length)))
+def _bias(order: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """2^(width-1) in each of 2 phi(order) - 1 digits in base 2^width, and those digits mod Phi_order."""
+    length, half = 2 * euler_phi(order) - 1, 1 << (width - 1)
+    return sum(half << (i * width) for i in range(length)), tuple(_reduce(order, [half] * length))
 
 
-def _pack(terms, order: int, width: int) -> list[int]:
-    """Each term's numerators, times its factor, as the digits of one int in base 2^width.
-
-    The digits are written as width-bit two's complements and read back as
-    one unsigned int; each negative digit then borrows 2^width from the
-    next, and the borrows are the top bits of the digits.
-    """
-    fmt, _, ones, _, _ = _digits(order, width)
+def _pack(terms, width: int) -> list[int]:
+    """Each term's numerators, times its factor, as the signed digits of one int in base 2^width."""
     out = []
     for t in terms:
-        if t is None:
-            out.append(0)
-            continue
-        nums, scale = t
-        if len(nums) == 1:
-            out.append(nums[0] * scale)
-            continue
-        raw = struct.pack(fmt, *nums) if fmt else \
-            b"".join(c.to_bytes(width // 8, "little", signed=True) for c in nums)
-        u = int.from_bytes(raw, "little")
-        out.append((u - ((u >> (width - 1) & ones) << width)) * scale)
+        u = 0
+        if t is not None:
+            nums, scale = t
+            for c in reversed(nums):
+                u = (u << width) + c
+            u *= scale
+        out.append(u)
     return out
 
 
@@ -196,14 +162,13 @@ def _products(rows, cols) -> list[list]:
     substitution: its phi(N) numerators are the digits in base 2^k (a
     rational entry is just its numerator).  Every sum of products is then
     one sum of int products.  The width k bounds each coefficient of such a
-    sum by len(row) * phi(N) * max|a| * max|b|, plus a sign bit, rounded up
-    to 8, 16, 32 or 64 bits or to whole bytes; each sum is unpacked once
-    into its 2 phi(N) - 1 digits, biased by 2^(k-1) to make them
-    nonnegative, and reduced mod Phi_N once.
+    sum by len(row) * phi(N) * max|a| * max|b|, plus a sign bit; each sum is
+    unpacked once into its 2 phi(N) - 1 digits, biased by 2^(k-1) to make
+    them nonnegative, and reduced mod Phi_N once.
 
     The sums are Fractions, or CycloNums if any entry is one.  A CycloNum
-    sum has the order that adding up its CycloNum products would give: the
-    lcm of the orders of its nonzero factors, and 1 if there are none.
+    sum has order N if some product in it has a nonzero factor of order
+    above 1, and order 1 otherwise.
     """
     entries = [x for v in (*rows, *cols) for x in v]
     if not any(isinstance(x, CycloNum) for x in entries):
@@ -211,33 +176,25 @@ def _products(rows, cols) -> list[list]:
         return [[Fraction(sum(map(operator.mul, r, c)), row_den * col_den) for c, col_den in b]
                 for r, row_den in _int_vectors(rows)]
     order = math.lcm(*(x.order for x in entries if isinstance(x, CycloNum) and x))
-    phi = euler_phi(order)
     a, b = _cyclo_vectors(rows, order), _cyclo_vectors(cols, order)
     top_a, top_b = (max((t[2] for t in vecs), default=0) for vecs in (a, b))
-    bound = max(max(map(len, rows), default=0) * phi * top_a * top_b, top_a, top_b)
-    bits = bound.bit_length() + 1
-    width = max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
-    _, unpack, _, bias, bias_reduced = _digits(order, width)
-    size = width // 8
-    packed_cols = [_pack(t[0], order, width) for t in b]
+    phi = euler_phi(order)
+    width = (max(map(len, rows), default=0) * phi * top_a * top_b).bit_length() + 1
+    bias, bias_reduced = _bias(order, width)
+    mask, shifts = (1 << width) - 1, range(0, (2 * phi - 1) * width, width)
+    packed_cols = [_pack(t[0], width) for t in b]
     out = []
-    for row, (terms, row_den, _, row_masks) in zip(rows, a):
-        packed = _pack(terms, order, width)
+    for terms, row_den, _, row_nonzero, row_cyclo in a:
+        packed = _pack(terms, width)
         out_row = []
-        for col, (_, col_den, _, col_masks), packed_col in zip(cols, b, packed_cols):
+        for (_, col_den, _, col_nonzero, col_cyclo), packed_col in zip(b, packed_cols):
             s = sum(map(operator.mul, packed, packed_col))
-            d = _sum_order(row_masks, col_masks, order)
-            if d == 1:  # a rational sum: its packed value is its numerator
+            if row_cyclo & col_nonzero or col_cyclo & row_nonzero:
+                s += bias
+                nums = map(operator.sub, _reduce(order, [s >> k & mask for k in shifts]), bias_reduced)
+                out_row.append(_from_ints(order, tuple(nums), row_den * col_den))
+            else:  # a rational sum: its packed value is its numerator
                 out_row.append(_from_ints(1, (s,), row_den * col_den))
-            elif d == order:
-                raw = (s + bias).to_bytes((2 * phi - 1) * size, "little")
-                digits = list(struct.unpack(unpack, raw)) if unpack else \
-                    [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-                nums = tuple(map(operator.sub, _reduce(order, digits), bias_reduced))
-                out_row.append(_from_ints(order, nums, row_den * col_den))
-            else:  # a subfield sum: redo it over the factors, which lie in Q(zeta_d)
-                pairs = [(x, y) for x, y in zip(row, col) if x and y]
-                out_row.append(_products([[x for x, _ in pairs]], [[y for _, y in pairs]])[0][0])
         out.append(out_row)
     return out
 
@@ -642,9 +599,11 @@ def _trace_multiplicities(powers, coeffs, m: int) -> list[int]:
 
 
 def _eigenspace_basis(proj: Matrix, mult: int) -> list[tuple]:
-    """The pivot columns of a projector that must have rank mult.
+    """The pivot columns of a projector whose rank the traces give as mult.
 
-    For mult = 1 that is the first nonzero column, with no elimination.
+    For mult > 1 the pivots of rref certify that rank.  For mult = 1 the
+    basis is the first nonzero column, with no elimination, and only a zero
+    projector is refused: its rank is not checked.
     """
     if mult == 1:
         basis = [col for col in zip(*proj) if any(col)][:1]
@@ -669,10 +628,13 @@ def eigen_split(u: IsometryWithForm):
     zero is skipped.  Otherwise the eigenspace of lambda is the column
     space of the spectral projector Pi = (1/m) sum_k lambda^-k U^k (the
     identity on it and zero on the other eigenspaces).  The basis is the
-    pivot columns of m Pi, and their number must equal the multiplicity;
-    for multiplicity 1 it is the first nonzero column, which is the first
-    pivot column, so no elimination is needed.  A diagonal U has its
-    eigenspaces read off its diagonal.  Each eigenspace gets the signature
+    pivot columns of m Pi, and for multiplicity above 1 their number must
+    equal the multiplicity; for multiplicity 1 it is the first nonzero
+    column, which is the first pivot column, so no elimination is needed
+    and the rank is not checked.  The multiplicities add up to n by the
+    same trace identity, so the check that the eigenspaces fill all n
+    dimensions guards only a diagonal U, whose eigenspaces are read off
+    its diagonal.  Each eigenspace gets the signature
     of the form on it, which must be nondegenerate.
     Returns a list of (eigenvalue, turn_fraction, Signature).
     """
@@ -720,7 +682,7 @@ def eigen_split(u: IsometryWithForm):
         turn = Fraction((j * k_exp) % full_order, full_order)
         out.append((lam, turn, sig))
         total += len(restricted)
-    if total != n:
+    if total != n:  # only a diagonal U can fail here; the traces add up to n
         raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
     return out
 

@@ -3,14 +3,16 @@
 `mat_mul`, `mat_vec`, `gram` and `lin_comb` sum their scalar products as
 Kronecker-packed integers; tests/oracles.py keeps the entry loop they
 replace, with one CycloNum or Fraction operation per product.  Both must
-give the same entries, of the same type and, for a CycloNum, of the same
-order.  Entries mix plain rationals, order-1 CycloNums and CycloNums of
+give the same entries, of the same type.  A CycloNum product has order 1
+where the loop's has, and otherwise the one order N of its factors, also
+where the loop's lies in a proper subfield.  Entries mix plain rationals, order-1 CycloNums and CycloNums of
 order N or of a divisor of N, for N in {1, 5, 8, 12, 66}, with numerators up
 to 2^40 of either sign (so packed digits borrow) over denominators whose
 lcm is large.  Rational `solve`, `determinant` and `kernel_basis` eliminate
 by Bareiss; the oracle reads the same answers off `rref`.
 """
 
+import math
 from fractions import Fraction
 
 import oracles
@@ -40,6 +42,16 @@ def exact(x):
 
 def exact_rows(m):
     return [[exact(x) for x in row] for row in m]
+
+
+def field_order(*mats):
+    """The lcm of the orders of the nonzero CycloNum entries."""
+    return math.lcm(*(x.order for m in mats for row in m for x in row if isinstance(x, CycloNum) and x))
+
+
+def lifted(m, order):
+    """The loop's entries with each CycloNum of order above 1 lifted to `order`."""
+    return [[x.lift(order) if isinstance(x, CycloNum) and x.order > 1 else x for x in row] for row in m]
 
 
 @st.composite
@@ -97,7 +109,8 @@ def products(draw):
 @given(products())
 def test_mat_mul_matches_the_entry_loop(case):
     a, b = case
-    assert exact_rows(hermitian.mat_mul(a, b)) == exact_rows(oracles.mat_mul(a, b))
+    want = lifted(oracles.mat_mul(a, b), field_order(a, b))
+    assert exact_rows(hermitian.mat_mul(a, b)) == exact_rows(want)
 
 
 @SETTINGS
@@ -105,7 +118,7 @@ def test_mat_mul_matches_the_entry_loop(case):
 def test_mat_vec_matches_the_entry_loop(case):
     a, b = case
     v = tuple(row[0] for row in b) if b[0] else tuple(Fraction(1) for _ in b)
-    got, want = hermitian.mat_vec(a, v), oracles.mat_vec(a, v)
+    got, want = hermitian.mat_vec(a, v), lifted([oracles.mat_vec(a, v)], field_order(a, [v]))[0]
     assert [exact(x) for x in got] == [exact(x) for x in want]
 
 
@@ -122,8 +135,15 @@ def gram_cases(draw):
 @SETTINGS
 @given(gram_cases())
 def test_gram_matches_the_entry_loop(case):
+    # two products, each at the order of its own factors: every CycloNum
+    # entry has order 1 where the loop's has, else a multiple of the loop's
     h, vs, ws = case
-    assert exact_rows(hermitian.gram(h, vs, ws)) == exact_rows(oracles.gram(h, vs, ws))
+    got, want = hermitian.gram(h, vs, ws), oracles.gram(h, vs, ws)
+    assert [[(type(x), x) for x in row] for row in got] == [[(type(x), x) for x in row] for row in want]
+    top = field_order(h, vs, ws)
+    for x, y in zip((x for row in got for x in row), (y for row in want for y in row)):
+        if isinstance(x, CycloNum):
+            assert (x.order == 1) == (y.order == 1) and x.order % y.order == 0 == top % x.order
 
 
 @st.composite
@@ -153,8 +173,9 @@ def test_lin_comb_matches_the_entry_loop(case):
 def test_packing_width_holds_at_its_bound(order):
     # every numerator of each entry is the largest one, so the coefficient of
     # x^(phi-1) in each sum is exactly +-inner * phi * top_a * top_b, the bound
-    # the width is built from; the bounds met have bit lengths of every
-    # residue mod 8, so a width one bit short fails after rounding to bytes
+    # the width is built from, and a width one bit short fails; the bounds met
+    # have bit lengths of every residue mod 8, so that holds as well for a
+    # width rounded up to whole bytes
     phi = euler_phi(order)
     residues = set()
     for inner in (1, 2, 3):
