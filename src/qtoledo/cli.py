@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .cyclotomic import Embedding, cyclo_from_json, cyclo_to_json, frac_to_json
 from .eulerchi import chi_bar, chi_twisted
@@ -112,15 +111,29 @@ def cmd_fusion_gluing(args) -> str:
     return _envelope("fusion gluing", vars_of(args), report, args.format)
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _read_json(path: str):
+    return json.loads(_read_text(path))
+
+
+def _write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _load_matrix(path: str):
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     emb = Embedding(data["embedding"]["order"], data["embedding"]["exponent"])
     entries = [[cyclo_from_json(x) for x in row] for row in data["entries"]]
     return HermMatrix(tuple(tuple(row) for row in entries), emb)
 
 
 def _load_square(path: str):
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     return tuple(tuple(cyclo_from_json(x) for x in row) for row in data["entries"])
 
 
@@ -168,7 +181,7 @@ def cmd_qrep_torus(args) -> str:
         "t_delta": mat(rep.t_delta),
     }
     if args.dump:
-        Path(args.dump).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.dump, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         payload = {"written": args.dump, "dim": rep.dim}
     return _envelope("qrep torus", vars_of(args), payload, args.format)
 
@@ -204,7 +217,7 @@ def cmd_classes_check(args) -> str:
 
 
 def cmd_classes_reduce(args) -> str:
-    data = json.loads(Path(getattr(args, "class")).read_text())
+    data = _read_json(getattr(args, "class"))
     cls = class_from_json(data)
     reduced = reduce_class(cls)
     return _envelope("classes reduce", vars_of(args), reduced.to_json(), args.format)
@@ -307,8 +320,7 @@ TABLES = {
 }
 
 
-def _golden_dir() -> Path:
-    return Path(str(resources.files("qtoledo") / "goldens"))
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def cmd_reproduce(args) -> tuple[str, int]:
@@ -322,17 +334,17 @@ def cmd_reproduce(args) -> tuple[str, int]:
             raise SystemExit2(f"unknown table {name!r}; choose from {sorted(TABLES)}")
         payload = TABLES[name]()
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        golden = _golden_dir() / f"{name}.json"
+        golden = os.path.join(GOLDEN_DIR, f"{name}.json")
         if args.write_golden:
-            golden.parent.mkdir(parents=True, exist_ok=True)
-            golden.write_text(text)
+            os.makedirs(GOLDEN_DIR, exist_ok=True)
+            _write_text(golden, text)
             out_lines.append(f"{name}: wrote {golden}")
             continue
-        if not golden.exists():
+        if not os.path.exists(golden):
             out_lines.append(f"{name}: MISSING golden file {golden}")
             mismatched = True
             continue
-        if golden.read_text() != text:
+        if _read_text(golden) != text:
             out_lines.append(f"{name}: MISMATCH against {golden}")
             mismatched = True
         else:

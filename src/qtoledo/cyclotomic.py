@@ -26,9 +26,10 @@ excludes zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._record import Record
 
 #: hard cap for the precision of a certified sign, in bits
 MAX_SIGN_BITS = 16384
@@ -460,8 +461,7 @@ def quantum_int(n: int, q: CycloNum) -> CycloNum:
 
 # -- embeddings and certified signs ---------------------------------------
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """zeta_order -> exp(2*pi*i*exponent/order)."""
 
     order: int

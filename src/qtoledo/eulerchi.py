@@ -13,9 +13,10 @@ chi_bar(0,5) = 2 - 10 kappa + 15 kappa^2, and chi(1,1 at level l)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._record import Record
 
 
 @lru_cache(maxsize=None)
@@ -46,8 +47,7 @@ def harer_zagier(g: int, n: int) -> Fraction:
             * math.factorial(2 * g + n - 3))
 
 
-@dataclass(frozen=True)
-class ChiPoly:
+class ChiPoly(Record):
     """chi_bar(g, n) as a polynomial in the node-weight kappa."""
 
     g: int

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .cyclotomic import Embedding, quantum_int_sign
 from .hermitian import determinant, solve
 
@@ -86,8 +86,7 @@ def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
     return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
 
 
-@dataclass(frozen=True)
-class FrobeniusAlgebra:
+class FrobeniusAlgebra(Record):
     """Fusion Frobenius algebra over Q with diagonal form eta = diag(eps)."""
 
     family: str                       # "so3" | "su2"
@@ -97,10 +96,10 @@ class FrobeniusAlgebra:
     eps: tuple[int, ...]
     omega03: tuple[tuple[tuple[int, ...], ...], ...]
     colors: tuple[int, ...]           # underlying color labels
-    _mult: tuple = field(default=None, repr=False, compare=False)
-    _trace_vec: Vector = field(default=None, repr=False, compare=False)
-    _alpha: Vector = field(default=None, repr=False, compare=False)
-    _omega_el: Vector = field(default=None, repr=False, compare=False)
+
+    # caches filled on first use; unannotated, so not fields
+    _alpha = None
+    _omega_el = None
 
     def __post_init__(self):
         r = self.rank

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .cyclotomic import (
     CycloNum,
     Embedding,
@@ -409,8 +409,7 @@ def determinant(a):
 
 # -- Hermitian matrices and signatures --------------------------------------
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     positive: int
     negative: int
     zero: int
@@ -423,8 +422,7 @@ class Signature:
         return self.positive - self.negative
 
 
-@dataclass(frozen=True)
-class HermMatrix:
+class HermMatrix(Record):
     """Square matrix over a cyclotomic field, Hermitian for zeta -> 1/zeta."""
 
     entries: Matrix
@@ -484,8 +482,7 @@ def signature(h: HermMatrix) -> Signature:
 
 # -- isometries --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsometryWithForm:
+class IsometryWithForm(Record):
     """A matrix U with U^dagger h U = h for an invertible Hermitian form h."""
 
     matrix: Matrix

@@ -8,10 +8,10 @@ computations actually use; everything else rejects loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from ._record import Record
 from .cyclotomic import frac_to_json
 
 Label = tuple
@@ -60,18 +60,17 @@ def standard_labels(g: int, n: int) -> list[Label]:
     return labels
 
 
-@dataclass(frozen=True)
-class H2Class:
+class H2Class(Record):
     """A formal rational combination of degree-two tautological classes."""
 
     g: int
     n: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: dict = None     # label -> value; None gives the zero class
 
     def __post_init__(self):
         allowed = set(standard_labels(self.g, self.n)) | {(PSI_TOTAL,), (POINT,)}
         clean = {}
-        for label, value in self.coeffs.items():
+        for label, value in (self.coeffs or {}).items():
             label = tuple(label)
             if label not in allowed:
                 raise ValueError(f"label {label} not valid on moduli ({self.g},{self.n})")

@@ -20,9 +20,9 @@ projective relations (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign
 from .fusion import check_so3_level, so3_structure_sign
 from .hermitian import (
@@ -58,8 +58,7 @@ def _turn_of_power(m: int, emb: Embedding) -> Fraction:
     return Fraction(res, n)
 
 
-@dataclass(frozen=True)
-class FourPointData:
+class FourPointData(Record):
     """Gluing data of the sphere with colors (w, w, e_i, e_i)."""
 
     level: int
@@ -133,8 +132,7 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
 # -- punctured torus -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PuncturedTorusRep:
+class PuncturedTorusRep(Record):
     """Basis, form, curve operators, and twists on the one-holed torus."""
 
     level: int

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .cyclotomic import Embedding, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
 from .hermitian import (
@@ -49,8 +49,7 @@ def _trace_of_product(a: Mat, b: Mat) -> Fraction:
                Fraction(0))
 
 
-@dataclass(frozen=True)
-class R1Matrix:
+class R1Matrix(Record):
     """First-order R-matrix with its trace/traceless decomposition."""
 
     algebra: FrobeniusAlgebra

@@ -224,8 +224,26 @@ def test_embedding_extension():
     emb = Embedding(5, 2)
     big = emb.extend(20)
     assert big.order == 20 and big.exponent % 5 == 2 and math.gcd(big.exponent, 20) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exponent 2 not coprime to 6$"):
         Embedding(6, 2)
+
+
+def test_embedding_is_a_frozen_value():
+    emb = Embedding(5, 6)
+    assert emb == Embedding(5, 1) == Embedding(order=5, exponent=11) == Embedding(5, exponent=1)
+    assert hash(emb) == hash(Embedding(5, 1))
+    assert repr(emb) == "Embedding(order=5, exponent=1)"
+    # only an Embedding equals an Embedding: not its field tuple, not a subclass
+    assert emb != (5, 1)
+    assert emb != type("Wider", (Embedding,), {})(5, 1)
+    with pytest.raises(AttributeError, match="cannot assign to field 'order'"):
+        emb.order = 7
+    with pytest.raises(AttributeError, match="cannot delete field 'exponent'"):
+        del emb.exponent
+    assert emb == Embedding(5, 1)
+    for args, kwargs in (((5,), {}), ((5, 1, 2), {}), ((5,), {"order": 5}), ((5, 1), {"k": 1})):
+        with pytest.raises(TypeError):
+            Embedding(*args, **kwargs)
 
 
 def test_json_round_trip():
@@ -275,10 +293,10 @@ def test_table_read_powers_match_products(order):
         assert _exact(quantum_int(m, w)) == _exact(_quantum_int_by_products(m, w)), (order, m)
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, *flags: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     return out.stdout
 
@@ -302,3 +320,18 @@ def test_runtime_never_imports_mpmath():
         "    code = qtoledo.cli.main(['rmatrix', 'solve', '--level', '11', '--embedding', '3'])\n"
         "print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())\n")
     assert out == f"0 6\n0 {frozen['stdout_sha256']}\n"
+
+
+def test_cli_starts_on_only_the_standard_library_it_uses():
+    # every CLI call imports every layer; none of them may pull in these
+    # modules, each of which costs start-up time.  -S keeps site hooks that
+    # import some of them from hiding a regression.
+    heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
+    layers = ("cyclotomic", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses",
+              "eulerchi", "cli")
+    out = _run_python(
+        "import qtoledo.cli, sys\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        f"print([m for m in {layers!r} if 'qtoledo.' + m not in sys.modules])\n",
+        "-S")
+    assert out == "[]\n[]\n"

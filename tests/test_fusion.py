@@ -173,6 +173,10 @@ def test_alpha_defining_property():
         for i in range(v.rank):
             assert v.trace(v.multiply(v.alpha, i)) == v.counit(v.basis(i))
         assert v.multiply(v.alpha, v.omega_element) == v.basis(0)
+        # the cached alpha and omega are not fields: equality, hash and repr skip them
+        fresh = so3_algebra(level, Embedding(level, k))
+        assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        assert "_alpha" not in repr(v)
 
 
 def test_tft_values():

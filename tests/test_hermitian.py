@@ -50,6 +50,8 @@ def diag(*values):
 def test_signature_identity():
     h = HermMatrix(identity(3), Embedding(1, 0))
     assert tuple(signature(h)) == (3, 0, 0)
+    assert signature(h) == Signature(3, 0, 0) != (3, 0, 0)
+    assert repr(Signature(1, 0, 0)) == "Signature(positive=1, negative=0, zero=0)"
 
 
 def test_signature_quantum_diagonal():
@@ -183,6 +185,21 @@ def test_rejects_non_square():
     for rows in ([[1, 0], [0]], [[1, 0], [0, 1, 0]], []):
         with pytest.raises(ValueError, match="^ragged matrix$"):
             HermMatrix(rows, Embedding(1, 0))
+
+
+def test_isometry_refuses_a_matrix_that_moves_the_form():
+    form = HermMatrix(diag(1, -1), Embedding(1, 0))
+    with pytest.raises(ValueError, match="^matrix does not preserve the form$"):
+        IsometryWithForm(as_matrix([[0, 1], [1, 0]]), form)
+    swap_signs = IsometryWithForm(form=form, matrix=diag(-1, 1))
+    assert swap_signs == IsometryWithForm(diag(-1, 1), form)
+    # a record equals only a record of its own class, even with equal fields
+    assert IsometryWithForm(form.entries, form) != form
+    with pytest.raises(AttributeError):
+        swap_signs.form = HermMatrix(diag(1, 1), Embedding(1, 0))
+    with pytest.raises(AttributeError):
+        del form.entries
+    assert form.dim == 2
 
 
 # -- Meyer cocycle -----------------------------------------------------------

@@ -45,6 +45,7 @@ def test_linear_structure():
     y = H2Class(1, 2, {("psi", 1): F(1, 2), ("delta_irr",): F(3)})
     assert (x + y).coefficient("psi", 1) == 1
     assert (x - x).is_zero()
+    assert H2Class(1, 2).is_zero() and H2Class(1, 2) == x - x
     assert x.scale(4).coefficient("psi", 1) == 2
 
 

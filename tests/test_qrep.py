@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from qtoledo.hermitian import (
     toledo_triangle_meyer,
 )
 from qtoledo.qrep import (
+    PuncturedTorusRep,
     _validate_rep,
     four_point_data,
     four_point_toledo,
@@ -322,7 +322,7 @@ def _corrupt(m, a, b, x):
 
 def _refusal(rep, **changes):
     with pytest.raises((ArithmeticError, ValueError)) as err:
-        _validate_rep(dataclasses.replace(rep, **changes))
+        _validate_rep(PuncturedTorusRep(**{**vars(rep), **changes}))
     return type(err.value), str(err.value)
 
 

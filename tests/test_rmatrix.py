@@ -174,8 +174,17 @@ def test_trace_part_invisible_in_tau04(level5):
 def test_r1_invariants_checked():
     v = so3_algebra(5, EMB5)
     bad = ((F(1), F(1)), (F(1), F(1)))  # not eta-self-adjoint
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^R_1 is not eta-self-adjoint$"):
         R1Matrix(v, bad, (F(0), F(0)), bad)
+
+
+def test_equal_embeddings_share_one_cached_solve():
+    r1 = solve_level(5, EMB5)
+    hits = solve_level.cache_info().hits
+    # Embedding(5, 6) reduces to Embedding(5, 1), so it is the same cache key
+    assert solve_level(5, Embedding(5, 6)) is r1
+    assert solve_level(5, Embedding(order=5, exponent=1)) is r1
+    assert solve_level.cache_info().hits == hits + 2
 
 
 def test_perp_part_zero_diagonal_in_idempotent_basis(level5):
