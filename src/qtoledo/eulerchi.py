@@ -8,6 +8,10 @@ nonseparating term and the separating products) is calibrated by three
 independent anchors and frozen in the tests: chi_bar(0,4) = -1 + 3 kappa,
 chi_bar(0,5) = 2 - 10 kappa + 15 kappa^2, and chi(1,1 at level l)
 = 1/(2l) - 1/12.
+
+The recursion sums in integers: the polynomials of every cut's sides are
+put over one common denominator, the integrand is summed from their integer
+numerators, and one ``Fraction`` is made per output coefficient.
 """
 
 from __future__ import annotations
@@ -85,45 +89,32 @@ class ChiPoly(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def _chi_bar_coeffs(g: int, n: int) -> tuple[Fraction, ...]:
     _check_moduli(g, n)
-    integrand: list[Fraction] = [Fraction(0)]
-    if g >= 1 and 2 * (g - 1) - 2 + n + 2 > 0:
-        integrand = _poly_add(integrand, list(_chi_bar_coeffs(g - 1, n + 2)))
+    # the once-cut strata, each a weight and the chi_bar of its two sides;
+    # the nonseparating cut has the constant 1 on its second side
+    cuts = [(1, _chi_bar_coeffs(g - 1, n + 2), (Fraction(1),))] if g >= 1 else []
     for g1 in range(g + 1):
         g2 = g - g1
         for n1 in range(n + 1):
             n2 = n - n1
             if 2 * g1 - 2 + n1 + 1 <= 0 or 2 * g2 - 2 + n2 + 1 <= 0:
                 continue
-            weight = Fraction(math.comb(n, n1))
-            prod = _poly_mul(list(_chi_bar_coeffs(g1, n1 + 1)),
-                             list(_chi_bar_coeffs(g2, n2 + 1)))
-            integrand = _poly_add(integrand, [weight * c for c in prod])
+            cuts.append((math.comb(n, n1), _chi_bar_coeffs(g1, n1 + 1), _chi_bar_coeffs(g2, n2 + 1)))
+    # every side over one denominator, so the integrand sums over den^2 in integers
+    den = math.lcm(*[c.denominator for _w, a, b in cuts for c in a + b])
+    integrand = [0] * max([1] + [len(a) + len(b) - 1 for _w, a, b in cuts])
+    for weight, a, b in cuts:
+        bn = [c.numerator * (den // c.denominator) for c in b]
+        for i, x in enumerate(a):
+            if x:
+                x = weight * x.numerator * (den // x.denominator)
+                for j, y in enumerate(bn):
+                    integrand[i + j] += x * y
     # halve the ordered edge count, then integrate from zero
-    poly = [harer_zagier(g, n)]
-    poly += [Fraction(c, 2 * (k + 1)) for k, c in enumerate(integrand)]
-    return tuple(poly)
+    den *= den
+    return (harer_zagier(g, n),) + tuple(Fraction(c, 2 * (k + 1) * den) for k, c in enumerate(integrand))
 
 
 def chi_bar(g: int, n: int) -> ChiPoly:

@@ -10,6 +10,12 @@ and the trace run on an integer kernel: an operand is put over one common
 denominator (``FrobeniusAlgebra.scaled``), its integer numerators are
 contracted against the integer structure constants, and a ``Fraction`` is
 made only per output coefficient.
+
+TFT values have one route, ``FrobeniusAlgebra.tft_scaled``: it takes the
+scaled product of the colors and applies the genus-g trace form
+x -> tr(x alpha^(1-g)), an integer covector computed once per genus.
+``tft_value`` multiplies its colors and calls it; callers that reuse
+partial products of colors (``rmatrix.degree2_class``) call it directly.
 """
 
 from __future__ import annotations
@@ -115,6 +121,8 @@ class FrobeniusAlgebra(Record):
         object.__setattr__(self, "_mult", mult)
         trace_vec = tuple(sum(mult[i][j][j] for j in range(r)) for i in range(r))
         object.__setattr__(self, "_trace_vec", trace_vec)
+        # genus -> the coefficients of x -> tr(x alpha^(1-g)), filled by tft_scaled
+        object.__setattr__(self, "_tft_forms", {})
         self._check_axioms()
 
     # -- structural checks -------------------------------------------------
@@ -243,23 +251,34 @@ class FrobeniusAlgebra(Record):
 
     def tft_value(self, genus: int, colors) -> Fraction:
         """sigma_{g,n}(colors) = tr(v_1 ... v_n alpha^{1-g}), multilinear."""
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
         prod = self.scaled(0)
         for c in colors:
             prod = self.multiply_scaled(prod, self.scaled(c))
-        if genus == 0:
-            prod = self.multiply_scaled(prod, self.scaled(self.alpha))
-        else:
-            omega = self.scaled(self.omega_element)
-            for _ in range(genus - 1):
-                prod = self.multiply_scaled(prod, omega)
-        return self.trace_scaled(prod)
+        return self.tft_scaled(genus, prod)
 
-    def r_tensor(self, matrix) -> tuple[Vector, ...]:
-        """R eta^{-1} as a symmetric 2-tensor, for boundary terms."""
-        r = self.rank
-        return tuple(tuple(matrix[i][j] * self.eps[j] for j in range(r)) for i in range(r))
+    def tft_scaled(self, genus: int, prod: Scaled) -> Fraction:
+        """tr(prod alpha^{1-g}): the TFT value of genus g at the product of its colors.
+
+        The value is linear in prod.  Its coefficients tr(e_k alpha^{1-g})
+        are integers over one denominator, formed once per genus from
+        alpha (genus 0) or the handle element Omega = alpha^{-1}.
+        """
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
+        form = self._tft_forms.get(genus)
+        if form is None:
+            if genus == 0:
+                weight = self.scaled(self.alpha)
+            else:
+                weight, omega = self.scaled(0), self.scaled(self.omega_element)
+                for _ in range(genus - 1):
+                    weight = self.multiply_scaled(weight, omega)
+            tv = self._trace_vec
+            form = ([sum(x * t for x, t in zip(self.multiply_scaled(self.scaled(k), weight)[0], tv))
+                     for k in range(self.rank)], weight[1])
+            self._tft_forms[genus] = form
+        (nums, den), (coeffs, form_den) = prod, form
+        return Fraction(sum(x * c for x, c in zip(nums, coeffs) if x), den * form_den)
 
 
 # -- construction ------------------------------------------------------------

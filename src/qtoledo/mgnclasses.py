@@ -9,6 +9,7 @@ computations actually use; everything else rejects loudly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from ._record import Record
@@ -33,12 +34,17 @@ def _stable_side(genus: int, points: int) -> bool:
     return 2 * genus - 2 + points >= 0
 
 
+@lru_cache(maxsize=None)
+def _separating_labels(g: int, n: int) -> tuple[Label, ...]:
+    return tuple(sorted({canonical_separating_label(g, n, a, subset)
+                         for a in range(g + 1) for size in range(n + 1)
+                         for subset in combinations(range(1, n + 1), size)
+                         if _stable_side(a, size) and _stable_side(g - a, n - size)}))
+
+
 def separating_labels(g: int, n: int) -> list[Label]:
-    """Canonical (a, A) labels of separating boundary divisors."""
-    return sorted({canonical_separating_label(g, n, a, subset)
-                   for a in range(g + 1) for size in range(n + 1)
-                   for subset in combinations(range(1, n + 1), size)
-                   if _stable_side(a, size) and _stable_side(g - a, n - size)})
+    """Canonical (a, A) labels of separating boundary divisors, sorted; a fresh list."""
+    return list(_separating_labels(g, n))
 
 
 def canonical_separating_label(g: int, n: int, a: int, subset) -> Label:
@@ -56,8 +62,14 @@ def standard_labels(g: int, n: int) -> list[Label]:
     labels += [(KAPPA1,), (KAPPA1T,), (LAMBDA1,)]
     if g >= 1:
         labels.append((DELTA_IRR,))
-    labels += separating_labels(g, n)
+    labels += _separating_labels(g, n)
     return labels
+
+
+@lru_cache(maxsize=None)
+def _allowed_labels(g: int, n: int) -> frozenset:
+    """Every label an H2Class on moduli (g, n) may carry."""
+    return frozenset(standard_labels(g, n)) | {(PSI_TOTAL,), (POINT,)}
 
 
 class H2Class(Record):
@@ -67,8 +79,10 @@ class H2Class(Record):
     n: int
     coeffs: dict = None     # label -> value; None gives the zero class
 
+    __hash__ = None         # equal by value, and a dict field cannot be hashed
+
     def __post_init__(self):
-        allowed = set(standard_labels(self.g, self.n)) | {(PSI_TOTAL,), (POINT,)}
+        allowed = _allowed_labels(self.g, self.n)
         clean = {}
         for label, value in (self.coeffs or {}).items():
             label = tuple(label)
@@ -91,9 +105,6 @@ class H2Class(Record):
 
     def scale(self, c) -> "H2Class":
         return H2Class(self.g, self.n, {k: v * Fraction(c) for k, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (self.g, self.n) == (other.g, other.n) and self.coeffs == other.coeffs
 
     def coefficient(self, *label) -> Fraction:
         return self.coeffs.get(tuple(label), Fraction(0))

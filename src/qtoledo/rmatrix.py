@@ -28,7 +28,6 @@ from .hermitian import (
     mat_add,
     mat_mul,
     mat_sub,
-    mat_vec,
     solve,
 )
 from .mgnclasses import (
@@ -68,9 +67,6 @@ class R1Matrix(Record):
             raise ValueError("decomposition does not sum to R_1")
         if any(_trace_of_product(self.perp_part, v.mult_matrix(k)) for k in range(v.rank)):
             raise ValueError("perp part is not trace-orthogonal to multiplications")
-
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        return mat_vec(self.matrix, self.algebra.as_vector(vec))
 
     def denominator(self) -> int:
         return math.lcm(*[x.denominator for row in self.matrix for x in row])
@@ -259,43 +255,58 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
 
 
 def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
-    """The Toledo class tau_{g,n}(colors) over the kappa-tilde basis, in r1's algebra."""
+    """The Toledo class tau_{g,n}(colors) over the kappa-tilde basis, in r1's algebra.
+
+    Each coefficient is a sum of TFT values of products of the colors, with
+    one color moved by R_1 or with the node colors contracted against
+    R eta^{-1}.  The products stay on the integer kernel and each value is
+    read by ``FrobeniusAlgebra.tft_scaled``; no Fraction vector is formed.
+    The colors and R_1 are scaled once.  The product of all colors but the
+    i-th is a prefix times a suffix product.  With rho_mu the row mu of
+    R eta^{-1} as an algebra element, delta_irr reads one value at the node
+    element sum_mu e_mu rho_mu, and a separating label multiplies each
+    side's colors once and sums sigma(left e_mu) sigma(right rho_mu).
+    """
     v = r1.algebra
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable moduli space")
-    colors = [v.as_vector(c) for c in colors]
-    if len(colors) != n:
+    x = [v.scaled(c) for c in colors]
+    if len(x) != n:
         raise ValueError("need one color per marked point")
+    mul, tft = v.multiply_scaled, v.tft_scaled
+    m = scaled_matrix(r1.matrix)
+    one = v.scaled(0)
+    # prefix[i] = x_1 ... x_i and suffix[i] = x_(i+1) ... x_n
+    prefix, suffix = [one], [one]
+    for a in x:
+        prefix.append(mul(prefix[-1], a))
+    for a in reversed(x):
+        suffix.append(mul(a, suffix[-1]))
+    suffix.reverse()
     coeffs: dict = {}
-    kappa_term = v.tft_value(g, colors + [r1.apply(v.basis(0))])
+    kappa_term = tft(g, mul(prefix[n], apply_scaled(m, one)))
     coeffs[(KAPPA1T,)] = -kappa_term
     for i in range(n):
-        replaced = colors[:i] + [r1.apply(colors[i])] + colors[i + 1:]
-        coeffs[(PSI, i + 1)] = v.tft_value(g, replaced) - kappa_term
-    rt = v.r_tensor(r1.matrix)
-    r = v.rank
+        others = mul(prefix[i], suffix[i + 1])
+        coeffs[(PSI, i + 1)] = tft(g, mul(others, apply_scaled(m, x[i]))) - kappa_term
+    # rho_mu = sum_nu R_mu,nu eps_nu e_nu, the row mu of R eta^{-1}, over m's denominator
+    rows, rden = m
+    rho = [([c * e for c, e in zip(row, v.eps)], rden) for row in rows]
+    basis = [v.scaled(mu) for mu in range(v.rank)]
     if g >= 1:
-        total = Fraction(0)
-        for mu in range(r):
-            for nu in range(r):
-                if rt[mu][nu]:
-                    total += rt[mu][nu] * v.tft_value(g - 1, colors + [mu, nu])
-        coeffs[(DELTA_IRR,)] = -total
+        # the node element sum_mu e_mu rho_mu
+        node = [sum(col) for col in zip(*[mul(e, p)[0] for e, p in zip(basis, rho)])]
+        coeffs[(DELTA_IRR,)] = -tft(g - 1, mul(prefix[n], (node, rden)))
     for label in separating_labels(g, n):
         _tag, g1, subset = label
-        g2 = g - g1
-        rest = tuple(p for p in range(1, n + 1) if p not in subset)
-        total = Fraction(0)
-        for mu in range(r):
-            left_colors = [colors[p - 1] for p in subset] + [v.basis(mu)]
-            left_vals = v.tft_value(g1, left_colors)
-            if left_vals == 0:
-                continue
-            for nu in range(r):
-                if rt[mu][nu]:
-                    right = v.tft_value(g2, [colors[p - 1] for p in rest] + [v.basis(nu)])
-                    total += rt[mu][nu] * left_vals * right
-        coeffs[label] = -total
+        left, right = one, one
+        for i in range(n):
+            if i + 1 in subset:
+                left = mul(left, x[i])
+            else:
+                right = mul(right, x[i])
+        coeffs[label] = -sum((tft(g1, mul(left, e)) * tft(g - g1, mul(right, p))
+                              for e, p in zip(basis, rho)), Fraction(0))
     return H2Class(g, n, coeffs)
 
 
@@ -314,9 +325,13 @@ def presentation_class(v: FrobeniusAlgebra, g: int, n: int) -> H2Class:
         raise ValueError("the presentation table is tabulated at level 5")
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable moduli space")
-    t = [1] * n
-    sigma = v.tft_value(g, t)
-    sigma_next = v.tft_value(g, t + [1])
+    # powers[k] = e_1^k, so tft(h, powers[k]) is sigma_h with k points of color e_1
+    tft = v.tft_scaled
+    powers = [v.scaled(0)]
+    for _ in range(n + 2):
+        powers.append(v.multiply_scaled(powers[-1], v.scaled(1)))
+    sigma = tft(g, powers[n])
+    sigma_next = tft(g, powers[n + 1])
     a = Fraction(-46, 45) * sigma - Fraction(4, 9) * sigma_next
     c = Fraction(-2, 15) * sigma
     coeffs: dict = {}
@@ -325,13 +340,11 @@ def presentation_class(v: FrobeniusAlgebra, g: int, n: int) -> H2Class:
     for i in range(1, n + 1):
         coeffs[(PSI, i)] = c
     if g >= 1:
-        sig_irr = v.tft_value(g - 1, t + [1, 1])
+        sig_irr = tft(g - 1, powers[n + 2])
         coeffs[(DELTA_IRR,)] = a / 12 + Fraction(-2, 15) * sig_irr
     for label in separating_labels(g, n):
         _tag, g1, subset = label
-        g2 = g - g1
-        n1, n2 = len(subset), n - len(subset)
-        sig_split = v.tft_value(g1, [1] * (n1 + 1)) * v.tft_value(g2, [1] * (n2 + 1))
+        sig_split = tft(g1, powers[len(subset) + 1]) * tft(g - g1, powers[n - len(subset) + 1])
         coeffs[label] = a / 12 + Fraction(-2, 15) * sig_split
     return H2Class(g, n, coeffs)
 

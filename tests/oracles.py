@@ -13,14 +13,20 @@ Gauss-Jordan elimination on [A | 1]; the signature of a skew-Hermitian
 product h*s/i, which gives the closed pair-of-pants form of the Meyer
 cocycle (the package takes it on a kernel, with no inverse); the sine
 formula for Verlinde dimensions; the closed U(1) Meyer cocycle; the level-5
-recursions of the TFT values; and the signature of a torus
-representation's diagonal form.
+recursions of the TFT values; the signature of a torus representation's
+diagonal form; TFT values and degree-2 classes from `Fraction` vector
+products (the package reads them off scaled integer products and per-genus
+trace forms); and the nodal-count polynomials of the Euler characteristics
+by `Fraction` polynomial sums and products (the package sums integers over
+one denominator).
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
+from qtoledo.eulerchi import harer_zagier
 from qtoledo.fusion import so3_algebra, unitary_partner
 from qtoledo.hermitian import (
     HermMatrix,
@@ -35,6 +41,7 @@ from qtoledo.hermitian import (
     rref,
     signature,
 )
+from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
 
 
 def embed_complex(a: CycloNum, emb: Embedding) -> complex:
@@ -251,3 +258,93 @@ def form_signature(rep) -> tuple[int, int]:
     """(p, q) of the diagonal form of a PuncturedTorusRep, one sign per norm."""
     signs = [sign_real(x, rep.embedding) for x in rep.norms]
     return signs.count(1), signs.count(-1)
+
+
+# -- degree-2 classes and Euler characteristics on Fractions --------------------------
+
+
+def tft_value(v, genus: int, colors) -> Fraction:
+    """tr(v_1 ... v_n alpha^{1-g}) from Fraction vector products."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    prod = v.basis(0)
+    for c in colors:
+        prod = v.multiply(prod, c)
+    if genus == 0:
+        prod = v.multiply(prod, v.alpha)
+    for _ in range(genus - 1):
+        prod = v.multiply(prod, v.omega_element)
+    return v.trace(prod)
+
+
+def degree2_class(r1, g: int, n: int, colors) -> H2Class:
+    """The Toledo class tau_{g,n}(colors), one Fraction TFT value per term of the gluing formula."""
+    v = r1.algebra
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("unstable moduli space")
+    colors = [v.as_vector(c) for c in colors]
+    if len(colors) != n:
+        raise ValueError("need one color per marked point")
+    coeffs: dict = {}
+    kappa_term = tft_value(v, g, colors + [mat_vec(r1.matrix, v.basis(0))])
+    coeffs[(KAPPA1T,)] = -kappa_term
+    for i in range(n):
+        replaced = colors[:i] + [mat_vec(r1.matrix, colors[i])] + colors[i + 1:]
+        coeffs[(PSI, i + 1)] = tft_value(v, g, replaced) - kappa_term
+    r = v.rank
+    # R eta^{-1} as a symmetric 2-tensor
+    rt = [[r1.matrix[i][j] * v.eps[j] for j in range(r)] for i in range(r)]
+    if g >= 1:
+        total = Fraction(0)
+        for mu in range(r):
+            for nu in range(r):
+                if rt[mu][nu]:
+                    total += rt[mu][nu] * tft_value(v, g - 1, colors + [mu, nu])
+        coeffs[(DELTA_IRR,)] = -total
+    for label in separating_labels(g, n):
+        _tag, g1, subset = label
+        rest = tuple(p for p in range(1, n + 1) if p not in subset)
+        total = Fraction(0)
+        for mu in range(r):
+            left = tft_value(v, g1, [colors[p - 1] for p in subset] + [mu])
+            for nu in range(r):
+                if rt[mu][nu] and left:
+                    right = tft_value(v, g - g1, [colors[p - 1] for p in rest] + [nu])
+                    total += rt[mu][nu] * left * right
+        coeffs[label] = -total
+    return H2Class(g, n, coeffs)
+
+
+def _poly_add(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def chi_bar_coeffs(g: int, n: int) -> tuple:
+    """chi_bar(g, n), low degree first, by the boundary recursion on Fraction polynomials."""
+    integrand = [Fraction(0)]
+    if g >= 1:
+        integrand = _poly_add(integrand, list(chi_bar_coeffs(g - 1, n + 2)))
+    for g1 in range(g + 1):
+        for n1 in range(n + 1):
+            g2, n2 = g - g1, n - n1
+            if 2 * g1 - 2 + n1 + 1 <= 0 or 2 * g2 - 2 + n2 + 1 <= 0:
+                continue
+            prod = _poly_mul(list(chi_bar_coeffs(g1, n1 + 1)), list(chi_bar_coeffs(g2, n2 + 1)))
+            integrand = _poly_add(integrand, [math.comb(n, n1) * c for c in prod])
+    return (harer_zagier(g, n),) + tuple(Fraction(c, 2 * (k + 1)) for k, c in enumerate(integrand))

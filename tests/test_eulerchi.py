@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import chi_bar_coeffs
 
 from qtoledo.eulerchi import ChiPoly, bernoulli, chi_bar, chi_twisted, harer_zagier
 
@@ -67,3 +68,17 @@ def test_chi_poly_validation():
 
 def test_polynomial_str():
     assert str(chi_bar(0, 5)) == "2 + -10*kappa + 15*kappa^2"
+
+
+def test_chi_bar_matches_the_fraction_polynomial_recursion():
+    # integer sums over one denominator against Fraction polynomial sums and products
+    for g in range(4):
+        for n in range(8):
+            if 2 * g - 2 + n <= 0:
+                continue
+            want = list(chi_bar_coeffs(g, n))
+            while len(want) > 1 and want[-1] == 0:
+                want.pop()
+            got = chi_bar(g, n).coeffs
+            assert got == tuple(want), (g, n)
+            assert all(type(c) is Fraction for c in got)

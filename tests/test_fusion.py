@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly, verlinde_dimension
+from oracles import charpoly, tft_value, verlinde_dimension
 
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import (
@@ -257,6 +257,11 @@ def test_bad_inputs():
         su2_algebra(1, Embedding(4, 1))
     with pytest.raises(ValueError):
         so3_algebra(7, Embedding(5, 1))
+    v = so3_algebra(7, Embedding(7, 1))
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        v.tft_value(-1, [1])
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        v.tft_scaled(-1, v.scaled(1))
 
 
 def _tables(eps, omega):
@@ -375,6 +380,16 @@ def test_kernel_matches_a_plain_fraction_loop(case):
     # the trace of multiplication by u, read off the diagonal of its matrix
     assert v.trace(u) == sum((_plain_multiply(v, u, v.basis(j))[j] for j in range(v.rank)), F(0))
     assert all(type(c) is Fraction for c in v.multiply(u, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_vectors(3), st.integers(0, 3), st.lists(st.integers(0, 2), max_size=3))
+def test_tft_value_matches_fraction_products(case, genus, extra):
+    # scaled products and the cached genus-g trace form against Fraction vector products
+    v, vectors = case
+    colors = vectors + [c % v.rank for c in extra]
+    got = v.tft_value(genus, colors)
+    assert got == tft_value(v, genus, colors) and type(got) is Fraction
 
 
 def test_out_of_range_colors_are_refused():

@@ -40,6 +40,34 @@ def test_invalid_label_rejected():
         H2Class(1, 1, {("delta", 1, ()): F(1)})
 
 
+def test_label_caches_hand_out_fresh_lists_and_keep_every_check():
+    first = separating_labels(0, 5)
+    want = list(first)
+    first.clear()
+    first.append(("delta", 9, (9,)))
+    assert separating_labels(0, 5) == want
+    assert separating_labels(0, 5) is not separating_labels(0, 5)
+    # every cache warm: the labels and the allowed set of (1, 1) and (0, 4)
+    H2Class(1, 1, {("psi", 1): F(1)})
+    H2Class(0, 4, {("delta", 0, (1, 2)): F(1)})
+    for g, n, label in ((1, 1, ("delta", 1, ())), (0, 4, ("delta", 0, (1,))),
+                        (0, 4, ("delta", 0, (2, 1))), (0, 4, ("psi", 5)), (1, 1, ("lambda2",))):
+        with pytest.raises(ValueError, match="not valid on moduli"):
+            H2Class(g, n, {label: F(1)})
+    with pytest.raises(ValueError, match="not valid on moduli"):
+        H2Class(0, 5, {("delta", 9, (9,)): F(1)})
+
+
+def test_classes_compare_unequal_to_other_types():
+    x = H2Class(0, 4)
+    assert (x == None) is False and (x != None) is True  # noqa: E711
+    assert x != 0 and x != "delta" and x != {}
+    assert x == H2Class(0, 4, {("psi", 1): F(0)})
+    assert x != H2Class(1, 2) and x != H2Class(0, 4, {("psi", 1): F(1)})
+    with pytest.raises(TypeError, match="unhashable type: 'H2Class'"):
+        hash(x)
+
+
 def test_linear_structure():
     x = H2Class(1, 2, {("psi", 1): F(1, 2)})
     y = H2Class(1, 2, {("psi", 1): F(1, 2), ("delta_irr",): F(3)})

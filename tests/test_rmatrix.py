@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+import oracles
 from oracles import level5_sigma_recursion_checks
 
 from qtoledo import rmatrix
@@ -229,6 +230,40 @@ def test_degree2_class_unitary_is_zero():
     r1 = solve_level(7, emb)
     for g, n, colors in ((0, 4, [1, 2, 1, 2]), (1, 2, [1, 1]), (2, 1, [2])):
         assert degree2_class(r1, g, n, colors).is_zero()
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_degree2_class_matches_the_fraction_gluing_formula():
+    # the integer route against one Fraction TFT value per term, at every
+    # embedding of levels 5, 7 and 9 that solve_level answers
+    rng = random.Random(20713)
+    solved = 0
+    for level in (5, 7, 9):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            try:
+                r1 = solve_level(level, Embedding(level, k))
+            except ValueError:
+                continue
+            solved += 1
+            r = r1.algebra.rank
+            for g in range(3):
+                for n in range(5):
+                    ints = [rng.randrange(r) for _ in range(n)]
+                    vectors = [tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r))
+                               for _ in range(n)]
+                    # unstable (g, n), a missing color, an extra color and a bad color are refused alike
+                    for colors in (ints, vectors, ints[1:], vectors + [0], ints + [r], [(F(1),) * (r + 1)] * n):
+                        got = _outcome(degree2_class, r1, g, n, colors)
+                        assert got == _outcome(oracles.degree2_class, r1, g, n, colors), (level, k, g, n, colors)
+    assert solved >= 12
 
 
 def test_appendix_b_crosscheck():
