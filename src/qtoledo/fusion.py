@@ -21,7 +21,6 @@ partial products of colors (``rmatrix.degree2_class``) call it directly.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from ._record import Record
@@ -367,6 +366,8 @@ def signature_table(algebra: FrobeniusAlgebra, g_max: int, n_max: int):
 
 def gluing_checks(algebra: FrobeniusAlgebra, samples: int = 100, seed: int = 0) -> dict:
     """Randomized check of the gluing and unit identities of the TFT values."""
+    import random  # only this check draws samples; other calls skip the import
+
     rng = random.Random(seed)
     r = algebra.rank
     failures = []

@@ -82,6 +82,8 @@ class H2Class(Record):
     __hash__ = None         # equal by value, and a dict field cannot be hashed
 
     def __post_init__(self):
+        if self.g < 0 or self.n < 0 or 2 * self.g - 2 + self.n <= 0:
+            raise ValueError(f"unstable moduli space ({self.g},{self.n})")
         allowed = _allowed_labels(self.g, self.n)
         clean = {}
         for label, value in (self.coeffs or {}).items():

@@ -323,7 +323,7 @@ def test_runtime_never_imports_mpmath():
 
 
 def test_cli_starts_on_only_the_standard_library_it_uses():
-    # every CLI call imports every layer; none of them may pull in these
+    # importing qtoledo.cli loads every layer; none of them may pull in these
     # modules, each of which costs start-up time.  -S keeps site hooks that
     # import some of them from hiding a regression.
     heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
@@ -335,3 +335,79 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
         f"print([m for m in {layers!r} if 'qtoledo.' + m not in sys.modules])\n",
         "-S")
     assert out == "[]\n[]\n"
+
+
+LAYERS = ("cyclotomic", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi")
+
+
+def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
+    """(layers, heavy modules) loaded by ``python -S -m qtoledo.cli argv``."""
+    out = _run_python(
+        "import contextlib, io, json, runpy, sys\n"
+        f"sys.argv = ['qtoledo', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('qtoledo.cli', run_name='__main__')\n"
+        "    except SystemExit as e:\n"
+        "        assert not e.code, e.code\n"
+        f"print(json.dumps([m for m in {LAYERS!r} if 'qtoledo.' + m in sys.modules]))\n"
+        "print(json.dumps([m for m in ('fractions', 'decimal', 'random') if m in sys.modules]))\n",
+        "-S")
+    layers, heavy = out.splitlines()
+    return json.loads(layers), json.loads(heavy)
+
+
+def test_each_cli_call_imports_only_the_layers_it_uses():
+    # run as a script, a subcommand imports its layers inside its function
+    assert _imports_of_cli_run("--help") == ([], [])
+    layers, heavy = _imports_of_cli_run("qrep", "torus", "--level", "5", "--i", "1")
+    assert not {"rmatrix", "mgnclasses", "eulerchi"} & set(layers) and "random" not in heavy
+    assert _imports_of_cli_run("reproduce", "--all")[0] == list(LAYERS)
+
+
+# the public names of the package, as the layers exported them up front
+PUBLIC = {
+    "cyclotomic": ("CycloNum", "Embedding", "conjugate", "cyclotomic_polynomial", "galois",
+                   "quantum_int", "sign_real"),
+    "eulerchi": ("ChiPoly", "chi_bar", "chi_twisted", "harer_zagier"),
+    "fusion": ("FrobeniusAlgebra", "gluing_checks", "signature_table", "so3_algebra",
+               "su2_algebra", "unitary_partner"),
+    "hermitian": ("HermMatrix", "IsometryWithForm", "Signature", "eigen_split", "g_function",
+                  "meyer_cocycle", "signature", "toledo_triangle_meyer", "toledo_triangle_pu11"),
+    "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
+                   "uniformization_check"),
+    "qrep": ("FourPointData", "PuncturedTorusRep", "four_point_data", "four_point_toledo",
+             "punctured_torus_rep", "tau_11"),
+    "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
+                "tau_from_r1_04", "tau_from_r1_11"),
+}
+
+
+def test_package_resolves_each_public_name_in_its_layer():
+    import importlib
+
+    import qtoledo
+
+    names = {name for layer_names in PUBLIC.values() for name in layer_names}
+    for layer, layer_names in PUBLIC.items():
+        module = importlib.import_module(f"qtoledo.{layer}")
+        for name in layer_names:
+            assert getattr(qtoledo, name) is getattr(module, name), (layer, name)
+    assert qtoledo.signature is qtoledo.hermitian.signature
+    star = {}
+    exec("from qtoledo import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(qtoledo.__all__) == names
+    assert names <= set(dir(qtoledo))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qtoledo.no_such_name
+    # a bare import loads no layer; reading a name, or a layer as an attribute,
+    # loads that layer and what it imports
+    out = _run_python(
+        "import sys, qtoledo\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n"
+        "qtoledo.signature\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n"
+        "print(qtoledo.eulerchi.chi_bar is qtoledo.chi_bar)\n",
+        "-S")
+    assert out == "[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.hermitian']\nTrue\n"

@@ -4,6 +4,7 @@ import pytest
 
 from qtoledo.mgnclasses import (
     H2Class,
+    _allowed_labels,
     canonical_class,
     canonical_separating_label,
     class_from_json,
@@ -56,6 +57,16 @@ def test_label_caches_hand_out_fresh_lists_and_keep_every_check():
             H2Class(g, n, {label: F(1)})
     with pytest.raises(ValueError, match="not valid on moduli"):
         H2Class(0, 5, {("delta", 9, (9,)): F(1)})
+
+
+@pytest.mark.parametrize("g, n, coeffs", [(-3, -1, {("kappa1",): F(1)}),
+                                          (0, 2, {("psi", 1): F(1)}),
+                                          (1, 0, None)])
+def test_unstable_moduli_are_refused_before_any_label_is_cached(g, n, coeffs):
+    cached = _allowed_labels.cache_info().currsize
+    with pytest.raises(ValueError, match=rf"^unstable moduli space \({g},{n}\)$"):
+        H2Class(g, n, coeffs)
+    assert _allowed_labels.cache_info().currsize == cached
 
 
 def test_classes_compare_unequal_to_other_types():
