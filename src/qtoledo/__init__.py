@@ -19,8 +19,9 @@ _EXPORTS = {
     "eulerchi": ("ChiPoly", "chi_bar", "chi_twisted", "harer_zagier"),
     "fusion": ("FrobeniusAlgebra", "gluing_checks", "signature_table", "so3_algebra",
                "su2_algebra", "unitary_partner"),
-    "hermitian": ("HermMatrix", "IsometryWithForm", "Signature", "eigen_split", "g_function",
-                  "meyer_cocycle", "signature", "toledo_triangle_meyer", "toledo_triangle_pu11"),
+    "hermitian": ("Signature", "eigen_split", "g_function", "meyer_cocycle", "signature",
+                  "toledo_triangle_meyer", "toledo_triangle_pu11"),
+    "linalg": ("HermMatrix", "IsometryWithForm"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
     "qrep": ("FourPointData", "PuncturedTorusRep", "four_point_data", "four_point_toledo",

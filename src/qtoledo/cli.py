@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 computation failure, 2 usage error, 3 golden
 mismatch.
 
 Run as a script, each subcommand imports only the layer modules it calls,
-inside its own function; imported as a module, ``cli`` loads every layer.
+inside its own function, and the parser fills in only the subcommands of
+the group called; imported as a module, ``cli`` loads every layer.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ if __name__ != "__main__":
     # perfbench's import_package, cache_clearers and tracer look for the
     # layers in sys.modules after ``import qtoledo.cli``.  The installed
     # console script loses little by it: pip compiles its bytecode at install.
-    from . import cyclotomic, eulerchi, fusion, hermitian, mgnclasses, qrep, rmatrix  # noqa: F401
+    from . import cyclotomic, eulerchi, fusion, hermitian, linalg, mgnclasses, qrep, rmatrix  # noqa: F401
 
 
 def _envelope(command: str, parameters: dict, payload, fmt: str) -> str:
@@ -230,7 +231,7 @@ def cmd_rmatrix_class(args) -> str:
     from .rmatrix import degree2_class, solve_level
 
     r1 = solve_level(args.level, Embedding(args.level, args.embedding))
-    colors = [int(c) for c in args.colors.split(",")] if args.colors else []
+    colors = _ints(args.colors)
     if len(colors) == 1 and args.n > 1:
         colors = colors * args.n
     cls = degree2_class(r1, args.g, args.n, colors)
@@ -252,7 +253,7 @@ def cmd_rmatrix_crosscheck(args) -> str:
 def cmd_classes_check(args) -> str:
     from .mgnclasses import uniformization_check
 
-    case = tuple(int(x) for x in args.case.split(","))
+    case = tuple(_ints(args.case))
     report = uniformization_check(case)
     return _envelope("classes check", vars_of(args), report, args.format)
 
@@ -433,28 +434,41 @@ def vars_of(args) -> dict:
 # -- parser -----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qtoledo", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")] if text else []
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
-    fusion = sub.add_parser("fusion", help="fusion Frobenius algebras")
+def _int_list(text: str) -> str:
+    """A comma-separated list of integers, possibly empty, checked and kept as written.
+
+    The envelope echoes the parameters as given, so the text itself is the value.
+    """
+    try:
+        _ints(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+
+
+def _fill_fusion(fusion):
     fsub = fusion.add_subparsers(dest="sub", required=True)
     fb = fsub.add_parser("build")
     fb.add_argument("--family", choices=("so3", "su2"), default="so3")
     fb.add_argument("--level", type=int, required=True,
                     help="odd level for so3; r for su2 (embedding order 4r)")
     fb.add_argument("--embedding", type=int, default=1)
-    add_format(fb)
+    _add_format(fb)
     fb.set_defaults(func=cmd_fusion_build)
     ft = fsub.add_parser("sigtable")
     ft.add_argument("--level", type=int, required=True)
     ft.add_argument("--embedding", type=int, default=1)
     ft.add_argument("--gmax", type=int, default=3)
     ft.add_argument("--nmax", type=int, default=6)
-    add_format(ft)
+    _add_format(ft)
     ft.set_defaults(func=cmd_fusion_sigtable)
     fg = fsub.add_parser("gluing")
     fg.add_argument("--family", choices=("so3", "su2"), default="so3")
@@ -462,102 +476,140 @@ def build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--embedding", type=int, default=1)
     fg.add_argument("--samples", type=int, default=100)
     fg.add_argument("--seed", type=int, default=0)
-    add_format(fg)
+    _add_format(fg)
     fg.set_defaults(func=cmd_fusion_gluing)
 
-    herm = sub.add_parser("herm", help="exact Hermitian linear algebra")
+
+def _fill_herm(herm):
     hsub = herm.add_subparsers(dest="sub", required=True)
     hs = hsub.add_parser("signature")
     hs.add_argument("--matrix", required=True)
-    add_format(hs)
+    _add_format(hs)
     hs.set_defaults(func=cmd_herm_signature)
     hm = hsub.add_parser("meyer")
     hm.add_argument("--a", required=True)
     hm.add_argument("--b", required=True)
     hm.add_argument("--form", required=True)
-    add_format(hm)
+    _add_format(hm)
     hm.set_defaults(func=cmd_herm_meyer)
 
-    qrep = sub.add_parser("qrep", help="small-surface quantum representations")
+
+def _fill_qrep(qrep):
     qsub = qrep.add_subparsers(dest="sub", required=True)
     q4 = qsub.add_parser("tau04")
     q4.add_argument("--level", type=int, required=True)
     q4.add_argument("--embedding", type=int, default=1)
     q4.add_argument("--i", type=int, required=True)
     q4.add_argument("--j", type=int, required=True)
-    add_format(q4)
+    _add_format(q4)
     q4.set_defaults(func=cmd_qrep_tau04)
     q1 = qsub.add_parser("tau11")
     q1.add_argument("--level", type=int, required=True)
     q1.add_argument("--embedding", type=int, default=1)
     q1.add_argument("--i", type=int, required=True)
-    add_format(q1)
+    _add_format(q1)
     q1.set_defaults(func=cmd_qrep_tau11)
     qt = qsub.add_parser("torus")
     qt.add_argument("--level", type=int, required=True)
     qt.add_argument("--embedding", type=int, default=1)
     qt.add_argument("--i", type=int, required=True)
     qt.add_argument("--dump")
-    add_format(qt)
+    _add_format(qt)
     qt.set_defaults(func=cmd_qrep_torus)
 
-    rmat = sub.add_parser("rmatrix", help="first-order R-matrix and Toledo classes")
+
+def _fill_rmatrix(rmat):
     rsub = rmat.add_subparsers(dest="sub", required=True)
     rs = rsub.add_parser("solve")
     rs.add_argument("--level", type=int, required=True)
     rs.add_argument("--embedding", type=int, default=1)
-    add_format(rs)
+    _add_format(rs)
     rs.set_defaults(func=cmd_rmatrix_solve)
     rc = rsub.add_parser("class")
     rc.add_argument("--level", type=int, required=True)
     rc.add_argument("--embedding", type=int, default=1)
     rc.add_argument("--g", type=int, required=True)
     rc.add_argument("--n", type=int, required=True)
-    rc.add_argument("--colors", default="1")
-    add_format(rc)
+    rc.add_argument("--colors", type=_int_list, default="1")
+    _add_format(rc)
     rc.set_defaults(func=cmd_rmatrix_class)
     rx = rsub.add_parser("crosscheck")
     rx.add_argument("--gmax", type=int, default=4)
     rx.add_argument("--nmax", type=int, default=4)
-    add_format(rx)
+    _add_format(rx)
     rx.set_defaults(func=cmd_rmatrix_crosscheck)
 
-    classes = sub.add_parser("classes", help="second cohomology of moduli spaces")
+
+def _fill_classes(classes):
     csub = classes.add_subparsers(dest="sub", required=True)
     cc = csub.add_parser("check")
-    cc.add_argument("--case", required=True, help="g,n among 0,5 1,2 1,3 2,1")
-    add_format(cc)
+    cc.add_argument("--case", type=_int_list, required=True, help="g,n among 0,5 1,2 1,3 2,1")
+    _add_format(cc)
     cc.set_defaults(func=cmd_classes_check)
     cr = csub.add_parser("reduce")
     cr.add_argument("--class", required=True, dest="class")
-    add_format(cr)
+    _add_format(cr)
     cr.set_defaults(func=cmd_classes_reduce)
 
-    euler = sub.add_parser("euler", help="orbifold Euler characteristics")
+
+def _fill_euler(euler):
     esub = euler.add_subparsers(dest="sub", required=True)
     ec = esub.add_parser("chibar")
     ec.add_argument("--g", type=int, required=True)
     ec.add_argument("--n", type=int, required=True)
-    add_format(ec)
+    _add_format(ec)
     ec.set_defaults(func=cmd_euler_chibar)
     et = esub.add_parser("twisted")
     et.add_argument("--g", type=int, required=True)
     et.add_argument("--n", type=int, required=True)
     et.add_argument("--level", type=int, required=True)
-    add_format(et)
+    _add_format(et)
     et.set_defaults(func=cmd_euler_twisted)
 
-    rep = sub.add_parser("reproduce", help="regenerate published tables and diff goldens")
+
+def _fill_reproduce(rep):
     rep.add_argument("--all", action="store_true")
     rep.add_argument("--table")
     rep.add_argument("--write-golden", action="store_true",
                      help="write the golden files instead of checking them")
     rep.set_defaults(func=None)
+
+
+# each command group: its help line and the function that adds its subcommands
+GROUPS = {
+    "fusion": ("fusion Frobenius algebras", _fill_fusion),
+    "herm": ("exact Hermitian linear algebra", _fill_herm),
+    "qrep": ("small-surface quantum representations", _fill_qrep),
+    "rmatrix": ("first-order R-matrix and Toledo classes", _fill_rmatrix),
+    "classes": ("second cohomology of moduli spaces", _fill_classes),
+    "euler": ("orbifold Euler characteristics", _fill_euler),
+    "reproduce": ("regenerate published tables and diff goldens", _fill_reproduce),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser, with every group and, for argv, only the subcommands it calls.
+
+    Every group parser is added with its help line.  Its subcommands and
+    options are filled in for every group when argv is None, and otherwise
+    only for the group that the first group name in argv (normally argv[0])
+    calls: the top level takes no option with a value, so that is the group
+    argparse hands the rest of argv to, and it reads no other group's parser.
+    """
+    parser = argparse.ArgumentParser(prog="qtoledo", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    called = None if argv is None else next((a for a in argv if a in GROUPS), None)
+    for name, (help_text, fill) in GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if argv is None or name == called:
+            fill(group)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

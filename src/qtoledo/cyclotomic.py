@@ -21,6 +21,10 @@ after folding the angle into [0, pi/2], every step rounded outward.  The
 image of the element then lies in one integer interval dot product; its
 precision b doubles from 64 bits up to MAX_SIGN_BITS until the interval
 excludes zero.
+
+The signs of quantum integers are read off exact residues instead, and so
+are the SO3 fusion structure signs (`so3_structure_sign`) that both the
+fusion algebras and the torus representations start from.
 """
 
 from __future__ import annotations
@@ -632,6 +636,47 @@ def quantum_int_sign(n: int, emb: Embedding) -> int:
     """Sign of [n] at q = exp(2*pi*i*k/N), by exact residue arithmetic."""
     k, big_n = emb.exponent, emb.order
     return sin_turn_sign(n * k, big_n) * sin_turn_sign(k, big_n)
+
+
+# -- SO3 structure signs ---------------------------------------------------
+
+def _qfact_sign(n: int, emb: Embedding) -> int:
+    return math.prod(quantum_int_sign(m, emb) for m in range(1, n + 1))
+
+
+def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:
+    """Sign of the triple-point invariant of three colors, 0 if inadmissible."""
+    if (x + y + z) % 2:
+        return 0
+    a, b, c = (y + z - x) // 2, (x + z - y) // 2, (x + y - z) // 2
+    if min(a, b, c) < 0:
+        return 0
+    sign = (-1) ** (a + b + c)
+    num = _qfact_sign(a + b + c + 1, emb) * _qfact_sign(a, emb) * _qfact_sign(b, emb) * _qfact_sign(c, emb)
+    if num == 0:
+        return 0
+    den = _qfact_sign(x, emb) * _qfact_sign(y, emb) * _qfact_sign(z, emb)
+    if den == 0:
+        raise ArithmeticError("vanishing quantum factorial for an in-range color")
+    return sign * num * den
+
+
+def check_so3_level(level: int, emb: Embedding):
+    """Refuse a level that is not an odd integer >= 3, or an embedding of another order."""
+    if level < 3 or level % 2 == 0:
+        raise ValueError("level must be an odd integer >= 3")
+    if emb.order != level:
+        raise ValueError("embedding must have the same order as the level")
+
+
+def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
+    """omega03(e_i, e_j, e_k) of the SO3 algebra at q = zeta_level^k (colors 2i, 2j, 2k).
+
+    The triple-point sign is fixed only up to the gauge e_i -> (-1)^i e_i;
+    the gauge is chosen so that omega03(e_1, e_1, e_1) is +1, that is, a
+    triple of odd index sum is multiplied by the raw (1,1,1) sign.
+    """
+    return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
 
 
 # -- JSON encoding ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The algebra attached to a root of unity has structure constants that are
 signs of products of quantum integers, so construction runs on exact
-integer residue arithmetic.  Once built, everything downstream (traces,
+integer residue arithmetic (`cyclotomic.so3_structure_sign` and the
+triple-point signs beside it).  Once built, everything downstream (traces,
 signatures, gluing checks) is plain rational linear algebra.
 
 Vectors are tuples of ``Fraction`` at the API.  Inside, products, the form
@@ -24,8 +25,14 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import Embedding, quantum_int_sign
-from .hermitian import determinant, solve
+from .cyclotomic import (
+    Embedding,
+    _triple_sign,
+    check_so3_level,
+    quantum_int_sign,
+    so3_structure_sign,
+)
+from .linalg import determinant, solve
 
 Vector = tuple[Fraction, ...]
 # A vector as (numerators, denominator): coefficient k is numerators[k] / denominator.
@@ -50,45 +57,6 @@ def apply_scaled(m: ScaledMatrix, a: Scaled) -> Scaled:
     """The matrix m times the column vector a."""
     (rows, md), (nums, ad) = m, a
     return [sum(x * y for x, y in zip(row, nums)) for row in rows], md * ad
-
-
-def _qfact_sign(n: int, emb: Embedding) -> int:
-    return math.prod(quantum_int_sign(m, emb) for m in range(1, n + 1))
-
-
-def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:
-    """Sign of the triple-point invariant of three colors, 0 if inadmissible."""
-    if (x + y + z) % 2:
-        return 0
-    a, b, c = (y + z - x) // 2, (x + z - y) // 2, (x + y - z) // 2
-    if min(a, b, c) < 0:
-        return 0
-    sign = (-1) ** (a + b + c)
-    num = _qfact_sign(a + b + c + 1, emb) * _qfact_sign(a, emb) * _qfact_sign(b, emb) * _qfact_sign(c, emb)
-    if num == 0:
-        return 0
-    den = _qfact_sign(x, emb) * _qfact_sign(y, emb) * _qfact_sign(z, emb)
-    if den == 0:
-        raise ArithmeticError("vanishing quantum factorial for an in-range color")
-    return sign * num * den
-
-
-def check_so3_level(level: int, emb: Embedding):
-    """Refuse a level that is not an odd integer >= 3, or an embedding of another order."""
-    if level < 3 or level % 2 == 0:
-        raise ValueError("level must be an odd integer >= 3")
-    if emb.order != level:
-        raise ValueError("embedding must have the same order as the level")
-
-
-def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
-    """omega03(e_i, e_j, e_k) of the SO3 algebra at q = zeta_level^k (colors 2i, 2j, 2k).
-
-    The triple-point sign is fixed only up to the gauge e_i -> (-1)^i e_i;
-    the gauge is chosen so that omega03(e_1, e_1, e_1) is +1, that is, a
-    triple of odd index sum is multiplied by the raw (1,1,1) sign.
-    """
-    return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
 
 
 class FrobeniusAlgebra(Record):

@@ -16,6 +16,10 @@ spectra, because the recurrence closes at each of the n distinct
 eigenvalues of C_gamma; L T_delta = diag(t) L and L L^-1 = I, which with
 equal t_k^level make both twists of projective order level; and the
 projective relations (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2.
+
+The module imports only `cyclotomic` and `linalg`.  `four_point_toledo` and
+`tau_11` import their `hermitian` routines inside the function, so building
+a torus representation compiles no other layer.
 """
 
 from __future__ import annotations
@@ -23,9 +27,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import CycloNum, Embedding, conjugate, quantum_int, quantum_int_sign
-from .fusion import check_so3_level, so3_structure_sign
-from .hermitian import (
+from .cyclotomic import (
+    CycloNum,
+    Embedding,
+    check_so3_level,
+    conjugate,
+    quantum_int,
+    quantum_int_sign,
+    so3_structure_sign,
+)
+from .linalg import (
     HermMatrix,
     IsometryWithForm,
     Matrix,
@@ -35,8 +46,6 @@ from .hermitian import (
     is_scalar,
     mat_mul,
     scale_rows,
-    toledo_triangle_meyer,
-    toledo_triangle_pu11,
 )
 
 
@@ -108,6 +117,8 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     triangle-group angle formula, with the result certified to lie in
     (-1, 1) with denominator dividing the level.
     """
+    from .hermitian import toledo_triangle_pu11
+
     check_so3_level(level, emb)
     _check_color(level, i)
     _check_color(level, j)
@@ -168,7 +179,7 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
 
     The form is fixed up to positive scale by self-adjointness of the
     tridiagonal curve operator.  Its base sign, on the lowest gluing color
-    2j, is the fusion structure sign fusion.so3_structure_sign(emb, j, j, i)
+    2j, is the SO3 structure sign cyclotomic.so3_structure_sign(emb, j, j, i)
     times the sign of [2j+1]; the tests check the resulting signature
     against tr_V(e_i) of the fusion algebra.
 
@@ -326,6 +337,8 @@ def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     toledo_triangle_meyer).  Vanishes for i = 0 (the block is unitary
     definite there).
     """
+    from .hermitian import toledo_triangle_meyer
+
     check_so3_level(level, emb)
     if i == 0:
         return Fraction(0)

@@ -6,6 +6,9 @@ recovers the trace part from the one-holed-torus invariants, and expands
 the resulting degree-2 class of any (g, n, colors) over the tautological
 basis.  A presentation-based coefficient pipeline cross-checks the level-5
 closed formulas.
+
+Solving R_1 loads no moduli-space layer: the two class builders import the
+`mgnclasses` labels inside the function.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from ._record import Record
 from .cyclotomic import Embedding, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
-from .hermitian import (
+from .linalg import (
     conj_transpose,
     determinant,
     diagonal,
@@ -29,13 +32,6 @@ from .hermitian import (
     mat_mul,
     mat_sub,
     solve,
-)
-from .mgnclasses import (
-    DELTA_IRR,
-    KAPPA1T,
-    PSI,
-    H2Class,
-    separating_labels,
 )
 from .qrep import pivot_tau04_table, tau11_table
 
@@ -267,6 +263,8 @@ def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
     element sum_mu e_mu rho_mu, and a separating label multiplies each
     side's colors once and sums sigma(left e_mu) sigma(right rho_mu).
     """
+    from .mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
+
     v = r1.algebra
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable moduli space")
@@ -321,6 +319,8 @@ def presentation_class(v: FrobeniusAlgebra, g: int, n: int) -> H2Class:
     values; the output is converted to the kappa-tilde basis by
     kappa_tilde = 12 lambda_1 - delta.
     """
+    from .mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
+
     if v.level != 5:
         raise ValueError("the presentation table is tabulated at level 5")
     if 2 * g - 2 + n <= 0:

@@ -28,18 +28,16 @@ from functools import lru_cache
 from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
 from qtoledo.eulerchi import harer_zagier
 from qtoledo.fusion import so3_algebra, unitary_partner
-from qtoledo.hermitian import (
+from qtoledo.hermitian import Signature, _i_unit, signature
+from qtoledo.linalg import (
     HermMatrix,
-    Signature,
     _conj,
     _field_order,
-    _i_unit,
     _zero_one,
     diagonal,
     mat_add,
     mat_scale,
     rref,
-    signature,
 )
 from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
 

@@ -1,7 +1,10 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +129,26 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "reproduce", "--table", "unknown-table")
     assert code == 2
+
+
+@pytest.mark.parametrize("call, flag", [
+    (("classes", "check", "--case", "x"), "--case"),
+    (("classes", "check", "--case", "1,"), "--case"),
+    (("rmatrix", "class", "--level", "5", "--g", "1", "--n", "1", "--colors", "a"), "--colors"),
+    (("rmatrix", "class", "--level", "5", "--g", "1", "--n", "2", "--colors", "1,b"), "--colors"),
+])
+def test_malformed_comma_list_is_a_usage_error(capsys, call, flag):
+    code, out, err = run(capsys, *call)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: qtoledo {call[0]} {call[1]} ")
+    assert err.endswith(f"error: argument {flag}: expected comma-separated integers, "
+                        f"got {call[-1]!r}\n")
+
+
+def test_empty_color_list_still_means_no_colors(capsys):
+    code, out, _ = run(capsys, "rmatrix", "class", "--level", "5", "--g", "2", "--n", "0",
+                       "--colors", "")
+    assert code == 0 and json.loads(out)["parameters"]["colors"] == ""
 
 
 def test_computation_failure_exit_code(capsys):
@@ -259,3 +282,50 @@ def test_solve_outputs_match_the_frozen_manifest(capsys):
         code, out, err = run(capsys, *op["argv"])
         assert (code, err) == (op["exit"], op["stderr"]), op["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["stdout_sha256"], op["argv"]
+
+
+def _parse_outcome(parser, argv):
+    """(exit code, stdout, stderr, parsed values) of parsing argv; the values only on success."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as e:
+            values, code = None, e.code
+    return code, out.getvalue(), err.getvalue(), values
+
+
+def _lazy_parser_argvs():
+    yield from ([], ["--help"], ["-h"], ["nosuch"], ["nosuch", "--help"], ["--", "qrep"])
+    yield from (["reproduce", "--help"], ["reproduce", "--table"], ["reproduce", "--all"])
+    for cmd in sorted({cmd for cmd, _ in _subcommands()}):
+        yield from ([cmd], [cmd, "--help"], [cmd, "nosuch"])
+    for cmd, sub in sorted(_subcommands()):
+        # with no flags, a call misses its required ones (crosscheck has none)
+        yield from ([cmd, sub, "--help"], [cmd, sub], [cmd, sub, "--no-such-flag", "1"])
+
+
+def test_lazy_parser_matches_the_full_parser():
+    # filling in only the called group changes no output, exit code or parsed value
+    for argv in _lazy_parser_argvs():
+        assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv), argv
+
+
+def _filled_groups(parser):
+    groups = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return sorted(name for name, p in groups.items() if len(p._actions) > 1)
+
+
+def test_lazy_parser_fills_only_the_called_group():
+    everything = _filled_groups(build_parser())
+    assert everything == sorted({cmd for cmd, _ in _subcommands()} | {"reproduce"})
+    assert _filled_groups(build_parser(["--help"])) == []
+    assert _filled_groups(build_parser(["nosuch"])) == []
+    assert _filled_groups(build_parser(["qrep", "torus", "--level", "5"])) == ["qrep"]
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qtoledo", "euler", "twisted", "--g", "0", "--n", "5",
+                                      "--level", "5"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["chi"] == "3/5"

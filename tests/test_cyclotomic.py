@@ -327,7 +327,7 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     # modules, each of which costs start-up time.  -S keeps site hooks that
     # import some of them from hiding a regression.
     heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
-    layers = ("cyclotomic", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses",
+    layers = ("cyclotomic", "linalg", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses",
               "eulerchi", "cli")
     out = _run_python(
         "import qtoledo.cli, sys\n"
@@ -337,7 +337,7 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     assert out == "[]\n[]\n"
 
 
-LAYERS = ("cyclotomic", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi")
+LAYERS = ("cyclotomic", "linalg", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi")
 
 
 def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
@@ -361,7 +361,9 @@ def test_each_cli_call_imports_only_the_layers_it_uses():
     # run as a script, a subcommand imports its layers inside its function
     assert _imports_of_cli_run("--help") == ([], [])
     layers, heavy = _imports_of_cli_run("qrep", "torus", "--level", "5", "--i", "1")
-    assert not {"rmatrix", "mgnclasses", "eulerchi"} & set(layers) and "random" not in heavy
+    assert layers == ["cyclotomic", "linalg", "qrep"] and "random" not in heavy
+    layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "5")
+    assert not {"mgnclasses", "eulerchi"} & set(layers)
     assert _imports_of_cli_run("reproduce", "--all")[0] == list(LAYERS)
 
 
@@ -394,6 +396,7 @@ def test_package_resolves_each_public_name_in_its_layer():
         for name in layer_names:
             assert getattr(qtoledo, name) is getattr(module, name), (layer, name)
     assert qtoledo.signature is qtoledo.hermitian.signature
+    assert qtoledo.HermMatrix is qtoledo.linalg.HermMatrix is qtoledo.hermitian.HermMatrix
     star = {}
     exec("from qtoledo import *", star)
     del star["__builtins__"]
@@ -410,4 +413,5 @@ def test_package_resolves_each_public_name_in_its_layer():
         "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n"
         "print(qtoledo.eulerchi.chi_bar is qtoledo.chi_bar)\n",
         "-S")
-    assert out == "[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.hermitian']\nTrue\n"
+    assert out == ("[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.hermitian', 'qtoledo.linalg']"
+                   "\nTrue\n")

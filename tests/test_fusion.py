@@ -75,7 +75,7 @@ def test_unitary_so3_alpha_closed_form():
         # check the identification is a ring map: charpoly of M_{e1} kills it
         acc = CycloNum.rational(0)
         m1 = v.mult_matrix(1)
-        from qtoledo.hermitian import as_matrix
+        from qtoledo.linalg import as_matrix
 
         coeffs = charpoly(as_matrix([[c for c in row] for row in m1]))
         val = CycloNum.rational(0)
@@ -97,7 +97,7 @@ def test_unitary_so3_alpha_closed_form():
 
 def _in_powers_of_e1(v: FrobeniusAlgebra, vec):
     """Coordinates of vec in the basis 1, e1, e1^2, ..."""
-    from qtoledo.hermitian import solve
+    from qtoledo.linalg import solve
 
     powers = [v.basis(0)]
     for _ in range(v.rank - 1):

@@ -18,23 +18,25 @@ from oracles import (
 from qtoledo import hermitian
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi, quantum_int
 from qtoledo.hermitian import (
-    HermMatrix,
-    IsometryWithForm,
     Signature,
-    as_matrix,
-    conj_transpose,
     eigen_split,
     g_function,
-    gram,
-    identity,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     meyer_cocycle,
     signature,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
     _i_unit,
+)
+from qtoledo.linalg import (
+    HermMatrix,
+    IsometryWithForm,
+    as_matrix,
+    conj_transpose,
+    gram,
+    identity,
+    mat_mul,
+    mat_scale,
+    mat_sub,
 )
 
 EMB5 = Embedding(5, 1)

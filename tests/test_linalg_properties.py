@@ -1,4 +1,4 @@
-"""Property tests for the linear algebra in qtoledo.hermitian.
+"""Property tests for the linear algebra in qtoledo.linalg.
 
 `rref`, the routines that eliminate (kernel_basis, solve, determinant: by
 Bareiss on rational input, by `rref` otherwise), the inverse `mat_inv` of
@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import charpoly, mat_inv, mat_trace
 
-from qtoledo import hermitian
+from qtoledo import linalg
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi
-from qtoledo.hermitian import (
+from qtoledo.hermitian import signature
+from qtoledo.linalg import (
     HermMatrix,
     as_matrix,
     conj_transpose,
@@ -35,7 +36,6 @@ from qtoledo.hermitian import (
     lin_comb,
     mat_mul,
     rref,
-    signature,
     solve,
 )
 
@@ -278,7 +278,7 @@ def test_matrix_helpers_keep_the_entry_type_and_match_explicit_sums(case):
     assert [list(row) for row in ab] == [
         [sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)]
-    av = hermitian.mat_vec(a, v)
+    av = linalg.mat_vec(a, v)
     assert list(av) == mat_vec(a, v)
     tr = mat_trace(a)
     assert tr == sum((a[i][i] for i in range(n)), Fraction(0))

@@ -1,4 +1,4 @@
-"""The packed integer products and the Bareiss elimination of qtoledo.hermitian.
+"""The packed integer products and the Bareiss elimination of qtoledo.linalg.
 
 `mat_mul`, `mat_vec`, `gram` and `lin_comb` sum their scalar products as
 Kronecker-packed integers; tests/oracles.py keeps the entry loop they
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtoledo import hermitian
+from qtoledo import linalg
 from qtoledo.cyclotomic import CycloNum, euler_phi
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -110,7 +110,7 @@ def products(draw):
 def test_mat_mul_matches_the_entry_loop(case):
     a, b = case
     want = lifted(oracles.mat_mul(a, b), field_order(a, b))
-    assert exact_rows(hermitian.mat_mul(a, b)) == exact_rows(want)
+    assert exact_rows(linalg.mat_mul(a, b)) == exact_rows(want)
 
 
 @SETTINGS
@@ -118,7 +118,7 @@ def test_mat_mul_matches_the_entry_loop(case):
 def test_mat_vec_matches_the_entry_loop(case):
     a, b = case
     v = tuple(row[0] for row in b) if b[0] else tuple(Fraction(1) for _ in b)
-    got, want = hermitian.mat_vec(a, v), lifted([oracles.mat_vec(a, v)], field_order(a, [v]))[0]
+    got, want = linalg.mat_vec(a, v), lifted([oracles.mat_vec(a, v)], field_order(a, [v]))[0]
     assert [exact(x) for x in got] == [exact(x) for x in want]
 
 
@@ -138,7 +138,7 @@ def test_gram_matches_the_entry_loop(case):
     # two products, each at the order of its own factors: every CycloNum
     # entry has order 1 where the loop's has, else a multiple of the loop's
     h, vs, ws = case
-    got, want = hermitian.gram(h, vs, ws), oracles.gram(h, vs, ws)
+    got, want = linalg.gram(h, vs, ws), oracles.gram(h, vs, ws)
     assert [[(type(x), x) for x in row] for row in got] == [[(type(x), x) for x in row] for row in want]
     top = field_order(h, vs, ws)
     for x, y in zip((x for row in got for x in row), (y for row in want for y in row)):
@@ -163,9 +163,9 @@ def test_lin_comb_matches_the_entry_loop(case):
     # the values and types agree; a CycloNum sum that cancels may carry
     # another order, since the loop also lifts entries that are zero
     coeffs, mats = case
-    got, want = hermitian.lin_comb(coeffs, mats), oracles.lin_comb(coeffs, mats)
+    got, want = linalg.lin_comb(coeffs, mats), oracles.lin_comb(coeffs, mats)
     assert [[(type(x), x) for x in row] for row in got] == [[(type(x), x) for x in row] for row in want]
-    assert hermitian.lin_combs([coeffs, coeffs[::-1]], mats) == [
+    assert linalg.lin_combs([coeffs, coeffs[::-1]], mats) == [
         want, oracles.lin_comb(coeffs[::-1], mats)]
 
 
@@ -183,7 +183,7 @@ def test_packing_width_holds_at_its_bound(order):
             for top_a, top_b in ((2 ** t - 1, 1), (2 ** t, 3), (2 ** t - 1, 2 ** t - 1)):
                 a = ((CycloNum(order, [top_a] * phi),) * inner, (CycloNum(order, [-top_a] * phi),) * inner)
                 b = tuple((CycloNum(order, [top_b] * phi),) for _ in range(inner))
-                assert exact_rows(hermitian.mat_mul(a, b)) == exact_rows(oracles.mat_mul(a, b))
+                assert exact_rows(linalg.mat_mul(a, b)) == exact_rows(oracles.mat_mul(a, b))
                 residues.add((inner * phi * top_a * top_b).bit_length() % 8)
     assert residues == set(range(8))
 
@@ -207,7 +207,7 @@ def rational_matrices(draw, rows, cols):
 @given(st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
     lambda c: rational_matrices(r, c))))
 def test_kernel_basis_matches_rref(a):
-    got = hermitian.kernel_basis(a)
+    got = linalg.kernel_basis(a)
     assert [[exact(x) for x in v] for v in got] == [[exact(x) for x in v]
                                                    for v in oracles.rref_kernel_basis(a)]
 
@@ -215,7 +215,7 @@ def test_kernel_basis_matches_rref(a):
 @SETTINGS
 @given(st.integers(1, 6).flatmap(lambda n: rational_matrices(n, n)))
 def test_determinant_matches_rref(a):
-    assert exact(hermitian.determinant(a)) == exact(Fraction(oracles.rref_determinant(a)))
+    assert exact(linalg.determinant(a)) == exact(Fraction(oracles.rref_determinant(a)))
 
 
 def outcome(f, *args):
@@ -241,13 +241,13 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_solve_matches_rref(case):
     a, b = case
-    got = outcome(hermitian.solve, a, b)
+    got = outcome(linalg.solve, a, b)
     assert got == outcome(oracles.rref_solve, a, b)
     assert isinstance(got, list) or got in ("underdetermined system", "inconsistent system")
 
 
 def test_solve_keeps_its_messages():
     with pytest.raises(ArithmeticError, match="^underdetermined system$"):
-        hermitian.solve([[1, 2], [2, 4]], [1, 2])
+        linalg.solve([[1, 2], [2, 4]], [1, 2])
     with pytest.raises(ArithmeticError, match="^inconsistent system$"):
-        hermitian.solve([[1], [2]], [1, 3])
+        linalg.solve([[1], [2]], [1, 3])

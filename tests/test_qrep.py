@@ -6,21 +6,18 @@ from oracles import charpoly, form_signature, mat_inv, skew_form_signature
 
 from qtoledo.cyclotomic import CycloNum, Embedding, quantum_int, sign_real
 from qtoledo.fusion import so3_algebra
-from qtoledo.hermitian import (
+from qtoledo.hermitian import eigen_split, g_function, signature, toledo_triangle_meyer
+from qtoledo.linalg import (
     HermMatrix,
     IsometryWithForm,
     conj_transpose,
     diagonal,
-    eigen_split,
-    g_function,
     identity,
     kernel_basis,
     lin_comb,
     mat_mul,
     mat_scale,
     mat_sub,
-    signature,
-    toledo_triangle_meyer,
 )
 from qtoledo.qrep import (
     PuncturedTorusRep,
@@ -242,7 +239,7 @@ def test_eigen_split_multiplicities_reproduce_the_power_traces():
 
 
 def test_torus_path_builds_no_fusion_algebra(monkeypatch):
-    # the base sign of the form comes from fusion.so3_structure_sign alone
+    # the base sign of the form comes from cyclotomic.so3_structure_sign alone
     import qtoledo.fusion
     import qtoledo.qrep
 
