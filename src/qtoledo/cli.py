@@ -450,6 +450,13 @@ def _int_list(text: str) -> str:
     return text
 
 
+def _g_n(text: str) -> str:
+    """Exactly two comma-separated integers g,n, checked and kept as written."""
+    if len(_ints(_int_list(text))) != 2:
+        raise argparse.ArgumentTypeError(f"expected two integers g,n, got {text!r}")
+    return text
+
+
 def _add_format(p):
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
@@ -543,7 +550,7 @@ def _fill_rmatrix(rmat):
 def _fill_classes(classes):
     csub = classes.add_subparsers(dest="sub", required=True)
     cc = csub.add_parser("check")
-    cc.add_argument("--case", type=_int_list, required=True, help="g,n among 0,5 1,2 1,3 2,1")
+    cc.add_argument("--case", type=_g_n, required=True, help="g,n among 0,5 1,2 1,3 2,1")
     _add_format(cc)
     cc.set_defaults(func=cmd_classes_check)
     cr = csub.add_parser("reduce")

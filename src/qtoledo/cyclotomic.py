@@ -474,10 +474,11 @@ class Embedding(Record):
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
-        object.__setattr__(self, "exponent", self.exponent % self.order if self.order > 1 else 0)
+        given = self.exponent
+        object.__setattr__(self, "exponent", given % self.order if self.order > 1 else 0)
         k = self.exponent if self.order > 1 else 1
         if math.gcd(k if k else self.order, self.order) != 1:
-            raise ValueError(f"exponent {self.exponent} not coprime to {self.order}")
+            raise ValueError(f"exponent {given} not coprime to {self.order}")
 
     def extend(self, order: int) -> "Embedding":
         """An embedding of Q(zeta_order) restricting to this one (order multiple)."""

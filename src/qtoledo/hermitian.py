@@ -8,6 +8,19 @@ unity, with multiplicities from the traces of their powers and eigenspaces
 from spectral projectors; the rational G-function that corrects the Meyer
 cocycle into a Toledo invariant; and the Toledo invariants of triangle-group
 representations.
+
+Each invariant is computed in two passes.  The exact pass works in
+Q(zeta_N) and depends on the matrices, the form and the order of the
+embedding only: the congruence pivots of a form (`_congruence`), the
+powers, multiplicities, eigenspace bases and eigenspace pivots of an
+isometry (`_eigen_data`), and the Meyer kernel and the pivots of its form,
+divided by one fixed fourth root of unity (`_meyer_data`).  The sign pass
+reads that data at an embedding zeta -> exp(2 pi i k / N): the certified
+sign of each pivot (`_inertia`), the turn fraction (j k mod F) / F of each
+eigenvalue, and whether the fixed fourth root is +i or -i (`_i_sign`).
+The Galois conjugate representations of one level share the exact pass,
+so `qrep` keeps it once per (level, color) and runs only the sign pass per
+embedding (`_toledo_data`, `_read_toledo`).
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import CycloNum, conjugate, sign_real
+from .cyclotomic import CycloNum, Embedding, _root_exponent, conjugate, sign_real
 from .linalg import (
     HermMatrix,
     IsometryWithForm,
@@ -55,18 +68,19 @@ class Signature(Record):
         return self.positive - self.negative
 
 
-def signature(h: HermMatrix) -> Signature:
-    """Exact signature by Hermitian congruence (Sylvester's law of inertia).
+def _congruence(h: Matrix) -> tuple[list, int]:
+    """(pivots, zero): the pivots of a Hermitian congruence of h and its kernel dimension.
 
-    A nonzero diagonal entry p is a pivot: its certified sign is counted and
-    the matrix passes to the Schur complement of p.  When the whole diagonal
-    is zero but some h_ab is not, adding h_ab times row b to row a and
-    conj(h_ab) times column b to column a makes the diagonal entry
-    2 h_ab conj(h_ab), which is nonzero.  When every entry left is zero, the
-    number of rows left is the dimension of the kernel.
+    A nonzero diagonal entry p is a pivot, and the matrix passes to the
+    Schur complement of p.  When the whole diagonal is zero but some h_ab is
+    not, adding h_ab times row b to row a and conj(h_ab) times column b to
+    column a makes the diagonal entry 2 h_ab conj(h_ab), which is nonzero.
+    When every entry left is zero, the number of rows left is the dimension
+    of the kernel.  Every step is exact, so the pivots are the same at every
+    embedding; each is real (fixed by zeta -> 1/zeta) and nonzero.
     """
-    rows = [list(row) for row in h.entries]
-    signs = []
+    rows = [list(row) for row in h]
+    pivots = []
     while rows:
         k = next((i for i, row in enumerate(rows) if row[i]), None)
         if k is None:
@@ -81,36 +95,90 @@ def signature(h: HermMatrix) -> Signature:
                 row[k] = row[k] + c_bar * row[b]
         pivot = rows.pop(k)
         p = pivot.pop(k)
-        signs.append(sign_real(p, h.embedding))
+        pivots.append(p)
         p_inv = p.inverse()
         for row in rows:
             f = row.pop(k) * p_inv
             if f:
                 row[:] = [x - f * y if y else x for x, y in zip(row, pivot)]
-    return Signature(signs.count(1), signs.count(-1), len(rows))
+    return pivots, len(rows)
+
+
+def _inertia(pivots, zero: int, emb: Embedding) -> Signature:
+    """The signature of a congruence (_congruence) at an embedding: one certified sign per pivot."""
+    signs = [sign_real(p, emb) for p in pivots]
+    return Signature(signs.count(1), signs.count(-1), zero)
+
+
+def signature(h: HermMatrix) -> Signature:
+    """Exact signature by Hermitian congruence (Sylvester's law of inertia).
+
+    The congruence (_congruence) is exact and does not depend on the
+    embedding; only the certified sign of each of its pivots is read at
+    h.embedding (_inertia).
+    """
+    return _inertia(*_congruence(h.entries), h.embedding)
 
 
 # -- roots of unity ---------------------------------------------------------
+
+def _i_sign(exponent: int) -> int:
+    """+1 if zeta^(order/4) is +i under zeta -> exp(2 pi i exponent / order), -1 if it is -i."""
+    return 1 if exponent % 4 == 1 else -1
+
 
 def _i_unit(order: int, exponent: int) -> CycloNum:
     """The fourth root of unity whose image under the embedding is +i."""
     if order % 4:
         raise ValueError("order must be divisible by 4")
-    if exponent % 4 == 1:
-        return CycloNum.zeta(order, order // 4)
-    return CycloNum.zeta(order, 3 * (order // 4))
+    return CycloNum.zeta(order, (order // 4) * (2 - _i_sign(exponent)))
 
 
 def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
-    acc = c
-    for k in range(1, bound + 1):
-        if acc == 1:
-            return k
-        acc = acc * c
-    return None
+    """The order of c as a root of unity, or None if c is none or its order exceeds bound.
+
+    c = zeta_N^m is read off the power table; otherwise c = -zeta_N^m =
+    zeta_2N^(2m + N), which is not a power of zeta_N when N is odd.
+    """
+    n, m = c.order, _root_exponent(c)
+    if m is None:
+        m = _root_exponent(-c)
+        if m is None:
+            return None
+        n, m = 2 * n, 2 * m + n
+    order = n // math.gcd(m, n)
+    return order if order <= bound else None
 
 
 # -- Meyer cocycle -----------------------------------------------------------
+
+def _meyer_data(amat: Matrix, bmat: Matrix, ab: Matrix, h: Matrix, emb_order: int):
+    """The exact part of meyer_cocycle: (order, pivots, zero), the same at every embedding.
+
+    The form is divided by the fixed fourth root of unity
+    zeta^(order/4) = _i_unit(order, 1), which is +i or -i at an embedding
+    (_i_sign); pivots and zero are its congruence (_congruence).
+    """
+    n = len(h)
+    one = identity(n)
+    left = mat_sub(one, amat)   # A (A^-1 - 1)
+    right = mat_sub(ab, amat)   # A (B - 1)
+    kernel = kernel_basis(tuple(l + r for l, r in zip(left, right)))
+    order = math.lcm(4, emb_order, _field_order(h, kernel))
+    one_minus_b = mat_sub(one, bmat)
+    # the form h(u + v, (1 - B) v') / i, its second (conjugated) argument indexing rows
+    ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
+    sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
+    i_inv = _i_unit(order, 1).inverse()
+    return (order, *_congruence(mat_scale(gram(h, ws, sums), i_inv)))
+
+
+def _read_meyer(data, emb: Embedding) -> int:
+    """The Meyer cocycle at an embedding, from the exact data of _meyer_data."""
+    order, pivots, zero = data
+    big = emb.extend(order)
+    return _i_sign(big.exponent) * _inertia(pivots, zero, big).index
+
 
 def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm, ab: Matrix | None = None) -> int:
     """Signature of the pair-of-pants twisted intersection form.
@@ -119,27 +187,16 @@ def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm, ab: Matrix | None = 
     [(1-A) | (AB-A)].  That matrix is A [(A^-1-1) | (B-1)], the matrix of
     Meyer's definition, so both have one kernel and no inverse is taken.
     The kernel has dimension at least n.  A caller that already holds the
-    product AB passes it as `ab`.
+    product AB passes it as `ab`.  The kernel and the congruence of the
+    form are exact (_meyer_data); only the signs of its pivots and of i are
+    read at the embedding (_read_meyer).
     """
     if a.form != b.form:
         raise ValueError("isometries must share one form")
-    h = a.form.entries
-    n = len(h)
-    one = identity(n)
-    amat, bmat = a.matrix, b.matrix
     if ab is None:
-        ab = mat_mul(amat, bmat)
-    left = mat_sub(one, amat)   # A (A^-1 - 1)
-    right = mat_sub(ab, amat)   # A (B - 1)
-    kernel = kernel_basis(tuple(l + r for l, r in zip(left, right)))
-    order = math.lcm(4, a.embedding.order, _field_order(h, kernel))
-    big = a.embedding.extend(order)
-    i_inv = _i_unit(order, big.exponent).inverse()
-    one_minus_b = mat_sub(one, bmat)
-    # the form h(u + v, (1 - B) v') / i, its second (conjugated) argument indexing rows
-    ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
-    sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
-    return signature(HermMatrix(mat_scale(gram(h, ws, sums), i_inv), big)).index
+        ab = mat_mul(a.matrix, b.matrix)
+    data = _meyer_data(a.matrix, b.matrix, ab, a.form.entries, a.embedding.order)
+    return _read_meyer(data, a.embedding)
 
 
 # -- eigenvalue splitting and the G-function ---------------------------------
@@ -199,6 +256,68 @@ def _eigenspace_basis(proj: Matrix, mult: int) -> list[tuple]:
     return basis
 
 
+def _eigen_data(u: Matrix, h: Matrix, emb_order: int):
+    """The exact part of eigen_split: (full_order, field_order, spaces), the same at every embedding.
+
+    U has order F = full_order and its eigenvalues live in
+    Q(zeta_field_order); spaces holds (lambda, j, pivots) per eigenspace,
+    with lambda = zeta_F^j and pivots the congruence pivots of the form on
+    the eigenspace.  The method is eigen_split's.
+    """
+    n = len(u)
+    base_order = _field_order(u)
+    power_bound = SCALAR_POWER_FACTOR * base_order * base_order
+    diag = diagonal_entries(u)
+    m, scalar, powers = _least_scalar_power(u, diag, power_bound)
+    c_order = _root_of_unity_order(scalar, 2 * base_order * m)
+    if c_order is None:
+        raise ArithmeticError("scalar power is not a root of unity")
+    full_order = m * c_order  # U^full_order = 1
+    field_order = math.lcm(base_order, full_order, emb_order)
+    scalar = scalar.lift(field_order)
+    step = field_order // full_order
+    js = [j for j in range(full_order) if CycloNum.zeta(field_order, j * step) ** m == scalar]
+    if diag is None:
+        coeffs = [[CycloNum.zeta(field_order, -j * step * k) for k in range(m)] for j in js]
+        mults = _trace_multiplicities(powers, coeffs, m)
+        hits = [idx for idx, mult in enumerate(mults) if mult]
+        projs = dict(zip(hits, lin_combs([coeffs[idx] for idx in hits], powers)))
+    else:
+        diag = [x.lift(field_order) for x in diag]
+    spaces = []
+    total = 0
+    for idx, j in enumerate(js):
+        lam = CycloNum.zeta(field_order, j * step)
+        if diag is not None:
+            index = [a for a, x in enumerate(diag) if x == lam]
+            restricted = tuple(tuple(h[a][b] for b in index) for a in index)
+        elif mults[idx]:
+            # m * Pi has the pivot columns of Pi, times m
+            basis = _eigenspace_basis(projs[idx], mults[idx])
+            restricted = gram(h, basis, basis)
+        else:
+            continue
+        if not restricted:
+            continue
+        pivots, zero = _congruence(restricted)
+        if zero:
+            raise ArithmeticError("degenerate form on an eigenspace")
+        spaces.append((lam, j, pivots))
+        total += len(restricted)
+    if total != n:  # only a diagonal U can fail here; the traces add up to n
+        raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
+    return full_order, field_order, spaces
+
+
+def _read_eigen(data, emb: Embedding):
+    """eigen_split at an embedding, from the exact data of _eigen_data."""
+    full_order, field_order, spaces = data
+    emb = emb.extend(field_order)
+    k_exp = emb.exponent
+    return [(lam, Fraction((j * k_exp) % full_order, full_order), _inertia(pivots, 0, emb))
+            for lam, j, pivots in spaces]
+
+
 def eigen_split(u: IsometryWithForm):
     """Exact eigenvalues (roots of unity) with eigenspace signatures.
 
@@ -217,57 +336,17 @@ def eigen_split(u: IsometryWithForm):
     and the rank is not checked.  The multiplicities add up to n by the
     same trace identity, so the check that the eigenspaces fill all n
     dimensions guards only a diagonal U, whose eigenspaces are read off
-    its diagonal.  Each eigenspace gets the signature
-    of the form on it, which must be nondegenerate.
+    its diagonal.  The form on each eigenspace is reduced by congruence,
+    and must be nondegenerate.
+
+    All of that is exact and depends only on the matrix, the form and the
+    order of the embedding (_eigen_data).  At the embedding zeta ->
+    exp(2 pi i k / N) only two things are read (_read_eigen): the turn
+    fraction (j k mod F) / F of each eigenvalue and the certified signs of
+    the congruence pivots, which give each eigenspace's signature.
     Returns a list of (eigenvalue, turn_fraction, Signature).
     """
-    n = u.dim
-    base_order = _field_order(u.matrix)
-    power_bound = SCALAR_POWER_FACTOR * base_order * base_order
-    diag = diagonal_entries(u.matrix)
-    m, scalar, powers = _least_scalar_power(u.matrix, diag, power_bound)
-    c_order = _root_of_unity_order(scalar, 2 * base_order * m)
-    if c_order is None:
-        raise ArithmeticError("scalar power is not a root of unity")
-    full_order = m * c_order  # U^full_order = 1
-    field_order = math.lcm(base_order, full_order, u.embedding.order)
-    emb = u.embedding.extend(field_order)
-    h = u.form.entries
-    scalar = scalar.lift(field_order)
-    step = field_order // full_order
-    js = [j for j in range(full_order) if CycloNum.zeta(field_order, j * step) ** m == scalar]
-    if diag is None:
-        coeffs = [[CycloNum.zeta(field_order, -j * step * k) for k in range(m)] for j in js]
-        mults = _trace_multiplicities(powers, coeffs, m)
-        hits = [idx for idx, mult in enumerate(mults) if mult]
-        projs = dict(zip(hits, lin_combs([coeffs[idx] for idx in hits], powers)))
-    else:
-        diag = [x.lift(field_order) for x in diag]
-    out = []
-    total = 0
-    k_exp = emb.exponent
-    for idx, j in enumerate(js):
-        lam = CycloNum.zeta(field_order, j * step)
-        if diag is not None:
-            index = [a for a, x in enumerate(diag) if x == lam]
-            restricted = tuple(tuple(h[a][b] for b in index) for a in index)
-        elif mults[idx]:
-            # m * Pi has the pivot columns of Pi, times m
-            basis = _eigenspace_basis(projs[idx], mults[idx])
-            restricted = gram(h, basis, basis)
-        else:
-            continue
-        if not restricted:
-            continue
-        sig = signature(HermMatrix(restricted, emb))
-        if sig.zero:
-            raise ArithmeticError("degenerate form on an eigenspace")
-        turn = Fraction((j * k_exp) % full_order, full_order)
-        out.append((lam, turn, sig))
-        total += len(restricted)
-    if total != n:  # only a diagonal U can fail here; the traces add up to n
-        raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
-    return out
+    return _read_eigen(_eigen_data(u.matrix, u.form.entries, u.embedding.order), u.embedding)
 
 
 def angle_defect(turn: Fraction) -> Fraction:
@@ -278,12 +357,17 @@ def angle_defect(turn: Fraction) -> Fraction:
     return 1 - 2 * t
 
 
-def g_function(u: IsometryWithForm) -> Fraction:
-    """G(U) = sum over eigenvalues of (p - q) * f(angle); exact rational."""
+def _g_sum(split) -> Fraction:
+    """sum over eigenvalues of (p - q) * f(angle), for the output of eigen_split."""
     total = Fraction(0)
-    for _lam, turn, sig in eigen_split(u):
+    for _lam, turn, sig in split:
         total += (sig.positive - sig.negative) * angle_defect(turn)
     return total
+
+
+def g_function(u: IsometryWithForm) -> Fraction:
+    """G(U) = sum over eigenvalues of (p - q) * f(angle); exact rational."""
+    return _g_sum(eigen_split(u))
 
 
 # -- triangle-group Toledo invariants ----------------------------------------
@@ -304,12 +388,32 @@ def toledo_triangle_pu11(turn_a: Fraction, turn_b: Fraction, turn_c: Fraction) -
     return eps - (turns[0] + turns[1] + turns[2])
 
 
+def _toledo_data(a: Matrix, b: Matrix, h: Matrix, emb_order: int):
+    """The exact part of toledo_triangle_meyer for isometries A, B of the form h.
+
+    The Meyer data of (A, B) and the eigen-data of A, B and AB; none of it
+    depends on the embedding, only on its order.
+    """
+    ab = mat_mul(a, b)
+    return (_meyer_data(a, b, ab, h, emb_order),
+            *(_eigen_data(u, h, emb_order) for u in (a, b, ab)))
+
+
+def _read_toledo(data, emb: Embedding) -> Fraction:
+    """toledo_triangle_meyer at an embedding, from the exact data of _toledo_data."""
+    meyer, *eigen = data
+    g_a, g_b, g_ab = (_g_sum(_read_eigen(d, emb)) for d in eigen)
+    return Fraction(_read_meyer(meyer, emb) - g_a - g_b + g_ab, 2)
+
+
 def toledo_triangle_meyer(a: IsometryWithForm, b: IsometryWithForm) -> Fraction:
     """Toledo pairing with the triangle-group fundamental class.
 
     tau(A, B) = (mu(A,B) - G(A) - G(B) + G(AB)) / 2.  The G-coboundary is
     oriented so that tau vanishes identically on U(1), which pins the sign.
+    AB preserves the form because A and B do.
     """
-    ab = IsometryWithForm(mat_mul(a.matrix, b.matrix), a.form)
-    mu = meyer_cocycle(a, b, ab.matrix)
-    return Fraction(mu - g_function(a) - g_function(b) + g_function(ab), 2)
+    if a.form != b.form:
+        raise ValueError("isometries must share one form")
+    return _read_toledo(_toledo_data(a.matrix, b.matrix, a.form.entries, a.embedding.order),
+                        a.embedding)

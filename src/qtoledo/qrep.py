@@ -17,6 +17,15 @@ eigenvalues of C_gamma; L T_delta = diag(t) L and L L^-1 = I, which with
 equal t_k^level make both twists of projective order level; and the
 projective relations (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2.
 
+The representations at the embeddings of one level are Galois conjugates
+in Q(zeta_level), so all of this is exact per (level, color) and is cached
+by those two numbers (`_torus_exact`), and so is the exact part of
+tau_{1,1}: the eigen-data of T_gamma, T_delta T_gamma and their product and
+the Meyer kernel with its congruence pivots (`_tau11_exact`).  Per
+embedding only signs are read: the sign of the form, from the exact
+residues of `cyclotomic.so3_structure_sign` and `quantum_int_sign`, the
+certified signs of the stored pivots and the turns of the eigenvalues.
+
 The module imports only `cyclotomic` and `linalg`.  `four_point_toledo` and
 `tau_11` import their `hermitian` routines inside the function, so building
 a torus representation compiles no other layer.
@@ -25,6 +34,7 @@ a torus representation compiles no other layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ._record import Record
 from .cyclotomic import (
@@ -177,11 +187,38 @@ def _u_value(m: int, i: int, q: CycloNum, level: int) -> CycloNum:
 def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep:
     """Construct the torus representation with boundary color e_i.
 
-    The form is fixed up to positive scale by self-adjointness of the
-    tridiagonal curve operator.  Its base sign, on the lowest gluing color
-    2j, is the SO3 structure sign cyclotomic.so3_structure_sign(emb, j, j, i)
-    times the sign of [2j+1]; the tests check the resulting signature
-    against tr_V(e_i) of the fusion algebra.
+    The form is fixed up to scale by self-adjointness of the tridiagonal
+    curve operator.  Its base sign, on the lowest gluing color 2j, is the
+    SO3 structure sign cyclotomic.so3_structure_sign(emb, j, j, i) times
+    the sign of [2j+1]; the tests check the resulting signature against
+    tr_V(e_i) of the fusion algebra.
+
+    Only that sign depends on the embedding.  Everything else, the curve
+    operators, the twists and the form up to its sign, is exact in
+    Q(zeta_level) and is built and certified once per (level, i)
+    (_torus_exact); a global sign of the form changes none of the
+    certificates.
+    """
+    check_so3_level(level, emb)
+    _check_color(level, i)
+    rep = _torus_exact(level, i)
+    norms = rep.norms if _form_sign(emb, rep.window, i) > 0 else tuple(-x for x in rep.norms)
+    return PuncturedTorusRep(level, emb, i, rep.window, norms,
+                             rep.c_gamma, rep.c_delta, rep.t_gamma, rep.t_delta)
+
+
+def _form_sign(emb: Embedding, window, i: int) -> int:
+    """The sign of the first norm of the torus form at the embedding."""
+    j_min = window[0]
+    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
+    if base == 0:
+        raise ArithmeticError("degenerate base norm")
+    return base
+
+
+@lru_cache(maxsize=None)
+def _torus_exact(level: int, i: int) -> PuncturedTorusRep:
+    """The certified torus representation with first norm 1, at the embedding with exponent 1.
 
     T_delta is the interpolation polynomial of C_delta through the pairs
     (c_k, t_k) of curve eigenvalues and twists, written in the left
@@ -206,8 +243,6 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
       powers because every t_k^level is the same, checked entrywise;
     - (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2 are scalar.
     """
-    check_so3_level(level, emb)
-    _check_color(level, i)
     r = _rank(level)
     window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
     if len(window) != r - i:
@@ -238,19 +273,15 @@ def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep
     c_gamma = diagonal(c_values)
     t_gamma = diagonal(twist_values)
 
-    # norms: base sign from the gluing pattern, then the self-adjointness ratio
-    j_min = window[0]
-    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
-    if base == 0:
-        raise ArithmeticError("degenerate base norm")
-    norms = [CycloNum.rational(base)]
+    # norms: the self-adjointness ratio from the first norm 1
+    norms = [CycloNum.rational(1)]
     for j in window[:-1]:
         norms.append(norms[-1] * u[2 * j + 2] * u[2 * j + 1])
 
     left, right = _eigenbasis(c_delta, c_values, norms)
     t_delta = mat_mul(right, scale_rows(twist_values, left))
 
-    rep = PuncturedTorusRep(level, emb, i, window, tuple(norms),
+    rep = PuncturedTorusRep(level, Embedding(level, 1), i, window, tuple(norms),
                             c_gamma, c_delta, t_gamma, t_delta)
     _validate_rep(rep)
     return rep
@@ -335,17 +366,34 @@ def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
 
     That is the Meyer signature of the twist pair plus G-corrections (see
     toledo_triangle_meyer).  Vanishes for i = 0 (the block is unitary
-    definite there).
+    definite there).  The exact part runs once per (level, i)
+    (_tau11_exact); at the embedding only signs and turns are read, and
+    the value takes the sign of the form, because negating the form
+    negates the Meyer cocycle and every eigenspace signature.
     """
-    from .hermitian import toledo_triangle_meyer
+    from .hermitian import _read_toledo
 
     check_so3_level(level, emb)
     if i == 0:
         return Fraction(0)
-    rep = punctured_torus_rep(level, emb, i)
-    form = rep.form
-    return toledo_triangle_meyer(IsometryWithForm(rep.t_gamma, form),
-                                 IsometryWithForm(mat_mul(rep.t_delta, rep.t_gamma), form))
+    _check_color(level, i)
+    window = _torus_exact(level, i).window
+    return _form_sign(emb, window, i) * _read_toledo(_tau11_exact(level, i), emb)
+
+
+@lru_cache(maxsize=None)
+def _tau11_exact(level: int, i: int):
+    """The exact data of toledo_triangle_meyer(T_gamma, T_delta T_gamma) for the form with first norm 1.
+
+    The Meyer kernel and the congruence pivots of its form, and the
+    eigen-data of T_gamma, T_delta T_gamma and their product (see
+    hermitian._toledo_data); the same at every embedding of the level.
+    """
+    from .hermitian import _toledo_data
+
+    rep = _torus_exact(level, i)
+    tg = rep.t_gamma
+    return _toledo_data(tg, mat_mul(rep.t_delta, tg), rep.form.entries, level)
 
 
 def pivot_tau04_table(level: int, emb: Embedding) -> dict[tuple[int, int], Fraction]:

@@ -11,8 +11,13 @@ Bareiss instead); characteristic polynomials by the Faddeev-LeVerrier
 recursion and signatures from them by Descartes' rule; matrix inverses by
 Gauss-Jordan elimination on [A | 1]; the signature of a skew-Hermitian
 product h*s/i, which gives the closed pair-of-pants form of the Meyer
-cocycle (the package takes it on a kernel, with no inverse); the sine
-formula for Verlinde dimensions; the closed U(1) Meyer cocycle; the level-5
+cocycle (the package takes it on a kernel, with no inverse); the
+per-embedding route of tau_{1,1}, which builds the torus representation at
+one embedding and takes each pivot's sign, each turn and the unit i there
+as it goes (the package shares one exact pass among the embeddings of a
+level and reads only signs per embedding), with the order of a root of
+unity by repeated multiplication (the package reads it off the power
+table); the sine formula for Verlinde dimensions; the closed U(1) Meyer cocycle; the level-5
 recursions of the TFT values; the signature of a torus representation's
 diagonal form; TFT values and degree-2 classes from `Fraction` vector
 products (the package reads them off scaled integer products and per-genus
@@ -25,21 +30,39 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
+from qtoledo.cyclotomic import (
+    CycloNum,
+    Embedding,
+    quantum_int_sign,
+    sign_real,
+    so3_structure_sign,
+)
 from qtoledo.eulerchi import harer_zagier
 from qtoledo.fusion import so3_algebra, unitary_partner
-from qtoledo.hermitian import Signature, _i_unit, signature
+from qtoledo.hermitian import (
+    SCALAR_POWER_FACTOR,
+    Signature,
+    _eigenspace_basis,
+    _i_unit,
+    _least_scalar_power,
+    _trace_multiplicities,
+    angle_defect,
+    signature,
+)
 from qtoledo.linalg import (
     HermMatrix,
+    IsometryWithForm,
     _conj,
     _field_order,
     _zero_one,
     diagonal,
+    diagonal_entries,
     mat_add,
     mat_scale,
     rref,
 )
 from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
+from qtoledo.qrep import PuncturedTorusRep, _eigenbasis, _u_value, _validate_rep
 
 
 def embed_complex(a: CycloNum, emb: Embedding) -> complex:
@@ -256,6 +279,158 @@ def form_signature(rep) -> tuple[int, int]:
     """(p, q) of the diagonal form of a PuncturedTorusRep, one sign per norm."""
     signs = [sign_real(x, rep.embedding) for x in rep.norms]
     return signs.count(1), signs.count(-1)
+
+
+# -- the per-embedding route of tau_{1,1} ---------------------------------------------
+
+
+def root_order_by_powers(c: CycloNum, bound: int):
+    """The least k <= bound with c^k = 1, by repeated multiplication, else None."""
+    acc = c
+    for k in range(1, bound + 1):
+        if acc == 1:
+            return k
+        acc = acc * c
+    return None
+
+
+def embedding_signature(h: HermMatrix) -> Signature:
+    """Hermitian congruence taking the certified sign of each pivot as it is found."""
+    rows = [list(row) for row in h.entries]
+    signs = []
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[i]), None)
+        if k is None:
+            pair = next(((a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            k, b = pair
+            c = rows[k][b]
+            rows[k] = [x + c * y for x, y in zip(rows[k], rows[b])]
+            for row in rows:
+                row[k] = row[k] + _conj(c) * row[b]
+        pivot = rows.pop(k)
+        p = pivot.pop(k)
+        signs.append(sign_real(p, h.embedding))
+        p_inv = p.inverse()
+        for row in rows:
+            f = row.pop(k) * p_inv
+            row[:] = [x - f * y for x, y in zip(row, pivot)]
+    return Signature(signs.count(1), signs.count(-1), len(rows))
+
+
+def embedding_eigen_split(u: IsometryWithForm):
+    """eigen_split with the turns and signatures taken at u's embedding as each eigenspace is found."""
+    n = u.dim
+    base_order = _field_order(u.matrix)
+    diag = diagonal_entries(u.matrix)
+    m, scalar, powers = _least_scalar_power(u.matrix, diag,
+                                            SCALAR_POWER_FACTOR * base_order * base_order)
+    c_order = root_order_by_powers(scalar, 2 * base_order * m)
+    if c_order is None:
+        raise ArithmeticError("scalar power is not a root of unity")
+    full_order = m * c_order
+    field_order = math.lcm(base_order, full_order, u.embedding.order)
+    emb = u.embedding.extend(field_order)
+    h = u.form.entries
+    scalar = scalar.lift(field_order)
+    step = field_order // full_order
+    out, total = [], 0
+    for j in range(full_order):
+        lam = CycloNum.zeta(field_order, j * step)
+        if lam ** m != scalar:
+            continue
+        if diag is not None:
+            index = [a for a, x in enumerate(diag) if x.lift(field_order) == lam]
+            restricted = tuple(tuple(h[a][b] for b in index) for a in index)
+        else:
+            coeffs = [CycloNum.zeta(field_order, -j * step * k) for k in range(m)]
+            mult = _trace_multiplicities(powers, [coeffs], m)[0]
+            if not mult:
+                continue
+            basis = _eigenspace_basis(lin_comb(coeffs, powers), mult)
+            restricted = gram(h, basis, basis)
+        if not restricted:
+            continue
+        sig = embedding_signature(HermMatrix(restricted, emb))
+        if sig.zero:
+            raise ArithmeticError("degenerate form on an eigenspace")
+        out.append((lam, Fraction((j * emb.exponent) % full_order, full_order), sig))
+        total += len(restricted)
+    if total != n:
+        raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
+    return out
+
+
+def embedding_meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm) -> int:
+    """meyer_cocycle with the form divided by the unit that is +i at a's embedding."""
+    h = a.form.entries
+    n = len(h)
+    one = diagonal([CycloNum.rational(1)] * n)
+    ab = mat_mul(a.matrix, b.matrix)
+    left = mat_add(one, mat_scale(a.matrix, -1))
+    right = mat_add(ab, mat_scale(a.matrix, -1))
+    kernel = rref_kernel_basis(tuple(l + r for l, r in zip(left, right)))
+    order = math.lcm(4, a.embedding.order, _field_order(h, kernel))
+    big = a.embedding.extend(order)
+    one_minus_b = mat_add(one, mat_scale(b.matrix, -1))
+    ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
+    sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
+    form = mat_scale(gram(h, ws, sums), _i_unit(order, big.exponent).inverse())
+    return embedding_signature(HermMatrix(form, big)).index
+
+
+def embedding_g_function(u: IsometryWithForm) -> Fraction:
+    return sum(((sig.positive - sig.negative) * angle_defect(turn)
+                for _, turn, sig in embedding_eigen_split(u)), Fraction(0))
+
+
+def embedding_torus_rep(level: int, emb: Embedding, i: int):
+    """The punctured-torus representation with its form's sign taken at the embedding.
+
+    Curve operators, twists and norms are built as in the package, but
+    from the first norm's sign at emb, and certified at emb.
+    """
+    r = (level - 1) // 2
+    window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
+    q = CycloNum.zeta(level)
+    n = len(window)
+    u = {m: _u_value(m, i, q, level) for m in range(2 * window[0] - 1, 2 * window[-1] + 2)}
+    c_values = [q ** (4 * j + 2) + 1 + q ** (-(4 * j + 2)) for j in window]
+    twists = [q ** (-2 * j * (j + 1)) for j in window]
+    rows = [[CycloNum.rational(0)] * n for _ in range(n)]
+    for a, j in enumerate(window):
+        rows[a][a] = u[2 * j + 1] + u[2 * j] - 1
+        if a + 1 < n:
+            rows[a + 1][a] = CycloNum.rational(1)
+        if a:
+            rows[a - 1][a] = u[2 * j] * u[2 * j - 1]
+    c_delta = tuple(tuple(row) for row in rows)
+    j_min = window[0]
+    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
+    norms = [CycloNum.rational(base)]
+    for j in window[:-1]:
+        norms.append(norms[-1] * u[2 * j + 2] * u[2 * j + 1])
+    left, right = _eigenbasis(c_delta, c_values, norms)
+    t_delta = mat_mul(right, mat_mul(diagonal(twists), left))
+    rep = PuncturedTorusRep(level, emb, i, window, tuple(norms), diagonal(c_values), c_delta,
+                            diagonal(twists), t_delta)
+    _validate_rep(rep)
+    return rep
+
+
+def embedding_tau11_table(level: int, emb: Embedding) -> list:
+    """tau_{1,1}(e_i) for every color, each built and evaluated at the embedding alone."""
+    out = [Fraction(0)]
+    for i in range(1, (level - 1) // 2):
+        rep = embedding_torus_rep(level, emb, i)
+        a = IsometryWithForm(rep.t_gamma, rep.form)
+        b = IsometryWithForm(mat_mul(rep.t_delta, rep.t_gamma), rep.form)
+        ab = IsometryWithForm(mat_mul(a.matrix, b.matrix), rep.form)
+        mu = embedding_meyer_cocycle(a, b)
+        g = embedding_g_function(a) + embedding_g_function(b) - embedding_g_function(ab)
+        out.append(Fraction(mu - g, 2))
+    return out
 
 
 # -- degree-2 classes and Euler characteristics on Fractions --------------------------

@@ -145,6 +145,18 @@ def test_malformed_comma_list_is_a_usage_error(capsys, call, flag):
                         f"got {call[-1]!r}\n")
 
 
+@pytest.mark.parametrize("case, message", [
+    ("", "expected two integers g,n, got ''"),
+    ("0,5,1", "expected two integers g,n, got '0,5,1'"),
+    ("0,x", "expected comma-separated integers, got '0,x'"),
+])
+def test_case_takes_exactly_two_integers(capsys, case, message):
+    code, out, err = run(capsys, "classes", "check", "--case", case)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: qtoledo classes check ")
+    assert err.endswith(f"error: argument --case: {message}\n")
+
+
 def test_empty_color_list_still_means_no_colors(capsys):
     code, out, _ = run(capsys, "rmatrix", "class", "--level", "5", "--g", "2", "--n", "0",
                        "--colors", "")

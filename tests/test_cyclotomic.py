@@ -226,6 +226,11 @@ def test_embedding_extension():
     assert big.order == 20 and big.exponent % 5 == 2 and math.gcd(big.exponent, 20) == 1
     with pytest.raises(ValueError, match="^exponent 2 not coprime to 6$"):
         Embedding(6, 2)
+    # the exponent is named as given, not reduced mod the order
+    with pytest.raises(ValueError, match="^exponent 7 not coprime to 7$"):
+        Embedding(7, 7)
+    with pytest.raises(ValueError, match="^exponent 15 not coprime to 6$"):
+        Embedding(6, 15)
 
 
 def test_embedding_is_a_frozen_value():

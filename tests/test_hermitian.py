@@ -12,6 +12,7 @@ from oracles import (
     embed_complex,
     mat_inv,
     meyer_u1_sign,
+    root_order_by_powers,
     skew_form_signature,
 )
 
@@ -326,6 +327,23 @@ def test_meyer_matrix_variants_agree():
 
 
 # -- eigen splitting and G ----------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [5, 12, 33, 66])
+def test_root_of_unity_order_matches_repeated_multiplication(order):
+    # -zeta_N^j is no power of zeta_N for odd N; a bound below the order gives None
+    for j in range(order):
+        for c in (CycloNum.zeta(order, j), -CycloNum.zeta(order, j)):
+            want = root_order_by_powers(c, 2 * order)
+            assert want is not None
+            for bound in (want - 1, want, 2 * order):
+                assert hermitian._root_of_unity_order(c, bound) == root_order_by_powers(c, bound)
+
+
+def test_root_of_unity_order_refuses_a_non_root():
+    for c in (CycloNum.rational(2), 1 + CycloNum.zeta(5), CycloNum.rational(0)):
+        assert hermitian._root_of_unity_order(c, 100) is None is root_order_by_powers(c, 100)
+    assert hermitian._root_of_unity_order(CycloNum.rational(-1), 1) is None
 
 
 def test_eigen_split_diagonal():

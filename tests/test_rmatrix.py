@@ -9,7 +9,7 @@ import sympy
 import oracles
 from oracles import level5_sigma_recursion_checks
 
-from qtoledo import rmatrix
+from qtoledo import qrep, rmatrix
 from qtoledo.cli import main
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import so3_algebra
@@ -368,3 +368,66 @@ def test_reproduce_all_solves_each_r1_once(monkeypatch, capsys):
     assert main(["reproduce", "--all"]) == 0
     assert capsys.readouterr().out.count(": ok") == 6
     assert sorted(solved) == [(5, 1), (7, 1), (7, 2), (7, 3)]
+
+
+def _units(level: int) -> list[int]:
+    return [k for k in range(1, level) if math.gcd(k, level) == 1]
+
+
+def _cold():
+    """Forget every solved level: the torus exact passes and solve_level."""
+    qrep._torus_exact.cache_clear()
+    qrep._tau11_exact.cache_clear()
+    solve_level.cache_clear()
+
+
+def _r1_or_refusal(solve):
+    try:
+        return solve().to_json()
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def _check_against_the_per_embedding_route(level: int, k: int):
+    emb = Embedding(level, k)
+    want = oracles.embedding_tau11_table(level, emb)
+    assert tau11_table(level, emb) == want, (level, k)
+    oracle_r1 = _r1_or_refusal(lambda: solve_r1(so3_algebra(level, emb),
+                                                pivot_tau04_table(level, emb), want))
+    assert _r1_or_refusal(lambda: solve_level(level, emb)) == oracle_r1, (level, k)
+
+
+@pytest.mark.parametrize("level", [5, 7, 9, 11, 13])
+def test_shared_exact_pass_matches_the_per_embedding_route(level):
+    # the trust gate of the shared exact pass: at every unit k, tau_{1,1} and
+    # R_1 (or its refusal) equal those of the route that builds and solves
+    # everything at the one embedding
+    for k in _units(level):
+        _check_against_the_per_embedding_route(level, k)
+
+
+def test_shared_exact_pass_does_not_depend_on_the_first_embedding():
+    # a global sign taken from the embedding that fills the cache would show
+    # at the embeddings solved after it
+    _cold()
+    for level, k in ((7, 3), (7, 1), (9, 8), (9, 2)):
+        _check_against_the_per_embedding_route(level, k)
+
+
+def test_a_level_runs_one_exact_pass_per_color(monkeypatch):
+    from qtoledo import hermitian
+
+    passes = []
+
+    def counting(a, b, h, emb_order):
+        passes.append(emb_order)
+        return toledo_data(a, b, h, emb_order)
+
+    toledo_data = hermitian._toledo_data
+    monkeypatch.setattr(hermitian, "_toledo_data", counting)
+    _cold()
+    for k in _units(9):
+        tau11_table(9, Embedding(9, k))
+    # colors 1, 2 and 3 of rank 4; color 0 needs no pass
+    assert passes == [9, 9, 9]
+    assert qrep._tau11_exact.cache_info().currsize == 3
