@@ -373,19 +373,27 @@ def g_function(u: IsometryWithForm) -> Fraction:
 # -- triangle-group Toledo invariants ----------------------------------------
 
 def toledo_triangle_pu11(turn_a: Fraction, turn_b: Fraction, turn_c: Fraction) -> Fraction:
-    """Toledo invariant of a PU(1,1) triangle representation from its angles.
+    """Toledo invariant of a PU(1,1) triangle representation from its rotation numbers.
 
-    Angles are given as fractions of a full turn in (-1/2, 1/2), all nonzero
-    and of one sign; the value is sign - (sum of turns).
+    Each turn is taken mod 1, as a rotation number t in [0, 1): an elliptic
+    element turning by 2 pi t about its fixed point.  Three elliptics with
+    product 1 turn about the vertices of a geodesic triangle.  If the
+    triangle is positively oriented its interior angles are pi t, so the
+    sum s of the turns is at most 1 and tau = 1 - s, its area over pi.  If
+    it is negatively oriented its angles are pi (1 - t), so s >= 2 and tau
+    is minus that area, 2 - s.  No triple with 1 < s < 2 has product 1
+    (Jankins-Neumann, Math. Ann. 271, 1985), and a zero turn is no
+    elliptic; both raise ValueError.
     """
-    turns = (Fraction(turn_a), Fraction(turn_b), Fraction(turn_c))
-    for t in turns:
-        if not (Fraction(-1, 2) < t < Fraction(1, 2)) or t == 0:
-            raise ValueError(f"angle {t} turns outside the open interval or zero")
-    eps = 1 if turns[0] > 0 else -1
-    if any((t > 0) != (eps > 0) for t in turns):
-        raise ValueError("angles of mixed sign: triangle hypotheses fail")
-    return eps - (turns[0] + turns[1] + turns[2])
+    turns = [Fraction(t) % 1 for t in (turn_a, turn_b, turn_c)]
+    if not all(turns):
+        raise ValueError(f"zero turn among the rotation numbers {turns}")
+    s = sum(turns)
+    if s <= 1:
+        return 1 - s
+    if s >= 2:
+        return 2 - s
+    raise ValueError(f"rotation numbers sum to {s}, strictly between 1 and 2: no triangle")
 
 
 def _toledo_data(a: Matrix, b: Matrix, h: Matrix, emb_order: int):

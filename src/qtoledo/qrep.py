@@ -1,9 +1,10 @@
 """Small-surface SO3 quantum representation data.
 
-Builds the four-punctured-sphere angle data and the punctured-torus
-representation (curve operators C, twists T = Q(C), and the invariant
-Hermitian form), then evaluates the degree-2 invariants tau_{0,4} and
-tau_{1,1}.  tau_{0,4} comes from the hyperbolic-triangle angle formula,
+Builds the punctured-torus representation (curve operators C, twists
+T = Q(C), and the invariant Hermitian form) and evaluates the degree-2
+invariants tau_{0,4} and tau_{1,1}.  tau_{0,4} comes from the
+hyperbolic-triangle formula on the rotation numbers in [0, 1) of the three
+four-point twists, which answers in either orientation of the triangle;
 tau_{1,1} from the Meyer signature plus G-function corrections.
 
 The torus representation is built and certified from its structure.  C_gamma
@@ -68,64 +69,20 @@ def _check_color(level: int, i: int):
         raise ValueError(f"color index {i} out of range for level {level}")
 
 
-def _turn_of_power(m: int, emb: Embedding) -> Fraction:
-    """Angle of q^m as a fraction of a turn in (-1/2, 1/2]."""
-    n = emb.order
-    res = (m * emb.exponent) % n
-    if 2 * res > n:
-        res -= n
-    return Fraction(res, n)
-
-
-class FourPointData(Record):
-    """Gluing data of the sphere with colors (w, w, e_i, e_i)."""
-
-    level: int
-    embedding: Embedding
-    color: int
-    f_norms: tuple[CycloNum, CycloNum]      # curve between the two pairs, colors 0 and 2
-    f_twists: tuple[CycloNum, CycloNum]
-    g_norm_signs: tuple[int, int]           # curve pairing w with e_i, colors 2r-2-2i, 2r-2i
-    g_twists: tuple[CycloNum, CycloNum]
-
-    def __post_init__(self):
-        for x in self.f_norms:
-            if not x.is_conjugation_fixed():
-                raise ValueError("norms must be conjugation fixed")
-        for t in self.f_twists + self.g_twists:
-            if not (t ** self.level == 1):
-                raise ValueError("twist eigenvalues must be level-th roots of unity")
-
-
-def four_point_data(level: int, emb: Embedding, i: int) -> FourPointData:
-    check_so3_level(level, emb)
-    _check_color(level, i)
-    r = _rank(level)
-    q = CycloNum.zeta(level)
-    two = quantum_int(2, q)
-    three = quantum_int(3, q)
-    f0 = -two * quantum_int(2 * i + 1, q)
-    f1 = -(quantum_int(2 * i + 2, q) * quantum_int(2 * i + 1, q)) / \
-        (quantum_int(2 * i, q) * two * three * three) if i > 0 else CycloNum.rational(0)
-    g_signs = (
-        -quantum_int_sign(2 * i + 2, emb),
-        -quantum_int_sign(2 * i, emb),
-    )
-    return FourPointData(
-        level, emb, i,
-        (f0, f1),
-        (CycloNum.rational(1), q ** 4),
-        g_signs,
-        (q ** (2 * (r - i - 1) * (r - i)), q ** (2 * (r - i) * (r - i + 1))),
-    )
-
-
 def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     """tau_{0,4}(w, w, e_i, e_j) with w the top color e_{r-1}.
 
-    Zero off the diagonal and when the form is definite; otherwise the
-    triangle-group angle formula, with the result certified to lie in
-    (-1, 1) with denominator dividing the level.
+    Zero off the diagonal, for i = 0 (a one-dimensional, unitary block) and
+    when the form is definite.  Otherwise the block is two-dimensional of
+    signature (1, 1), and the twists about the three curves that split the
+    four points in pairs act on the disc as elliptics with product 1.  Each
+    turns by the ratio of its two eigenvalues, in the direction set by the
+    sign of its eigenspaces: the two twists pairing w with e_i by
+    q^(4(r-i) s_lo), the twist between the pairs by q^(-4 s_gamma).  At
+    q = exp(2 pi i k / level) a power q^m has the rotation number
+    m k / level mod 1, and the triangle formula toledo_triangle_pu11 takes
+    the three, whichever the orientation of the triangle.  The result is
+    certified to lie in (-1, 1) with denominator dividing the level.
     """
     from .hermitian import toledo_triangle_pu11
 
@@ -141,9 +98,9 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     s_hi = quantum_int_sign(2 * i + 2, emb)
     if s_lo * s_hi > 0:
         return Fraction(0)  # definite form
-    theta_alpha = _turn_of_power(4 * (r - i) * s_lo, emb)
+    theta_alpha = Fraction(4 * (r - i) * s_lo * emb.exponent, emb.order)
     s_gamma = quantum_int_sign(2, emb) * quantum_int_sign(2 * i + 1, emb)
-    theta_gamma = _turn_of_power(-4 * s_gamma, emb)
+    theta_gamma = Fraction(-4 * s_gamma * emb.exponent, emb.order)
     value = toledo_triangle_pu11(theta_alpha, theta_alpha, theta_gamma)
     if not (-1 < value < 1) or (value * level).denominator != 1:
         raise ArithmeticError(f"tau_04 = {value} violates the (1/level)-integrality certificate")
@@ -283,7 +240,7 @@ def _torus_exact(level: int, i: int) -> PuncturedTorusRep:
 
     rep = PuncturedTorusRep(level, Embedding(level, 1), i, window, tuple(norms),
                             c_gamma, c_delta, t_gamma, t_delta)
-    _validate_rep(rep)
+    _validate_rep(rep, (left, right))
     return rep
 
 
@@ -321,8 +278,12 @@ def _eigenbasis(c_delta: Matrix, points, norms) -> tuple[Matrix, Matrix]:
     return tuple(left), tuple(zip(*columns))
 
 
-def _validate_rep(rep: PuncturedTorusRep):
+def _validate_rep(rep: PuncturedTorusRep, eigenbasis=None):
     """Certify the representation (see punctured_torus_rep for the relations).
+
+    eigenbasis is the (L, L^-1) that _eigenbasis returns for C_delta, the
+    diagonal of C_gamma and the norms, if the caller has built it; building
+    it runs the spectrum certificate.  Otherwise it is built here.
 
     Raises ArithmeticError, or ValueError from IsometryWithForm, naming the
     first relation that fails.
@@ -342,7 +303,7 @@ def _validate_rep(rep: PuncturedTorusRep):
     off_band = [x for a, row in enumerate(c_delta) for b, x in enumerate(row) if abs(a - b) > 1]
     if any(off_band) or any(c_delta[a + 1][a] != 1 for a in range(rep.dim - 1)):
         raise ArithmeticError("curve operator is not tridiagonal with unit subdiagonal")
-    left, right = _eigenbasis(c_delta, points, rep.norms)
+    left, right = eigenbasis or _eigenbasis(c_delta, points, rep.norms)
     if mat_mul(left, rep.t_delta) != scale_rows(twists, left):
         raise ArithmeticError("twist is not the interpolation of the curve operator")
     if mat_mul(left, right) != identity(rep.dim):

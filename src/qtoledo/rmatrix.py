@@ -240,8 +240,9 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
     asks for (5, 1) six times and for each level-7 embedding twice.  The
     cache is safe to share.  ``R1Matrix`` and ``FrobeniusAlgebra`` are
     frozen, and the only attributes they fill lazily (``alpha`` and
-    ``omega_element``) are deterministic.  A refusal is raised again on
-    every call, because ``lru_cache`` stores no exceptions.  A CLI call
+    ``omega_element``) are deterministic.  A refusal, an invalid level or
+    embedding or a failed certificate, is raised again on every call,
+    because ``lru_cache`` stores no exceptions.  A CLI call
     other than ``reproduce`` solves one pair, so it neither gains nor loses.
 
     The embeddings of one level share more than that: the exact pass of

@@ -17,8 +17,10 @@ one embedding and takes each pivot's sign, each turn and the unit i there
 as it goes (the package shares one exact pass among the embeddings of a
 level and reads only signs per embedding), with the order of a root of
 unity by repeated multiplication (the package reads it off the power
-table); the sine formula for Verlinde dimensions; the closed U(1) Meyer cocycle; the level-5
-recursions of the TFT values; the signature of a torus representation's
+table); tau_{0,4} as the Toledo invariant of the rigid 2x2 four-point
+representation (the package reads it off three rotation numbers with the
+triangle formula); the sine formula for Verlinde dimensions; the closed
+U(1) Meyer cocycle; the level-5 recursions of the TFT values; the signature of a torus representation's
 diagonal form; TFT values and degree-2 classes from `Fraction` vector
 products (the package reads them off scaled integer products and per-genus
 trace forms); and the nodal-count polynomials of the Euler characteristics
@@ -33,6 +35,7 @@ from functools import lru_cache
 from qtoledo.cyclotomic import (
     CycloNum,
     Embedding,
+    conjugate,
     quantum_int_sign,
     sign_real,
     so3_structure_sign,
@@ -45,6 +48,9 @@ from qtoledo.hermitian import (
     _eigenspace_basis,
     _i_unit,
     _least_scalar_power,
+    _read_eigen,
+    _read_toledo,
+    _toledo_data,
     _trace_multiplicities,
     angle_defect,
     signature,
@@ -431,6 +437,83 @@ def embedding_tau11_table(level: int, emb: Embedding) -> list:
         g = embedding_g_function(a) + embedding_g_function(b) - embedding_g_function(ab)
         out.append(Fraction(mu - g, 2))
     return out
+
+
+# -- tau_{0,4} from the rigid four-point representation ----------------------------------
+
+
+@lru_cache(maxsize=None)
+def rigid_four_point_rep(level: int, i: int):
+    """The 2x2 four-point representation of (w, w, e_i, e_i), for 1 <= i < r, at q = zeta_level.
+
+    With the twist mu_c = q^(c(c+2)/2) of the even color c, and w the color
+    2r - 2: in the basis of the channels (w,w)|(e_i,e_i) the twist of the
+    curve f between the pairs is A = diag(mu_0, mu_2).  The curves g and h
+    that pair w with e_i both have the channels g0 = 2r-2-2i and g1 = 2r-2i,
+    and the lantern relation T_f T_g T_h = s, with s = mu_w^2 mu_2i^2 the
+    product of the boundary twists, gives tr(A T_g) = s tr(T_h^-1).  So
+    B = T_g = [[a, 1], [beta, d]] with a + d = mu_g0 + mu_g1,
+    mu_0 a + mu_2 d = s (1/mu_g0 + 1/mu_g1) and beta = a d - mu_g0 mu_g1.
+    A 2x2 triple with scalar product and known eigenvalues is rigid (Katz,
+    Rigid Local Systems, Ann. Math. Studies 139, 1996), so this is the
+    representation up to conjugacy.  Its form, up to a global sign, is
+    H = diag(1, -1/(det B conj(beta))).
+
+    Certified here: det A det B = s^2 / (mu_g0 mu_g1), beta != 0, and B
+    preserves H.  Returns (mu_g0, mu_g1, H_22 and the exact data of
+    toledo_triangle_meyer(A, B) for H), none of which depends on the
+    embedding.
+    """
+    r = (level - 1) // 2
+    q = CycloNum.zeta(level)
+
+    def mu(c):
+        return q ** (c * (c + 2) // 2)
+
+    mu_g0, mu_g1 = mu(2 * r - 2 - 2 * i), mu(2 * r - 2 * i)
+    s = mu(2 * r - 2) ** 2 * mu(2 * i) ** 2
+    d = (s * (mu_g0.inverse() + mu_g1.inverse()) - mu(0) * (mu_g0 + mu_g1)) / (mu(2) - mu(0))
+    a = mu_g0 + mu_g1 - d
+    beta = a * d - mu_g0 * mu_g1
+    assert beta, (level, i)
+    det_b = a * d - beta
+    assert mu(0) * mu(2) * det_b == s * s / (mu_g0 * mu_g1), (level, i)
+    t_f = diagonal([mu(0), mu(2)])
+    t_g = ((a, CycloNum.rational(1)), (beta, d))
+    h22 = -(det_b * conjugate(beta)).inverse()
+    form = HermMatrix(diagonal([CycloNum.rational(1), h22]), Embedding(level, 1))
+    IsometryWithForm(t_g, form)
+    return mu_g0, mu_g1, h22, _toledo_data(t_f, t_g, form.entries, level)
+
+
+def rigid_four_point_toledo(level: int, emb: Embedding, i: int) -> Fraction:
+    """tau_{0,4}(w, w, e_i, e_i) as the Toledo invariant of rigid_four_point_rep, certified.
+
+    The form is eps H, with eps the sign of the f-channel-0 norm -[2][2i+1]
+    at the embedding, and tau is toledo_triangle_meyer(A, B) for it: eps
+    times its value for H, because negating the form negates the Meyer
+    cocycle and every eigenspace signature.  Certified at the embedding:
+    eps H_22 has the sign of the f-channel-2 norm -[2i+2][2i+1]/([2i][2][3]^2);
+    the mu_g0 and mu_g1 eigenspaces of B have the signs of -[2i+2] and
+    -[2i]; |tau| < 1 and level tau is an integer.  Zero for i = 0, where
+    the block is one-dimensional.
+    """
+    if i == 0:
+        return Fraction(0)
+    mu_g0, mu_g1, h22, data = rigid_four_point_rep(level, i)
+
+    def sign(n):
+        return quantum_int_sign(n, emb)
+
+    eps = -sign(2) * sign(2 * i + 1)
+    assert eps * sign_real(h22, emb) == -sign(2 * i + 2) * sign(2 * i + 1) * sign(2 * i) * sign(2)
+    signs = [(lam == mu_g0, lam == mu_g1, eps * (sig.positive - sig.negative))
+             for lam, _turn, sig in _read_eigen(data[2], emb)]
+    assert sorted(signs) == [(False, True, -sign(2 * i)), (True, False, -sign(2 * i + 2))], \
+        (level, emb, i)
+    tau = eps * _read_toledo(data, emb)
+    assert abs(tau) < 1 and (tau * level).denominator == 1, (level, emb, i, tau)
+    return tau
 
 
 # -- degree-2 classes and Euler characteristics on Fractions --------------------------

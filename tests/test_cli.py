@@ -286,12 +286,21 @@ def test_torus_outputs_match_the_frozen_manifest(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == op["stdout_sha256"], op["argv"]
 
 
+# the manifest froze (9,1) as a refusal; it answers since tau_{0,4} reads
+# rotation numbers, with R_1 over the denominator 1188882
+SOLVE_9_1_SHA256 = "dd38fc4a320c41affd33a85d4dfc25222cef755d338b1659434b992e649a2b02"
+
+
 def test_solve_outputs_match_the_frozen_manifest(capsys):
-    # every `rmatrix solve` operation, the (9,1) refusal and its message included
+    # every `rmatrix solve` operation; (9,1) against the answer pinned above
     ops = _frozen_ops(("rmatrix", "solve"))
     assert len(ops) == 7
     for op in ops:
         code, out, err = run(capsys, *op["argv"])
+        if op["argv"] == ["rmatrix", "solve", "--level", "9", "--embedding", "1"]:
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_9_1_SHA256
+            continue
         assert (code, err) == (op["exit"], op["stderr"]), op["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["stdout_sha256"], op["argv"]
 

@@ -383,8 +383,7 @@ PUBLIC = {
                   "meyer_cocycle", "signature", "toledo_triangle_meyer", "toledo_triangle_pu11"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
-    "qrep": ("FourPointData", "PuncturedTorusRep", "four_point_data", "four_point_toledo",
-             "punctured_torus_rep", "tau_11"),
+    "qrep": ("PuncturedTorusRep", "four_point_toledo", "punctured_torus_rep", "tau_11"),
     "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
                 "tau_from_r1_04", "tau_from_r1_11"),
 }

@@ -501,9 +501,10 @@ def test_toledo_triangle_angle_formula():
 
 
 def test_toledo_triangle_rejects_bad_angles():
-    with pytest.raises(ValueError):
-        toledo_triangle_pu11(Fraction(1, 2), Fraction(1, 5), Fraction(1, 5))
-    with pytest.raises(ValueError):
+    # a right angle is an angle like any other: the (2,5,5) triangle
+    assert toledo_triangle_pu11(Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)) == Fraction(1, 10)
+    # rotation numbers 1/5, 4/5, 1/5 sum to 6/5: no triangle in either orientation
+    with pytest.raises(ValueError, match="6/5"):
         toledo_triangle_pu11(Fraction(1, 5), Fraction(-1, 5), Fraction(1, 5))
     with pytest.raises(ValueError):
         toledo_triangle_pu11(Fraction(0), Fraction(1, 5), Fraction(1, 5))

@@ -2,9 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import charpoly, form_signature, mat_inv, skew_form_signature
+from oracles import (
+    charpoly,
+    form_signature,
+    mat_inv,
+    rigid_four_point_toledo,
+    skew_form_signature,
+)
 
-from qtoledo.cyclotomic import CycloNum, Embedding, quantum_int, sign_real
+from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
 from qtoledo.fusion import so3_algebra
 from qtoledo.hermitian import eigen_split, g_function, signature, toledo_triangle_meyer
 from qtoledo.linalg import (
@@ -22,7 +28,6 @@ from qtoledo.linalg import (
 from qtoledo.qrep import (
     PuncturedTorusRep,
     _validate_rep,
-    four_point_data,
     four_point_toledo,
     pivot_tau04_table,
     punctured_torus_rep,
@@ -52,30 +57,30 @@ def test_four_point_toledo_level7_tables():
 
 
 def test_four_point_values_are_level_integral():
-    # mixed-sign angle configurations (possible from level 9 on) are outside
-    # the triangle analysis and must fail loudly rather than return a value
+    # every embedding answers, obtuse (formerly "mixed-sign") triangles
+    # included, and the complex-conjugate embedding negates the value
     for level in (5, 7, 9, 11, 13):
-        for k in range(1, (level - 1) // 2 + 1):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            emb, conj = Embedding(level, k), Embedding(level, level - k)
+            for i in range((level - 1) // 2):
+                v = four_point_toledo(level, emb, i, i)
+                assert abs(v) < 1 and (v * level).denominator == 1
+                assert four_point_toledo(level, conj, i, i) == -v, (level, k, i)
+
+
+def test_four_point_toledo_equals_the_rigid_representation():
+    # trust gate: the rotation-number formula against the Toledo invariant of
+    # the rigid 2x2 four-point representation, on every diagonal entry
+    for level in range(5, 16, 2):
+        for k in range(1, level):
             if math.gcd(k, level) != 1:
                 continue
             emb = Embedding(level, k)
             for i in range((level - 1) // 2):
-                try:
-                    v = four_point_toledo(level, emb, i, i)
-                except ValueError:
-                    assert level > 7
-                    continue
-                assert abs(v) < 1 and (v * level).denominator == 1
-
-
-def test_four_point_norm_data():
-    d = four_point_data(7, Embedding(7, 1), 1)
-    q = CycloNum.zeta(7)
-    assert d.f_norms[0] == -quantum_int(2, q) * quantum_int(3, q)
-    assert d.f_twists == (CycloNum.rational(1), q ** 4)
-    assert d.g_twists[0] == q ** (2 * 1 * 2) and d.g_twists[1] == q ** (2 * 2 * 3)
-    # definite iff [2i][2i+2] > 0, mirrored by the g-norm signs
-    assert d.g_norm_signs[0] * d.g_norm_signs[1] < 0
+                assert four_point_toledo(level, emb, i, i) == rigid_four_point_toledo(level, emb, i), \
+                    (level, k, i)
 
 
 def test_torus_rep_dimensions_and_window():
@@ -257,9 +262,8 @@ def test_torus_path_builds_no_fusion_algebra(monkeypatch):
     lambda level, emb: so3_algebra(level, emb),
     lambda level, emb: punctured_torus_rep(level, emb, 1),
     lambda level, emb: four_point_toledo(level, emb, 1, 1),
-    lambda level, emb: four_point_data(level, emb, 1),
     lambda level, emb: tau_11(level, emb, 0),
-], ids=["so3_algebra", "punctured_torus_rep", "four_point_toledo", "four_point_data", "tau_11"])
+], ids=["so3_algebra", "punctured_torus_rep", "four_point_toledo", "tau_11"])
 def test_level_and_embedding_are_checked(call):
     for level, emb, message in ((8, Embedding(8, 1), "level must be an odd integer >= 3"),
                                 (7, Embedding(5, 1), "embedding must have the same order as the level"),

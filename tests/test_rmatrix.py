@@ -307,25 +307,16 @@ def test_denominator_bound(level7_q1):
 
 def test_conjugate_embeddings_negate_r1():
     # k and level - k are complex-conjugate embeddings: the torus values and
-    # R_1 change sign, at every embedding solve_level does not refuse
-    solved = 0
+    # R_1 change sign, and every embedding solves
     for level in (5, 7, 9, 11, 13):
         for k in range(1, (level - 1) // 2 + 1):
             if math.gcd(k, level) != 1:
                 continue
             emb, conj = Embedding(level, k), Embedding(level, level - k)
             assert tau11_table(level, conj) == [-x for x in tau11_table(level, emb)]
-            try:
-                r1 = solve_level(level, emb)
-            except ValueError as err:
-                assert str(err) == "angles of mixed sign: triangle hypotheses fail"
-                with pytest.raises(ValueError):
-                    solve_level(level, conj)
-                continue
+            r1 = solve_level(level, emb)
             assert solve_level(level, conj).matrix == tuple(tuple(-x for x in row)
                                                             for row in r1.matrix), (level, k)
-            solved += 1
-    assert solved == 15
 
 
 def test_tau04_is_symmetric_in_its_four_colors():
@@ -348,12 +339,16 @@ def test_solve_level_is_cached():
     assert solve_level(7, Embedding(7, 9)) is solve_level(7, emb)  # the same embedding
 
 
-def test_refusals_are_raised_on_every_call():
-    size = solve_level.cache_info().currsize
+def test_refusals_are_raised_on_every_call(monkeypatch):
+    def refuse(level, emb):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(rmatrix, "pivot_tau04_table", refuse)
+    solve_level.cache_clear()
     for _ in range(2):
-        with pytest.raises(ValueError, match="angles of mixed sign"):
+        with pytest.raises(ValueError, match="refused"):
             solve_level(9, Embedding(9, 1))
-    assert solve_level.cache_info().currsize == size
+    assert solve_level.cache_info().currsize == 0
 
 
 def test_reproduce_all_solves_each_r1_once(monkeypatch, capsys):
