@@ -641,8 +641,19 @@ def quantum_int_sign(n: int, emb: Embedding) -> int:
 
 # -- SO3 structure signs ---------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _qfact_signs(emb: Embedding) -> tuple[int, ...]:
+    """The signs of the quantum factorials [n]! for 0 <= n <= order; the last is 0, since [order] = 0."""
+    signs = [1]
+    for m in range(1, emb.order + 1):
+        signs.append(signs[-1] * quantum_int_sign(m, emb))
+    return tuple(signs)
+
+
 def _qfact_sign(n: int, emb: Embedding) -> int:
-    return math.prod(quantum_int_sign(m, emb) for m in range(1, n + 1))
+    """Sign of [n]! at the embedding: 1 for n <= 0 (the empty product), 0 from n = order on."""
+    signs = _qfact_signs(emb)
+    return signs[min(max(n, 0), emb.order)]
 
 
 def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:

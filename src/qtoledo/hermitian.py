@@ -96,6 +96,8 @@ def _congruence(h: Matrix) -> tuple[list, int]:
         pivot = rows.pop(k)
         p = pivot.pop(k)
         pivots.append(p)
+        if not rows:
+            break
         p_inv = p.inverse()
         for row in rows:
             f = row.pop(k) * p_inv

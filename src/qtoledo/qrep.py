@@ -27,9 +27,15 @@ embedding only signs are read: the sign of the form, from the exact
 residues of `cyclotomic.so3_structure_sign` and `quantum_int_sign`, the
 certified signs of the stored pivots and the turns of the eigenvalues.
 
+Where the form is definite at the embedding, tau_{1,1} is 0 and none of
+that exact work runs: the sign of every norm is a product of
+`quantum_int_sign`s (`_norm_signs`), so definiteness is decided from
+integer residues before anything is built.
+
 The module imports only `cyclotomic` and `linalg`.  `four_point_toledo` and
-`tau_11` import their `hermitian` routines inside the function, so building
-a torus representation compiles no other layer.
+`tau_11` import their `hermitian` routines inside the function, after their
+zero and definite returns, so building a torus representation, or a solve
+whose blocks are all definite, compiles no other layer.
 """
 
 from __future__ import annotations
@@ -84,8 +90,6 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     the three, whichever the orientation of the triangle.  The result is
     certified to lie in (-1, 1) with denominator dividing the level.
     """
-    from .hermitian import toledo_triangle_pu11
-
     check_so3_level(level, emb)
     _check_color(level, i)
     _check_color(level, j)
@@ -98,6 +102,8 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     s_hi = quantum_int_sign(2 * i + 2, emb)
     if s_lo * s_hi > 0:
         return Fraction(0)  # definite form
+    from .hermitian import toledo_triangle_pu11
+
     theta_alpha = Fraction(4 * (r - i) * s_lo * emb.exponent, emb.order)
     s_gamma = quantum_int_sign(2, emb) * quantum_int_sign(2 * i + 1, emb)
     theta_gamma = Fraction(-4 * s_gamma * emb.exponent, emb.order)
@@ -173,6 +179,35 @@ def _form_sign(emb: Embedding, window, i: int) -> int:
     return base
 
 
+def _window(level: int, i: int) -> tuple[int, ...]:
+    """The gluing colors 2j of the torus with boundary color e_i, indexed by j."""
+    r = _rank(level)
+    window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
+    if len(window) != r - i:
+        raise ArithmeticError("admissibility window has unexpected size")
+    return window
+
+
+def _norm_signs(level: int, emb: Embedding, i: int) -> tuple[int, ...]:
+    """The signs of the torus form's norms at the embedding, from exact residues alone.
+
+    The first is _form_sign.  Each next norm is the previous one times
+    u_{2j+2} u_{2j+1} (see _torus_exact), and the sign of
+    u_m = [i+m+1][m-i] / ([m][m+1]) is the product of four quantum_int_signs.
+    """
+    window = _window(level, i)
+    signs = [_form_sign(emb, window, i)]
+    for j in window[:-1]:
+        sign = signs[-1]
+        for m in (2 * j + 1, 2 * j + 2):
+            sign *= (quantum_int_sign(i + m + 1, emb) * quantum_int_sign(m - i, emb)
+                     * quantum_int_sign(m, emb) * quantum_int_sign(m + 1, emb))
+        if sign == 0:
+            raise ArithmeticError("degenerate torus norm")
+        signs.append(sign)
+    return tuple(signs)
+
+
 @lru_cache(maxsize=None)
 def _torus_exact(level: int, i: int) -> PuncturedTorusRep:
     """The certified torus representation with first norm 1, at the embedding with exponent 1.
@@ -200,10 +235,7 @@ def _torus_exact(level: int, i: int) -> PuncturedTorusRep:
       powers because every t_k^level is the same, checked entrywise;
     - (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2 are scalar.
     """
-    r = _rank(level)
-    window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
-    if len(window) != r - i:
-        raise ArithmeticError("admissibility window has unexpected size")
+    window = _window(level, i)
     q = CycloNum.zeta(level)
     n = len(window)
     zero = CycloNum.rational(0)
@@ -326,20 +358,25 @@ def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     """tau_{1,1}(e_i): the triangle-group Toledo pairing of T_gamma and T_delta T_gamma.
 
     That is the Meyer signature of the twist pair plus G-corrections (see
-    toledo_triangle_meyer).  Vanishes for i = 0 (the block is unitary
-    definite there).  The exact part runs once per (level, i)
-    (_tau11_exact); at the embedding only signs and turns are read, and
-    the value takes the sign of the form, because negating the form
-    negates the Meyer cocycle and every eigenspace signature.
+    toledo_triangle_meyer).  It vanishes when the form is definite at the
+    embedding: the representation then lies in the compact group U(n),
+    where the Kaehler class pulls back to 0.  The signs of the norms are
+    read from exact residues (_norm_signs), so a definite block builds
+    nothing exact; color 0 is one at every unit, since its u_m are all 1.
+    Otherwise the exact part
+    runs once per (level, i) (_tau11_exact); at the embedding only signs
+    and turns are read, and the value takes the sign of the form, because
+    negating the form negates the Meyer cocycle and every eigenspace
+    signature.
     """
+    check_so3_level(level, emb)
+    _check_color(level, i)
+    signs = _norm_signs(level, emb, i)
+    if all(s == signs[0] for s in signs):
+        return Fraction(0)  # definite form
     from .hermitian import _read_toledo
 
-    check_so3_level(level, emb)
-    if i == 0:
-        return Fraction(0)
-    _check_color(level, i)
-    window = _torus_exact(level, i).window
-    return _form_sign(emb, window, i) * _read_toledo(_tau11_exact(level, i), emb)
+    return signs[0] * _read_toledo(_tau11_exact(level, i), emb)
 
 
 @lru_cache(maxsize=None)

@@ -245,12 +245,15 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
     because ``lru_cache`` stores no exceptions.  A CLI call
     other than ``reproduce`` solves one pair, so it neither gains nor loses.
 
-    The embeddings of one level share more than that: the exact pass of
-    tau_{1,1} (the torus representation, its eigen-data and its Meyer
-    kernel and pivots) is cached per (level, color) in ``qrep``, so solving
-    a second embedding of a level reads only signs and turns for
-    tau_{1,1}.  The fusion algebra, tau_{0,4} and the R_1 solve run per
-    embedding.
+    tau_{1,1} of a color whose torus form is definite at the embedding is 0,
+    decided from exact residues with no exact pass, so a solve runs that
+    pass only for its indefinite colors; at (9, 2), (9, 4), (11, 3) and
+    (11, 5) every color is definite.  The embeddings of one level share
+    the rest: the exact pass of tau_{1,1} (the torus representation, its
+    eigen-data and its Meyer kernel and pivots) is cached per (level,
+    color) in ``qrep``, so solving a second embedding of a level reads only
+    signs and turns for tau_{1,1}.  The fusion algebra, tau_{0,4} and the
+    R_1 solve run per embedding.
     """
     return solve_r1(so3_algebra(level, emb), pivot_tau04_table(level, emb), tau11_table(level, emb))
 

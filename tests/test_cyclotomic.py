@@ -23,7 +23,7 @@ from qtoledo.cyclotomic import (
     quantum_int_sign,
     sign_real,
 )
-from qtoledo.cyclotomic import _cos_fixed, _real_bounds
+from qtoledo.cyclotomic import _cos_fixed, _qfact_sign, _real_bounds
 
 
 def test_cyclotomic_polynomials():
@@ -119,6 +119,18 @@ def test_sign_real_examples():
 def test_sign_real_rejects_non_real():
     with pytest.raises(ValueError):
         sign_real(CycloNum.zeta(5), Embedding(5, 1))
+
+
+def test_quantum_factorial_signs_match_the_product():
+    # the prefix table behind _qfact_sign against the product of the quantum integer signs
+    for order in range(1, 30):
+        for k in range(1, order + 1):
+            if math.gcd(k, order) != 1:
+                continue
+            emb = Embedding(order, k)
+            for n in range(-2, order + 3):
+                want = math.prod(quantum_int_sign(m, emb) for m in range(1, n + 1))
+                assert _qfact_sign(n, emb) == want, (order, k, n)
 
 
 def test_sign_real_against_float_oracle():
@@ -369,6 +381,9 @@ def test_each_cli_call_imports_only_the_layers_it_uses():
     assert layers == ["cyclotomic", "linalg", "qrep"] and "random" not in heavy
     layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "5")
     assert not {"mgnclasses", "eulerchi"} & set(layers)
+    # every block of (11, 5) is definite, so tau_{0,4} and tau_{1,1} never reach hermitian
+    layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "11", "--embedding", "5")
+    assert layers == ["cyclotomic", "linalg", "fusion", "qrep", "rmatrix"]
     assert _imports_of_cli_run("reproduce", "--all")[0] == list(LAYERS)
 
 

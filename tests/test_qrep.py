@@ -27,6 +27,7 @@ from qtoledo.linalg import (
 )
 from qtoledo.qrep import (
     PuncturedTorusRep,
+    _norm_signs,
     _validate_rep,
     four_point_toledo,
     pivot_tau04_table,
@@ -98,6 +99,18 @@ def test_torus_rep_color0_is_definite():
         rep = punctured_torus_rep(level, Embedding(level, k), 0)
         p, n = form_signature(rep)
         assert n == 0 and p == rep.dim
+
+
+def test_norm_signs_from_residues_equal_the_certified_signs():
+    # _norm_signs decides definiteness for tau_11 without building the form
+    for level in range(5, 22, 2):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            emb = Embedding(level, k)
+            for i in range((level - 1) // 2):
+                norms = punctured_torus_rep(level, emb, i).norms
+                assert _norm_signs(level, emb, i) == tuple(sign_real(x, emb) for x in norms), (level, k, i)
 
 
 def test_torus_rep_signature_matches_trace():

@@ -423,6 +423,21 @@ def test_a_level_runs_one_exact_pass_per_color(monkeypatch):
     _cold()
     for k in _units(9):
         tau11_table(9, Embedding(9, k))
-    # colors 1, 2 and 3 of rank 4; color 0 needs no pass
-    assert passes == [9, 9, 9]
-    assert qrep._tau11_exact.cache_info().currsize == 3
+    # colors 1 and 2 of rank 4; colors 0 and 3 are definite at every unit
+    assert passes == [9, 9]
+    assert qrep._tau11_exact.cache_info().currsize == 2
+
+
+def test_a_definite_solve_runs_no_exact_pass(monkeypatch):
+    # every color of (11, 5) has a definite form, so tau_{1,1} is 0 throughout
+    # and is read from residues alone
+    from qtoledo import hermitian
+
+    def refuse(*args):
+        raise AssertionError("an exact pass ran for a definite form")
+
+    monkeypatch.setattr(qrep, "_torus_exact", refuse)
+    monkeypatch.setattr(hermitian, "_toledo_data", refuse)
+    solve_level.cache_clear()
+    assert tau11_table(11, Embedding(11, 5)) == [0] * 5
+    solve_level(11, Embedding(11, 5))
