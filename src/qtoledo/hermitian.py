@@ -1,26 +1,27 @@
 """Signatures of Hermitian forms over cyclotomic fields and the invariants built on them.
 
-These rest on the exact matrix core of `linalg`: signatures by Hermitian
-congruence (Sylvester's law of inertia: one certified sign per pivot); the
-Meyer cocycle of a pair of isometries, as the signature of one form on one
-kernel; eigenvalue splitting of finite-order isometries into exact roots of
-unity, with multiplicities from the traces of their powers and eigenspaces
-from spectral projectors; the rational G-function that corrects the Meyer
-cocycle into a Toledo invariant; and the Toledo invariants of triangle-group
-representations.
+These rest on the exact matrix core of `linalg`.  Every signature here is
+one Hermitian congruence (Sylvester's law of inertia: one certified sign
+per pivot): of a form; of the Meyer form of a pair of isometries, on one
+kernel; and of the form on each eigenspace of a finite-order isometry,
+whose eigenvalues are exact roots of unity with multiplicities from the
+traces of its powers.  On them rest the rational G-function that corrects
+the Meyer cocycle into a Toledo invariant, and the Toledo invariants of
+triangle-group representations.
 
 Each invariant is computed in two passes.  The exact pass works in
 Q(zeta_N) and depends on the matrices, the form and the order of the
-embedding only: the congruence pivots of a form (`_congruence`), the
-powers, multiplicities, eigenspace bases and eigenspace pivots of an
-isometry (`_eigen_data`), and the Meyer kernel and the pivots of its form,
-divided by one fixed fourth root of unity (`_meyer_data`).  The sign pass
-reads that data at an embedding zeta -> exp(2 pi i k / N): the certified
-sign of each pivot (`_inertia`), the turn fraction (j k mod F) / F of each
-eigenvalue, and whether the fixed fourth root is +i or -i (`_i_sign`).
-The Galois conjugate representations of one level share the exact pass,
-so `qrep` keeps it once per (level, color) and runs only the sign pass per
-embedding (`_toledo_data`, `_read_toledo`).
+embedding only: the congruence pivots of a form (`_congruence`); the
+powers and multiplicities of an isometry, and the congruence pivots of h Pi
+for each spectral projector Pi, which is the form on that eigenspace
+(`_eigen_data`); and the Meyer kernel and the congruence pivots of its form
+divided by zeta_M - 1/zeta_M (`_meyer_data`).  The sign pass reads that
+data at an embedding zeta -> exp(2 pi i k / N): the certified sign of each
+pivot (`_inertia`), the turn fraction (j k mod F) / F of each eigenvalue,
+and the sign of sin(2 pi k / M), since zeta_M - 1/zeta_M is 2 i sin(2 pi k / M)
+there.  The Galois conjugate representations of one level share the exact
+pass, so `qrep` keeps it once per (level, color) and runs only the sign
+pass per embedding (`_toledo_data`, `_read_toledo`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import CycloNum, Embedding, _root_exponent, conjugate, sign_real
+from .cyclotomic import CycloNum, Embedding, _root_exponent, conjugate, sign_real, sin_turn_sign
 from .linalg import (
     HermMatrix,
     IsometryWithForm,
@@ -46,7 +47,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
-    rref,
+    scale_rows,
 )
 
 #: eigen_split looks for a scalar power U^k up to k = SCALAR_POWER_FACTOR * base_order**2
@@ -124,18 +125,6 @@ def signature(h: HermMatrix) -> Signature:
 
 # -- roots of unity ---------------------------------------------------------
 
-def _i_sign(exponent: int) -> int:
-    """+1 if zeta^(order/4) is +i under zeta -> exp(2 pi i exponent / order), -1 if it is -i."""
-    return 1 if exponent % 4 == 1 else -1
-
-
-def _i_unit(order: int, exponent: int) -> CycloNum:
-    """The fourth root of unity whose image under the embedding is +i."""
-    if order % 4:
-        raise ValueError("order must be divisible by 4")
-    return CycloNum.zeta(order, (order // 4) * (2 - _i_sign(exponent)))
-
-
 def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
     """The order of c as a root of unity, or None if c is none or its order exceeds bound.
 
@@ -157,47 +146,54 @@ def _root_of_unity_order(c: CycloNum, bound: int) -> int | None:
 def _meyer_data(amat: Matrix, bmat: Matrix, ab: Matrix, h: Matrix, emb_order: int):
     """The exact part of meyer_cocycle: (order, pivots, zero), the same at every embedding.
 
-    The form is divided by the fixed fourth root of unity
-    zeta^(order/4) = _i_unit(order, 1), which is +i or -i at an embedding
-    (_i_sign); pivots and zero are its congruence (_congruence).
+    The form G is divided by d = zeta_M - 1/zeta_M, for M = order the lcm of
+    the embedding's order and the field order of h and the kernel, or 4 when
+    that lcm is at most 2 (where d would be 0).  conj(d) = -d, so G/d is
+    Hermitian as G/i is; pivots and zero are its congruence (_congruence).
     """
     n = len(h)
     one = identity(n)
     left = mat_sub(one, amat)   # A (A^-1 - 1)
     right = mat_sub(ab, amat)   # A (B - 1)
     kernel = kernel_basis(tuple(l + r for l, r in zip(left, right)))
-    order = math.lcm(4, emb_order, _field_order(h, kernel))
+    order = math.lcm(emb_order, _field_order(h, kernel))
+    if order <= 2:
+        order = 4
     one_minus_b = mat_sub(one, bmat)
-    # the form h(u + v, (1 - B) v') / i, its second (conjugated) argument indexing rows
+    # the form h(u + v, (1 - B) v') / d, its second (conjugated) argument indexing rows
     ws = [mat_vec(one_minus_b, k[n:]) for k in kernel]
     sums = [tuple(x + y for x, y in zip(k[:n], k[n:])) for k in kernel]
-    i_inv = _i_unit(order, 1).inverse()
-    return (order, *_congruence(mat_scale(gram(h, ws, sums), i_inv)))
+    d_inv = (CycloNum.zeta(order) - CycloNum.zeta(order, -1)).inverse()
+    return (order, *_congruence(mat_scale(gram(h, ws, sums), d_inv)))
 
 
 def _read_meyer(data, emb: Embedding) -> int:
-    """The Meyer cocycle at an embedding, from the exact data of _meyer_data."""
+    """The Meyer cocycle at an embedding, from the exact data of _meyer_data.
+
+    At zeta_M -> exp(2 pi i k / M), d = zeta_M - 1/zeta_M is i times
+    2 sin(2 pi k / M), which is nonzero because k is a unit and M > 2; so
+    the index of G/i is that sine's sign times the index of G/d.
+    """
     order, pivots, zero = data
     big = emb.extend(order)
-    return _i_sign(big.exponent) * _inertia(pivots, zero, big).index
+    return sin_turn_sign(big.exponent, order) * _inertia(pivots, zero, big).index
 
 
-def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm, ab: Matrix | None = None) -> int:
+def meyer_cocycle(a: IsometryWithForm, b: IsometryWithForm) -> int:
     """Signature of the pair-of-pants twisted intersection form.
 
     This is the form h(u+v, (1-B)v') / i on the kernel of the n x 2n matrix
     [(1-A) | (AB-A)].  That matrix is A [(A^-1-1) | (B-1)], the matrix of
     Meyer's definition, so both have one kernel and no inverse is taken.
-    The kernel has dimension at least n.  A caller that already holds the
-    product AB passes it as `ab`.  The kernel and the congruence of the
-    form are exact (_meyer_data); only the signs of its pivots and of i are
-    read at the embedding (_read_meyer).
+    The kernel has dimension at least n.  The kernel and the congruence of
+    the form divided by zeta_M - 1/zeta_M, which stays in the field of the
+    data, are exact (_meyer_data); only the signs of its pivots and of one
+    sine are read at the embedding (_read_meyer).
     """
     if a.form != b.form:
         raise ValueError("isometries must share one form")
-    if ab is None:
-        ab = mat_mul(a.matrix, b.matrix)
-    data = _meyer_data(a.matrix, b.matrix, ab, a.form.entries, a.embedding.order)
+    data = _meyer_data(a.matrix, b.matrix, mat_mul(a.matrix, b.matrix),
+                       a.form.entries, a.embedding.order)
     return _read_meyer(data, a.embedding)
 
 
@@ -240,33 +236,15 @@ def _trace_multiplicities(powers, coeffs, m: int) -> list[int]:
     return out
 
 
-def _eigenspace_basis(proj: Matrix, mult: int) -> list[tuple]:
-    """The pivot columns of a projector whose rank the traces give as mult.
-
-    For mult > 1 the pivots of rref certify that rank.  For mult = 1 the
-    basis is the first nonzero column, with no elimination, and only a zero
-    projector is refused: its rank is not checked.
-    """
-    if mult == 1:
-        basis = [col for col in zip(*proj) if any(col)][:1]
-    else:
-        _, pivots, _ = rref(proj)
-        basis = [tuple(row[p] for row in proj) for p in pivots]
-    if len(basis) != mult:
-        raise ArithmeticError(f"eigenspace projector has rank {len(basis)}, "
-                              f"but the traces give multiplicity {mult}")
-    return basis
-
-
 def _eigen_data(u: Matrix, h: Matrix, emb_order: int):
     """The exact part of eigen_split: (full_order, field_order, spaces), the same at every embedding.
 
     U has order F = full_order and its eigenvalues live in
     Q(zeta_field_order); spaces holds (lambda, j, pivots) per eigenspace,
     with lambda = zeta_F^j and pivots the congruence pivots of the form on
-    the eigenspace.  The method is eigen_split's.
+    the eigenspace: of h (m Pi) for a spectral projector Pi, or of h
+    restricted to a diagonal U's eigenspace.  The method is eigen_split's.
     """
-    n = len(u)
     base_order = _field_order(u)
     power_bound = SCALAR_POWER_FACTOR * base_order * base_order
     diag = diagonal_entries(u)
@@ -278,36 +256,31 @@ def _eigen_data(u: Matrix, h: Matrix, emb_order: int):
     field_order = math.lcm(base_order, full_order, emb_order)
     scalar = scalar.lift(field_order)
     step = field_order // full_order
-    js = [j for j in range(full_order) if CycloNum.zeta(field_order, j * step) ** m == scalar]
+    roots = [(j, CycloNum.zeta(field_order, j * step)) for j in range(full_order)]
+    roots = [(j, lam) for j, lam in roots if lam ** m == scalar]
     if diag is None:
-        coeffs = [[CycloNum.zeta(field_order, -j * step * k) for k in range(m)] for j in js]
+        coeffs = [[CycloNum.zeta(field_order, -j * step * k) for k in range(m)] for j, _ in roots]
         mults = _trace_multiplicities(powers, coeffs, m)
         hits = [idx for idx, mult in enumerate(mults) if mult]
-        projs = dict(zip(hits, lin_combs([coeffs[idx] for idx in hits], powers)))
+        norms = diagonal_entries(h)
+        # h (m Pi) is Hermitian: m times the form on the eigenspace, and zero on the others
+        forms = [mat_mul(h, p) if norms is None else scale_rows(norms, p)
+                 for p in lin_combs([coeffs[idx] for idx in hits], powers)]
     else:
         diag = [x.lift(field_order) for x in diag]
+        indices = [[a for a, x in enumerate(diag) if x == lam] for _, lam in roots]
+        mults = [len(index) for index in indices]
+        hits = [idx for idx, mult in enumerate(mults) if mult]
+        forms = [tuple(tuple(h[a][b] for b in indices[idx]) for a in indices[idx]) for idx in hits]
     spaces = []
-    total = 0
-    for idx, j in enumerate(js):
-        lam = CycloNum.zeta(field_order, j * step)
-        if diag is not None:
-            index = [a for a, x in enumerate(diag) if x == lam]
-            restricted = tuple(tuple(h[a][b] for b in index) for a in index)
-        elif mults[idx]:
-            # m * Pi has the pivot columns of Pi, times m
-            basis = _eigenspace_basis(projs[idx], mults[idx])
-            restricted = gram(h, basis, basis)
-        else:
-            continue
-        if not restricted:
-            continue
-        pivots, zero = _congruence(restricted)
-        if zero:
-            raise ArithmeticError("degenerate form on an eigenspace")
+    for idx, form in zip(hits, forms):
+        pivots, zero = _congruence(form)
+        if len(form) - zero != mults[idx]:
+            raise ArithmeticError("degenerate form on an eigenspace" if diag is not None else
+                                  f"eigenspace projector has rank {len(form) - zero}, "
+                                  f"but the traces give multiplicity {mults[idx]}")
+        j, lam = roots[idx]
         spaces.append((lam, j, pivots))
-        total += len(restricted)
-    if total != n:  # only a diagonal U can fail here; the traces add up to n
-        raise ArithmeticError("isometry is not diagonalizable over the cyclotomic closure")
     return full_order, field_order, spaces
 
 
@@ -329,17 +302,17 @@ def eigen_split(u: IsometryWithForm):
     lambda_j^m = c, taken in order of j.  Multiplicities come first: x^m - c
     has distinct roots, so m mult(lambda) = sum_k lambda^-k tr(U^k) over
     k < m, from the traces of the kept powers, and a lambda whose sum is
-    zero is skipped.  Otherwise the eigenspace of lambda is the column
-    space of the spectral projector Pi = (1/m) sum_k lambda^-k U^k (the
-    identity on it and zero on the other eigenspaces).  The basis is the
-    pivot columns of m Pi, and for multiplicity above 1 their number must
-    equal the multiplicity; for multiplicity 1 it is the first nonzero
-    column, which is the first pivot column, so no elimination is needed
-    and the rank is not checked.  The multiplicities add up to n by the
-    same trace identity, so the check that the eigenspaces fill all n
-    dimensions guards only a diagonal U, whose eigenspaces are read off
-    its diagonal.  The form on each eigenspace is reduced by congruence,
-    and must be nondegenerate.
+    zero is skipped.  The multiplicities add up to n by the same identity.
+    The spectral projector Pi = (1/m) sum_k lambda^-k U^k is the identity
+    on the eigenspace of lambda and zero on the others, which are
+    h-orthogonal to it.  U is an isometry of h, so Pi is self-adjoint for h
+    and h Pi is Hermitian: it is the form on the eigenspace, extended by
+    zero.  So the congruence of h (m Pi) gives the eigenspace's pivots
+    directly, with no basis chosen, and its rank n - zero must equal
+    mult(lambda); that certifies both the rank of Pi and that the form on
+    the eigenspace is nondegenerate.  A diagonal U has its eigenspaces read
+    off its diagonal, and the form restricted to each must be
+    nondegenerate.
 
     All of that is exact and depends only on the matrix, the form and the
     order of the embedding (_eigen_data).  At the embedding zeta ->

@@ -10,7 +10,9 @@ Phi_N once.  So one `Fraction` or `CycloNum` is made per output entry, not
 per scalar product.  Rational systems (`solve`, `determinant`,
 `kernel_basis`) are scaled row by row to integers and eliminated
 fraction-free (Bareiss); cyclotomic ones go through one Gauss-Jordan
-elimination (`rref`).  No routine takes a matrix inverse.
+elimination (`rref`), which now serves only `kernel_basis` (the Meyer
+kernel of `hermitian`) and the generic `solve` and `determinant`.  No
+routine takes a matrix inverse.
 
 `HermMatrix` is a square matrix checked to be Hermitian, with the embedding
 that sends its entries into C, and `IsometryWithForm` a matrix checked to

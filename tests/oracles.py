@@ -14,8 +14,11 @@ product h*s/i, which gives the closed pair-of-pants form of the Meyer
 cocycle (the package takes it on a kernel, with no inverse); the
 per-embedding route of tau_{1,1}, which builds the torus representation at
 one embedding and takes each pivot's sign, each turn and the unit i there
-as it goes (the package shares one exact pass among the embeddings of a
-level and reads only signs per embedding), with the order of a root of
+as it goes, with a basis of each eigenspace from the pivot columns of its
+spectral projector and the Meyer form divided by i (the package shares one
+exact pass among the embeddings of a level and reads only signs per
+embedding, takes each eigenspace's form as h times its projector, and
+divides the Meyer form by zeta - 1/zeta), with the order of a root of
 unity by repeated multiplication (the package reads it off the power
 table); tau_{0,4} as the Toledo invariant of the rigid 2x2 four-point
 representation (the package reads it off three rotation numbers with the
@@ -45,8 +48,6 @@ from qtoledo.fusion import so3_algebra, unitary_partner
 from qtoledo.hermitian import (
     SCALAR_POWER_FACTOR,
     Signature,
-    _eigenspace_basis,
-    _i_unit,
     _least_scalar_power,
     _read_eigen,
     _read_toledo,
@@ -207,6 +208,34 @@ def descartes_signature(h: HermMatrix) -> Signature:
     pos = _descartes_positive_roots(signs)
     neg = _descartes_positive_roots([s if (i % 2 == 0) else -s for i, s in enumerate(signs)])
     return Signature(pos, neg, zero)
+
+
+# -- eigenspace bases and the unit i ----------------------------------------------
+
+
+def _eigenspace_basis(proj, mult: int) -> list[tuple]:
+    """The pivot columns of a projector whose rank the traces give as mult.
+
+    For mult > 1 the pivots of rref certify that rank.  For mult = 1 the
+    basis is the first nonzero column, with no elimination, and only a zero
+    projector is refused: its rank is not checked.
+    """
+    if mult == 1:
+        basis = [col for col in zip(*proj) if any(col)][:1]
+    else:
+        _, pivots, _ = rref(proj)
+        basis = [tuple(row[p] for row in proj) for p in pivots]
+    if len(basis) != mult:
+        raise ArithmeticError(f"eigenspace projector has rank {len(basis)}, "
+                              f"but the traces give multiplicity {mult}")
+    return basis
+
+
+def _i_unit(order: int, exponent: int) -> CycloNum:
+    """The fourth root of unity that zeta -> exp(2 pi i exponent / order) sends to +i."""
+    if order % 4:
+        raise ValueError("order must be divisible by 4")
+    return CycloNum.zeta(order, (order // 4) * (1 if exponent % 4 == 1 else 3))
 
 
 # -- inverses and the closed Meyer form ---------------------------------------------

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import (
+    _i_unit,
     charpoly,
     descartes_signature,
     embed_complex,
@@ -17,7 +19,15 @@ from oracles import (
 )
 
 from qtoledo import hermitian
-from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi, quantum_int
+from qtoledo.cyclotomic import (
+    CycloNum,
+    Embedding,
+    conjugate,
+    euler_phi,
+    quantum_int,
+    sign_real,
+    sin_turn_sign,
+)
 from qtoledo.hermitian import (
     Signature,
     eigen_split,
@@ -26,7 +36,6 @@ from qtoledo.hermitian import (
     signature,
     toledo_triangle_meyer,
     toledo_triangle_pu11,
-    _i_unit,
 )
 from qtoledo.linalg import (
     HermMatrix,
@@ -214,12 +223,31 @@ def u1(power, order=30):
     return IsometryWithForm(as_matrix([[z]]), form)
 
 
-def test_meyer_u1_closed_formula_all_pairs():
-    for a in range(30):
-        for b in range(30):
-            got = meyer_cocycle(u1(a), u1(b))
-            want = meyer_u1_sign(Fraction(a, 30), Fraction(b, 30))
+# 2: rational entries, where zeta - 1/zeta is 0 and the form is divided in Q(zeta_4);
+# 5 and 7: odd orders, where the form stays in Q(zeta_N)
+@pytest.mark.parametrize("order", [2, 5, 7, 30])
+def test_meyer_u1_closed_formula_all_pairs(order):
+    for a in range(order):
+        for b in range(order):
+            got = meyer_cocycle(u1(a, order), u1(b, order))
+            want = meyer_u1_sign(Fraction(a, order), Fraction(b, order))
             assert got == want, (a, b)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 12, 30])
+def test_the_meyer_divisor_is_i_times_a_real_of_the_sine_sign(order):
+    # zeta - 1/zeta is 2 i sin(2 pi k / M) at zeta -> exp(2 pi i k / M): the
+    # Meyer form divided by it has the index of the form divided by i, times
+    # the sign of that sine
+    d = CycloNum.zeta(order) - CycloNum.zeta(order, -1)
+    big_order = math.lcm(4, order)
+    for k in range(1, order):
+        if math.gcd(k, order) != 1:
+            continue
+        big = Embedding(order, k).extend(big_order)
+        ratio = d * _i_unit(big_order, big.exponent).inverse()
+        assert conjugate(ratio) == ratio
+        assert sign_real(ratio, big) == sin_turn_sign(k, order) != 0
 
 
 def test_meyer_identity_pair_vanishes():
@@ -276,9 +304,10 @@ def test_meyer_cocycle_identity():
         a, b, c = _rand_isometries(rng, 3)
         ab = IsometryWithForm(mat_mul(a.matrix, b.matrix), a.form)
         bc = IsometryWithForm(mat_mul(b.matrix, c.matrix), a.form)
-        total = (meyer_cocycle(b, c) - meyer_cocycle(ab, c)
-                 + meyer_cocycle(a, bc) - meyer_cocycle(a, b))
-        assert total == 0
+        pairs = ((b, c), (ab, c), (a, bc), (a, b))
+        mus = [meyer_cocycle(x, y) for x, y in pairs]
+        assert mus == [oracles.embedding_meyer_cocycle(x, y) for x, y in pairs]
+        assert mus[0] - mus[1] + mus[2] - mus[3] == 0
 
 
 def test_meyer_block_additivity():
@@ -403,7 +432,9 @@ def test_eigen_split_of_a_conjugated_diagonal(order, seed):
     u, h, exps, signs, rng = conjugated_diagonal(order, seed)
     z = CycloNum.zeta(order)
     k = rng.choice([k for k in range(1, order) if math.gcd(k, order) == 1])
-    split = eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, k))))
+    iso = IsometryWithForm(u, HermMatrix(h, Embedding(order, k)))
+    split = eigen_split(iso)
+    assert split == oracles.embedding_eigen_split(iso)
     want = {}
     for e, s in zip(exps, signs):
         pos, neg = want.get(e, (0, 0))
@@ -466,6 +497,19 @@ def test_a_multiplicity_the_projector_rank_refutes_raises(order, seed, monkeypat
     with pytest.raises(ArithmeticError, match="^eigenspace projector has rank [0-9]+, but the "
                                               "traces give multiplicity [0-9]+$"):
         eigen_split(IsometryWithForm(u, HermMatrix(h, Embedding(order, 1))))
+
+
+def test_a_form_degenerate_on_an_eigenspace_raises():
+    # diagonal U: the form restricted to the -1 eigenspace is 0
+    form = HermMatrix(diag(1, 0), EMB5)
+    with pytest.raises(ArithmeticError, match="^degenerate form on an eigenspace$"):
+        eigen_split(IsometryWithForm(diag(1, -1), form))
+    # the swap preserves the all-ones form, which is 0 on its -1 eigenspace:
+    # h Pi then has rank 0 where the traces give multiplicity 1
+    form = HermMatrix(as_matrix([[1, 1], [1, 1]]), EMB5)
+    with pytest.raises(ArithmeticError, match="^eigenspace projector has rank 0, but the "
+                                              "traces give multiplicity 1$"):
+        eigen_split(IsometryWithForm(as_matrix([[0, 1], [1, 0]]), form))
 
 
 def test_g_function_values():
