@@ -429,7 +429,7 @@ class HermMatrix(Record):
 
 
 class IsometryWithForm(Record):
-    """A matrix U with U^dagger h U = h for an invertible Hermitian form h."""
+    """A matrix U with U^dagger h U = h for an invertible Hermitian form h (checked)."""
 
     matrix: Matrix
     form: HermMatrix
@@ -439,6 +439,8 @@ class IsometryWithForm(Record):
         object.__setattr__(self, "matrix", u)
         h = self.form.entries
         norms = diagonal_entries(h)
+        if not (all(norms) if norms is not None else determinant(h)):
+            raise ValueError("form is singular")
         hu = mat_mul(h, u) if norms is None else scale_rows(norms, u)
         if mat_mul(conj_transpose(u), hu) != h:
             raise ValueError("matrix does not preserve the form")

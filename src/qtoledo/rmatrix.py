@@ -1,11 +1,10 @@
 """Degree-2 reconstruction: the first-order R-matrix and Toledo classes.
 
-Solves the rational linear system expressing the four-point invariants
-through the double commutator with the pivot multiplication operator,
-recovers the trace part from the one-holed-torus invariants, and expands
-the resulting degree-2 class of any (g, n, colors) over the tautological
-basis.  A presentation-based coefficient pipeline cross-checks the level-5
-closed formulas.
+Solves one rational system for the traceless part of R_1 on the
+eta-self-adjoint matrices (`solve_r1`), recovers the trace part from the
+one-holed-torus invariants, and expands the resulting degree-2 class of any
+(g, n, colors) over the tautological basis.  A presentation-based
+coefficient pipeline cross-checks the level-5 closed formulas.
 
 Solving R_1 loads no moduli-space layer: the two class builders import the
 `mgnclasses` labels inside the function.
@@ -25,12 +24,9 @@ from .linalg import (
     conj_transpose,
     determinant,
     diagonal,
-    kernel_basis,
     lin_comb,
-    lin_combs,
     mat_add,
     mat_mul,
-    mat_sub,
     solve,
 )
 from .qrep import pivot_tau04_table, tau11_table
@@ -110,42 +106,34 @@ def tau_from_r1_11(v: FrobeniusAlgebra, r1: R1Matrix | Mat, vec) -> Fraction:
 
 
 def _symmetric_basis(v: FrobeniusAlgebra) -> list[Mat]:
+    """The eta-self-adjoint integer matrices E_ii, then E_ji + eps_i eps_j E_ij for i < j."""
     r = v.rank
-    out = []
-    for i in range(r):
-        m = [[Fraction(0)] * r for _ in range(r)]
-        m[i][i] = Fraction(1)
-        out.append(tuple(tuple(row) for row in m))
-    for i in range(r):
-        for j in range(i + 1, r):
-            m = [[Fraction(0)] * r for _ in range(r)]
-            m[j][i] = Fraction(1)
-            m[i][j] = Fraction(v.eps[i] * v.eps[j])
-            out.append(tuple(tuple(row) for row in m))
-    return out
+    pairs = [(i, i) for i in range(r)] + [(i, j) for i in range(r) for j in range(i + 1, r)]
+    return [tuple(tuple(1 if (a, b) == (j, i) else v.eps[i] * v.eps[j] if (a, b) == (i, j) else 0
+                        for b in range(r)) for a in range(r)) for i, j in pairs]
 
 
-def _perp_basis(v: FrobeniusAlgebra) -> list[Mat]:
-    """Basis of the trace-orthogonal complement of V inside eta-symmetric maps."""
-    r = v.rank
-    sym = _symmetric_basis(v)
-    mults = [v.mult_matrix(k) for k in range(r)]
-    rows = [[_trace_of_product(b, mk) for b in sym] for mk in mults]
-    basis = lin_combs(kernel_basis(rows), sym)
-    if len(basis) != r * (r - 1) // 2:
-        raise ArithmeticError("unexpected dimension of the perpendicular space")
-    return basis
+def _system_column(m, m2, mults, s) -> list[int]:
+    """The column of S in solve_r1's system: D(S) - M_(D(S) e_0) row by row, then tr(S M_k).
 
-
-def _commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def _pivot_operator(v: FrobeniusAlgebra, x: Mat) -> Mat:
-    """v -> [[X, M_w], M_w](v) - [[X, M_w], M_w](1) v for the pivot w."""
-    mw = v.mult_matrix(v.rank - 1)
-    y = _commutator(_commutator(x, mw), mw)
-    return mat_sub(y, v.mult_matrix(tuple(row[0] for row in y)))
+    D(S) = [[S, M], M] = S M^2 - 2 M S M + M^2 S for the integer matrices
+    M = m of the pivot, m2 = M^2 and mults[k] = M_k.  Each of the one or
+    two nonzero entries of S adds a row, a column and an outer product.
+    """
+    r = len(m)
+    entries = [(a, b, x) for a, row in enumerate(s) for b, x in enumerate(row) if x]
+    d = [[0] * r for _ in range(r)]
+    for a, b, x in entries:
+        for i in range(r):
+            d[a][i] += x * m2[b][i]
+            d[i][b] += x * m2[i][a]
+            if m[i][a]:
+                f = 2 * x * m[i][a]
+                d[i] = [y - f * z for y, z in zip(d[i], m[b])]
+    for c, mc in zip([row[0] for row in d], mults):
+        if c:
+            d = [[y - c * z for y, z in zip(row, mrow)] for row, mrow in zip(d, mc)]
+    return [y for row in d for y in row] + [sum(x * mk[b][a] for a, b, x in entries) for mk in mults]
 
 
 def _discriminant(v: FrobeniusAlgebra, x: int) -> Fraction:
@@ -169,7 +157,11 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     """Solve for R_1 from the pivot four-point table and the torus table.
 
     tau04 maps (i, j) to tau_{0,4}(w, w, e_i, e_j) for the pivot w = e_{r-1};
-    tau11[i] is tau_{1,1}(e_i).  The output satisfies the self-adjointness,
+    tau11[i] is tau_{1,1}(e_i).  One system on the r(r+1)/2 coordinates
+    of `_symmetric_basis` gives the traceless part R_1': D(R_1') -
+    M_(D(R_1') e_0) = A_w and tr(R_1' M_k) = 0 (`_system_column`), unique
+    when M_w has simple spectrum.  The trace part then solves the Gram
+    system of tau11.  The output satisfies the self-adjointness,
     decomposition, and round-trip identities exactly.  Both discriminants,
     of the characteristic polynomials of M_w and of M_(e_1), come from the
     trace form (`_discriminant`): the first must be nonzero, and the
@@ -180,35 +172,27 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     if _discriminant(v, r - 1) == 0:  # a repeated root
         raise ArithmeticError("pivot multiplication does not have simple spectrum")
 
-    # A_w(e_i) = sum_j tau04[(i,j)] eps_j e_j
-    target = [[Fraction(tau04[(j, i)]) * v.eps[i] if (j, i) in tau04 else Fraction(0)
-               for j in range(r)] for i in range(r)]
-    basis = _perp_basis(v)
-    columns = [_pivot_operator(v, x) for x in basis]
-    rows = []
-    rhs = []
-    for i in range(r):
-        for j in range(r):
-            rows.append([col[i][j] for col in columns])
-            rhs.append(target[i][j])
+    mults = [scaled_matrix(v.mult_matrix(k))[0] for k in range(r)]  # integer structure constants
+    m2 = scaled_matrix(v.mult_matrix(v.multiply(r - 1, r - 1)))[0]
+    sym = _symmetric_basis(v)
+    columns = [_system_column(mults[-1], m2, mults, s) for s in sym]
+    # A_w(e_i) = sum_j tau04[(i,j)] eps_j e_j, row by row, then the r trace rows
+    rhs = [Fraction(tau04.get((j, i), 0)) * v.eps[i] for i in range(r) for j in range(r)] + [Fraction(0)] * r
     try:
-        coeffs = solve(rows, rhs)
+        coeffs = solve(list(zip(*columns)), rhs)
     except ArithmeticError as e:
         hint = {"underdetermined system": "pivot spectrum not simple?",
-                "inconsistent system": "tau tables are not realizable"}[str(e)]
+                "inconsistent system": "tau tables are not realizable"}.get(str(e))
+        if hint is None:
+            raise
         raise ArithmeticError(f"{e}: {hint}") from None
-    # at rank 1 the perpendicular space is zero and has an empty basis
-    perp = lin_comb(coeffs, basis) if basis else diagonal((Fraction(0),) * r)
+    perp = lin_comb(coeffs, sym)
 
     # recover the trace part from tau_{1,1}
-    gram = v.gram()
-    rhs2 = []
-    for i in range(r):
-        col_i = tuple(perp[a][i] for a in range(r))
-        col_0 = tuple(perp[a][0] for a in range(r))
-        inner = v.trace(col_i) - v.trace(v.multiply(col_0, v.basis(i)))
-        rhs2.append(-2 * (Fraction(tau11[i]) - Fraction(1, 24) * inner))
-    r1_vec = tuple(solve(gram, rhs2))
+    cols = list(zip(*perp))
+    rhs2 = [-2 * (Fraction(tau11[i]) - Fraction(1, 24) * (v.trace(cols[i]) - v.trace(v.multiply(cols[0], i))))
+            for i in range(r)]
+    r1_vec = tuple(solve(v.gram(), rhs2))
 
     out = R1Matrix(v, mat_add(v.mult_matrix(r1_vec), perp), r1_vec, perp)
 

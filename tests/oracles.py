@@ -26,14 +26,21 @@ triangle formula); the sine formula for Verlinde dimensions; the closed
 U(1) Meyer cocycle; the level-5 recursions of the TFT values; the signature of a torus representation's
 diagonal form; TFT values and degree-2 classes from `Fraction` vector
 products (the package reads them off scaled integer products and per-genus
-trace forms); and the nodal-count polynomials of the Euler characteristics
+trace forms); the nodal-count polynomials of the Euler characteristics
 by `Fraction` polynomial sums and products (the package sums integers over
-one denominator).
+one denominator); associativity of a fusion algebra by the O(r^5) loop over
+every triple (the package checks r commutators with the tridiagonal M_1);
+and R_1's traceless part in floating point from the eigenbasis of the pivot
+multiplication (the package solves one exact system on the symmetric
+matrices).
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import mpmath
 
 from qtoledo.cyclotomic import (
     CycloNum,
@@ -543,6 +550,50 @@ def rigid_four_point_toledo(level: int, emb: Embedding, i: int) -> Fraction:
     tau = eps * _read_toledo(data, emb)
     assert abs(tau) < 1 and (tau * level).denominator == 1, (level, emb, i, tau)
     return tau
+
+
+# -- associativity and R_1 in closed form ------------------------------------------------
+
+
+def associativity_defect(eps, omega03):
+    """The first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), else None: the O(r^5) loop.
+
+    The structure constants are e_i e_j = sum_k omega03[i][j][k] eps_k e_k.
+    """
+    r = len(eps)
+    c = [[[omega03[i][j][k] * eps[k] for k in range(r)] for j in range(r)] for i in range(r)]
+    for i, j, k in itertools.product(range(r), repeat=3):
+        for l in range(r):
+            if sum(c[i][j][m] * c[m][k][l] for m in range(r)) != \
+               sum(c[j][k][m] * c[i][m][l] for m in range(r)):
+                return i, j, k
+    return None
+
+
+def _mpf(x):
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def r1_perp_closed_form(v, tau04: dict):
+    """R_1's traceless part in floating point, from M_w's eigenbasis (mpmath, 40 digits).
+
+    With M_w = P diag(lambda) P^-1 of simple spectrum, every M_v is diagonal
+    in that basis, so a traceless part X has zero diagonal there, and
+    [[X, M_w], M_w] has the entries X_ab (lambda_a - lambda_b)^2 off it,
+    while the correction M_(D(X) e_0) is diagonal.  So X_ab = A_ab /
+    (lambda_a - lambda_b)^2 for the tau_{0,4} target A in that basis.
+    """
+    r = v.rank
+    with mpmath.workdps(40):
+        lam, p = mpmath.eig(mpmath.matrix([[_mpf(x) for x in row] for row in v.mult_matrix(r - 1)]))
+        target = mpmath.matrix([[_mpf(tau04.get((j, i), 0)) * v.eps[i] for j in range(r)]
+                                for i in range(r)])
+        a = mpmath.inverse(p) * target * p
+        x = mpmath.matrix(r, r)
+        for i, j in itertools.permutations(range(r), 2):
+            x[i, j] = a[i, j] / (lam[i] - lam[j]) ** 2
+        return p * x * mpmath.inverse(p)
 
 
 # -- degree-2 classes and Euler characteristics on Fractions --------------------------

@@ -341,9 +341,11 @@ def test_runtime_never_imports_mpmath():
 
 def test_cli_starts_on_only_the_standard_library_it_uses():
     # importing qtoledo.cli loads every layer; none of them may pull in these
-    # modules, each of which costs start-up time.  -S keeps site hooks that
+    # modules, each of which costs start-up time, and the last three are not
+    # dependencies of the package.  -S keeps site hooks that
     # import some of them from hiding a regression.
-    heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
+    heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources", "mpmath", "sympy",
+             "numpy")
     layers = ("cyclotomic", "linalg", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses",
               "eulerchi", "cli")
     out = _run_python(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly, tft_value, verlinde_dimension
+from oracles import associativity_defect, charpoly, tft_value, verlinde_dimension
 
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import (
@@ -301,7 +301,7 @@ def test_tables_pass_the_structural_checks():
     # eta weights that are not signs: e_0 e_1 = 4 e_1
     ([1, 2], [[[1, 0], [0, 2]], [[0, 2], [2, 0]]], "unit law fails"),
     (so3_algebra(7, Embedding(7, 3)).eps, _flip_orbit(so3_algebra(7, Embedding(7, 3)).omega03, (1, 1, 1)),
-     "associativity fails at (1,1,2)"),
+     "multiplication by e_2 does not commute with multiplication by e_1"),
     # e_1 <-> e_2 at level 9: e_1 e_1 reaches e_3
     (*_relabel(so3_algebra(9, Embedding(9, 4)), [0, 2, 1, 3]), "multiplication by e_1 is not tridiagonal"),
     # group algebra of Z/2 x Z/2: e_1 swaps e_0 <-> e_1 and e_2 <-> e_3, so (1, 2) is zero
@@ -312,6 +312,32 @@ def test_structural_checks_refuse_one_defect(eps, omega, message):
     with pytest.raises(ValueError) as err:
         _tables(eps, omega)
     assert str(err.value) == message
+
+
+def _orbit_changes(omega):
+    """omega with one orbit of index triples changed: a nonzero value negated, a zero set to +1 or -1."""
+    for triple in itertools.combinations_with_replacement(range(len(omega)), 3):
+        i, j, k = triple
+        value = omega[i][j][k]
+        for new in (-value,) if value else (1, -1):
+            out = [[list(row) for row in m] for m in omega]
+            for a, b, c in set(itertools.permutations(triple)):
+                out[a][b][c] = new
+            yield triple, out
+
+
+@pytest.mark.parametrize("level, k, changes", [(9, 2, 29), (11, 3, 52), (13, 2, 85)])
+def test_every_one_orbit_change_is_refused_by_the_checks_and_the_loop(level, k, changes):
+    # the commutation certificate refuses what the O(r^5) associativity loop
+    # refuses; orbits through 0 are refused earlier, by the eta check
+    v = so3_algebra(level, Embedding(level, k))
+    seen = 0
+    for triple, omega in _orbit_changes(v.omega03):
+        seen += 1
+        assert associativity_defect(v.eps, omega) is not None, triple
+        with pytest.raises(ValueError):
+            _tables(v.eps, omega)
+    assert seen == changes
 
 
 def _sine_ratio_sign(m: int, k: int, n: int) -> int:
@@ -351,6 +377,14 @@ def _kernel_algebra(family, n, k):
     if family == "so3":
         return so3_algebra(n, Embedding(n, k))
     return su2_algebra(n, Embedding(4 * n, k))
+
+
+def test_the_associativity_loop_accepts_every_built_algebra():
+    # the constructor certifies associativity by commutation with M_1; the
+    # O(r^5) loop agrees on every so3 and su2 algebra the kernel tests draw
+    for family, n, k in KERNEL_ALGEBRAS:
+        v = _kernel_algebra(family, n, k)
+        assert associativity_defect(v.eps, v.omega03) is None, (family, n, k)
 
 
 @st.composite

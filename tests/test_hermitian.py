@@ -500,16 +500,23 @@ def test_a_multiplicity_the_projector_rank_refutes_raises(order, seed, monkeypat
 
 
 def test_a_form_degenerate_on_an_eigenspace_raises():
-    # diagonal U: the form restricted to the -1 eigenspace is 0
-    form = HermMatrix(diag(1, 0), EMB5)
+    # both forms are singular, so IsometryWithForm refuses them: a diagonal
+    # form by a zero norm, any other by its determinant
+    diagonal_form = HermMatrix(diag(1, 0), EMB5)
+    ones = HermMatrix(as_matrix([[1, 1], [1, 1]]), EMB5)
+    swap = as_matrix([[0, 1], [1, 0]])
+    for u, form in ((diag(1, -1), diagonal_form), (swap, ones)):
+        with pytest.raises(ValueError, match="^form is singular$"):
+            IsometryWithForm(u, form)
+    # eigen_split's exact part still checks each eigenspace. Diagonal U: the
+    # form restricted to the -1 eigenspace is 0
     with pytest.raises(ArithmeticError, match="^degenerate form on an eigenspace$"):
-        eigen_split(IsometryWithForm(diag(1, -1), form))
+        hermitian._eigen_data(diag(1, -1), diagonal_form.entries, 5)
     # the swap preserves the all-ones form, which is 0 on its -1 eigenspace:
     # h Pi then has rank 0 where the traces give multiplicity 1
-    form = HermMatrix(as_matrix([[1, 1], [1, 1]]), EMB5)
     with pytest.raises(ArithmeticError, match="^eigenspace projector has rank 0, but the "
                                               "traces give multiplicity 1$"):
-        eigen_split(IsometryWithForm(as_matrix([[0, 1], [1, 0]]), form))
+        hermitian._eigen_data(swap, ones.entries, 5)
 
 
 def test_g_function_values():

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -84,17 +87,29 @@ def test_level7_q2_matrix_consistent_with_table():
 
 
 def test_solve_r1_names_an_underdetermined_system(monkeypatch):
-    # every column of the system built from one perpendicular basis element:
+    # every column of the system built from one symmetric basis element:
     # the columns are dependent, which is what a repeated pivot eigenvalue
     # does, and the hint is looked up by the text of solve's error
     emb = Embedding(7, 1)
     v = so3_algebra(7, emb)
-    pivot_operator = rmatrix._pivot_operator
-    first = rmatrix._perp_basis(v)[0]
-    monkeypatch.setattr(rmatrix, "_pivot_operator", lambda v, x: pivot_operator(v, first))
+    column = rmatrix._system_column
+    first = rmatrix._symmetric_basis(v)[0]
+    monkeypatch.setattr(rmatrix, "_system_column", lambda m, m2, mults, s: column(m, m2, mults, first))
     with pytest.raises(ArithmeticError) as err:
         solve_r1(v, pivot_tau04_table(7, emb), tau11_table(7, emb))
     assert str(err.value) == "underdetermined system: pivot spectrum not simple?"
+
+
+def test_solve_r1_passes_an_unknown_solve_error_through(monkeypatch):
+    # an error text with no hint is raised as it is, not as a KeyError
+    emb = Embedding(7, 1)
+
+    def boom(a, b):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(rmatrix, "solve", boom)
+    with pytest.raises(ArithmeticError, match="^boom$"):
+        solve_r1(so3_algebra(7, emb), pivot_tau04_table(7, emb), tau11_table(7, emb))
 
 
 def _perturbed_tau04(level, k, entry):
@@ -117,7 +132,7 @@ def test_solve_r1_refuses_unrealizable_tables():
 
 
 def test_level3_rank1_r1_is_zero():
-    # rank 1: the perpendicular space is zero, so solve_r1 gets an empty basis
+    # rank 1: the trace row tr(S M_0) = 1 forces the one symmetric coordinate to 0
     r1 = solve_level(3, Embedding(3, 1))
     assert r1.matrix == ((0,),)
     assert r1.perp_part == ((0,),)
@@ -195,6 +210,33 @@ def test_perp_part_zero_diagonal_in_idempotent_basis(level5):
     perp = np.array([[float(x) for x in row] for row in r1.perp_part])
     diag = np.diagonal(np.linalg.inv(vecs) @ perp @ vecs)
     assert np.allclose(diag, 0, atol=1e-10)
+
+
+def _units(level: int) -> list[int]:
+    return [k for k in range(1, level) if math.gcd(k, level) == 1]
+
+
+def test_r1_of_levels_5_to_13_is_pinned():
+    # one SHA-256 over the sorted JSON of R_1 at every unit of levels 5-13, in order
+    digest = hashlib.sha256()
+    for level in (5, 7, 9, 11, 13):
+        for k in _units(level):
+            digest.update(json.dumps(solve_level(level, Embedding(level, k)).to_json(),
+                                     sort_keys=True).encode())
+    assert digest.hexdigest() == "dc026151341f0762be8181f289d3cdfc94373d08f1d14c6009cbb8f01cead8c2"
+
+
+@pytest.mark.parametrize("level", [5, 7, 9, 11, 13])
+def test_perp_part_matches_the_eigenbasis_closed_form(level):
+    # R_1' against X_ab = A_ab / (lambda_a - lambda_b)^2 in M_w's eigenbasis, in mpmath
+    for k in _units(level):
+        emb = Embedding(level, k)
+        r1 = solve_level(level, emb)
+        closed = oracles.r1_perp_closed_form(r1.algebra, pivot_tau04_table(level, emb))
+        exact = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                               for row in r1.perp_part])
+        scale = mpmath.mnorm(exact, 1)
+        assert mpmath.mnorm(closed - exact, 1) <= 1e-12 * scale, (level, k)
 
 
 def test_degree2_class_level5_closed_formulas(level5):
@@ -363,10 +405,6 @@ def test_reproduce_all_solves_each_r1_once(monkeypatch, capsys):
     assert main(["reproduce", "--all"]) == 0
     assert capsys.readouterr().out.count(": ok") == 6
     assert sorted(solved) == [(5, 1), (7, 1), (7, 2), (7, 3)]
-
-
-def _units(level: int) -> list[int]:
-    return [k for k in range(1, level) if math.gcd(k, level) == 1]
 
 
 def _cold():
