@@ -9,9 +9,11 @@ diffs them against the golden files shipped with the package.
 Exit codes: 0 success, 1 computation failure, 2 usage error, 3 golden
 mismatch.
 
-Run as a script, each subcommand imports only the layer modules it calls,
-inside its own function, and the parser fills in only the subcommands of
-the group called; imported as a module, ``cli`` loads every layer.
+Each subcommand is declared in ``SUBCOMMANDS``, its options in ``OPTIONS``,
+and ``main`` builds every envelope.  Run as a script, each subcommand
+imports only the layer modules it calls, inside its own function, and the
+parser fills in only the subcommands of the group called; imported as a
+module, ``cli`` loads every layer.
 """
 
 from __future__ import annotations
@@ -74,14 +76,14 @@ def _algebra(args):
     return su2_algebra(args.level, Embedding(4 * args.level, args.embedding))
 
 
-# -- subcommand implementations ---------------------------------------------------
+# -- subcommand implementations: each returns the payload that main wraps ----------
 
 
-def cmd_fusion_build(args) -> str:
+def cmd_fusion_build(args) -> dict:
     from .cyclotomic import frac_to_json
 
     v = _algebra(args)
-    payload = {
+    return {
         "family": v.family,
         "level": v.level,
         "embedding": v.embedding.exponent,
@@ -93,10 +95,9 @@ def cmd_fusion_build(args) -> str:
         "omega_element": [frac_to_json(x) for x in v.omega_element],
         "semisimple_witness": frac_to_json(v.semisimple_witness()),
     }
-    return _envelope("fusion build", vars_of(args), payload, args.format)
 
 
-def cmd_fusion_sigtable(args) -> str:
+def cmd_fusion_sigtable(args) -> dict:
     from .cyclotomic import Embedding, frac_to_json
     from .fusion import signature_table, so3_algebra
 
@@ -105,23 +106,22 @@ def cmd_fusion_sigtable(args) -> str:
     rows = []
     for line in table:
         rows.append([f"{cell['p']}|{cell['q']}" for cell in line])
-    payload = {
+    return {
         "header": ["g\\n"] + [f"n={n}" for n in range(args.nmax + 1)],
         "rows": [[f"g={g}"] + rows[g] for g in range(args.gmax + 1)],
         "cells": [{**cell, "dim": frac_to_json(cell["dim"]),
                    "signature": frac_to_json(cell["signature"])}
                   for line in table for cell in line],
     }
-    return _envelope("fusion sigtable", vars_of(args), payload, args.format)
 
 
-def cmd_fusion_gluing(args) -> str:
+def cmd_fusion_gluing(args) -> dict:
     from .fusion import gluing_checks
 
     v = _algebra(args)
     report = gluing_checks(v, samples=args.samples, seed=args.seed)
     report["failures"] = [str(f) for f in report["failures"]]
-    return _envelope("fusion gluing", vars_of(args), report, args.format)
+    return report
 
 
 def _read_text(path: str) -> str:
@@ -138,59 +138,56 @@ def _write_text(path: str, text: str):
         f.write(text)
 
 
+def _load_square(data) -> tuple:
+    from .cyclotomic import cyclo_from_json
+
+    return tuple(tuple(cyclo_from_json(x) for x in row) for row in data["entries"])
+
+
 def _load_matrix(path: str):
-    from .cyclotomic import Embedding, cyclo_from_json
+    """The HermMatrix of a file {"embedding": {"order", "exponent"}, "entries": rows}."""
+    from .cyclotomic import Embedding
     from .hermitian import HermMatrix
 
     data = _read_json(path)
     emb = Embedding(data["embedding"]["order"], data["embedding"]["exponent"])
-    entries = [[cyclo_from_json(x) for x in row] for row in data["entries"]]
-    return HermMatrix(tuple(tuple(row) for row in entries), emb)
+    return HermMatrix(_load_square(data), emb)
 
 
-def _load_square(path: str):
-    from .cyclotomic import cyclo_from_json
-
-    data = _read_json(path)
-    return tuple(tuple(cyclo_from_json(x) for x in row) for row in data["entries"])
-
-
-def cmd_herm_signature(args) -> str:
+def cmd_herm_signature(args) -> dict:
     from .hermitian import signature
 
     h = _load_matrix(args.matrix)
     sig = signature(h)
-    payload = {"positive": sig.positive, "negative": sig.negative, "zero": sig.zero}
-    return _envelope("herm signature", vars_of(args), payload, args.format)
+    return {"positive": sig.positive, "negative": sig.negative, "zero": sig.zero}
 
 
-def cmd_herm_meyer(args) -> str:
+def cmd_herm_meyer(args) -> dict:
     from .hermitian import IsometryWithForm, meyer_cocycle
 
     form = _load_matrix(args.form)
-    a = IsometryWithForm(_load_square(args.a), form)
-    b = IsometryWithForm(_load_square(args.b), form)
-    payload = {"meyer_cocycle": meyer_cocycle(a, b)}
-    return _envelope("herm meyer", vars_of(args), payload, args.format)
+    a = IsometryWithForm(_load_square(_read_json(args.a)), form)
+    b = IsometryWithForm(_load_square(_read_json(args.b)), form)
+    return {"meyer_cocycle": meyer_cocycle(a, b)}
 
 
-def cmd_qrep_tau04(args) -> str:
+def cmd_qrep_tau04(args) -> dict:
     from .cyclotomic import Embedding, frac_to_json
     from .qrep import four_point_toledo
 
     value = four_point_toledo(args.level, Embedding(args.level, args.embedding), args.i, args.j)
-    return _envelope("qrep tau04", vars_of(args), {"tau_04": frac_to_json(value)}, args.format)
+    return {"tau_04": frac_to_json(value)}
 
 
-def cmd_qrep_tau11(args) -> str:
+def cmd_qrep_tau11(args) -> dict:
     from .cyclotomic import Embedding, frac_to_json
     from .qrep import tau_11
 
     value = tau_11(args.level, Embedding(args.level, args.embedding), args.i)
-    return _envelope("qrep tau11", vars_of(args), {"tau_11": frac_to_json(value)}, args.format)
+    return {"tau_11": frac_to_json(value)}
 
 
-def cmd_qrep_torus(args) -> str:
+def cmd_qrep_torus(args) -> dict:
     from .cyclotomic import Embedding, cyclo_to_json
     from .qrep import punctured_torus_rep
 
@@ -214,18 +211,18 @@ def cmd_qrep_torus(args) -> str:
     if args.dump:
         _write_text(args.dump, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         payload = {"written": args.dump, "dim": rep.dim}
-    return _envelope("qrep torus", vars_of(args), payload, args.format)
+    return payload
 
 
-def cmd_rmatrix_solve(args) -> str:
+def cmd_rmatrix_solve(args) -> dict:
     from .cyclotomic import Embedding
     from .rmatrix import solve_level
 
     r1 = solve_level(args.level, Embedding(args.level, args.embedding))
-    return _envelope("rmatrix solve", vars_of(args), r1.to_json(), args.format)
+    return r1.to_json()
 
 
-def cmd_rmatrix_class(args) -> str:
+def cmd_rmatrix_class(args) -> dict:
     from .cyclotomic import Embedding
     from .mgnclasses import reduce_class
     from .rmatrix import degree2_class, solve_level
@@ -240,52 +237,48 @@ def cmd_rmatrix_class(args) -> str:
         payload["reduced"] = reduce_class(cls).to_json()
     except ValueError:
         payload["reduced"] = None
-    return _envelope("rmatrix class", vars_of(args), payload, args.format)
+    return payload
 
 
-def cmd_rmatrix_crosscheck(args) -> str:
+def cmd_rmatrix_crosscheck(args) -> dict:
     from .rmatrix import appendixB_crosscheck
 
-    report = appendixB_crosscheck(args.gmax, args.nmax)
-    return _envelope("rmatrix crosscheck", vars_of(args), report, args.format)
+    return appendixB_crosscheck(args.gmax, args.nmax)
 
 
-def cmd_classes_check(args) -> str:
+def cmd_classes_check(args) -> dict:
     from .mgnclasses import uniformization_check
 
     case = tuple(_ints(args.case))
-    report = uniformization_check(case)
-    return _envelope("classes check", vars_of(args), report, args.format)
+    return uniformization_check(case)
 
 
-def cmd_classes_reduce(args) -> str:
+def cmd_classes_reduce(args) -> dict:
     from .mgnclasses import class_from_json, reduce_class
 
     data = _read_json(getattr(args, "class"))
     cls = class_from_json(data)
-    reduced = reduce_class(cls)
-    return _envelope("classes reduce", vars_of(args), reduced.to_json(), args.format)
+    return reduce_class(cls).to_json()
 
 
-def cmd_euler_chibar(args) -> str:
+def cmd_euler_chibar(args) -> dict:
     from .cyclotomic import frac_to_json
     from .eulerchi import chi_bar
 
     poly = chi_bar(args.g, args.n)
-    payload = {
+    return {
         "g": args.g, "n": args.n,
         "coefficients": [frac_to_json(c) for c in poly.coeffs],
         "pretty": str(poly),
     }
-    return _envelope("euler chibar", vars_of(args), payload, args.format)
 
 
-def cmd_euler_twisted(args) -> str:
+def cmd_euler_twisted(args) -> dict:
     from .cyclotomic import frac_to_json
     from .eulerchi import chi_twisted
 
     value = chi_twisted(args.g, args.n, args.level)
-    return _envelope("euler twisted", vars_of(args), {"chi": frac_to_json(value)}, args.format)
+    return {"chi": frac_to_json(value)}
 
 
 # -- reproduce: golden tables ----------------------------------------------------
@@ -390,14 +383,10 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def cmd_reproduce(args) -> tuple[str, int]:
-    names = list(TABLES) if args.all else ([args.table] if args.table else [])
-    if not names:
-        raise SystemExit2("choose --all or --table NAME")
+    names = list(TABLES) if args.all else [args.table]
     out_lines = []
     mismatched = False
     for name in names:
-        if name not in TABLES:
-            raise SystemExit2(f"unknown table {name!r}; choose from {sorted(TABLES)}")
         payload = TABLES[name]()
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         golden = os.path.join(GOLDEN_DIR, f"{name}.json")
@@ -416,10 +405,6 @@ def cmd_reproduce(args) -> tuple[str, int]:
         else:
             out_lines.append(f"{name}: ok")
     return "\n".join(out_lines) + "\n", (3 if mismatched else 0)
-
-
-class SystemExit2(Exception):
-    pass
 
 
 def vars_of(args) -> dict:
@@ -457,159 +442,123 @@ def _g_n(text: str) -> str:
     return text
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+def _count(text: str) -> int:
+    """A nonnegative integer, such as a sample count or a largest genus."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
-def _fill_fusion(fusion):
-    fsub = fusion.add_subparsers(dest="sub", required=True)
-    fb = fsub.add_parser("build")
-    fb.add_argument("--family", choices=("so3", "su2"), default="so3")
-    fb.add_argument("--level", type=int, required=True,
-                    help="odd level for so3; r for su2 (embedding order 4r)")
-    fb.add_argument("--embedding", type=int, default=1)
-    _add_format(fb)
-    fb.set_defaults(func=cmd_fusion_build)
-    ft = fsub.add_parser("sigtable")
-    ft.add_argument("--level", type=int, required=True)
-    ft.add_argument("--embedding", type=int, default=1)
-    ft.add_argument("--gmax", type=int, default=3)
-    ft.add_argument("--nmax", type=int, default=6)
-    _add_format(ft)
-    ft.set_defaults(func=cmd_fusion_sigtable)
-    fg = fsub.add_parser("gluing")
-    fg.add_argument("--family", choices=("so3", "su2"), default="so3")
-    fg.add_argument("--level", type=int, required=True)
-    fg.add_argument("--embedding", type=int, default=1)
-    fg.add_argument("--samples", type=int, default=100)
-    fg.add_argument("--seed", type=int, default=0)
-    _add_format(fg)
-    fg.set_defaults(func=cmd_fusion_gluing)
-
-
-def _fill_herm(herm):
-    hsub = herm.add_subparsers(dest="sub", required=True)
-    hs = hsub.add_parser("signature")
-    hs.add_argument("--matrix", required=True)
-    _add_format(hs)
-    hs.set_defaults(func=cmd_herm_signature)
-    hm = hsub.add_parser("meyer")
-    hm.add_argument("--a", required=True)
-    hm.add_argument("--b", required=True)
-    hm.add_argument("--form", required=True)
-    _add_format(hm)
-    hm.set_defaults(func=cmd_herm_meyer)
-
-
-def _fill_qrep(qrep):
-    qsub = qrep.add_subparsers(dest="sub", required=True)
-    q4 = qsub.add_parser("tau04")
-    q4.add_argument("--level", type=int, required=True)
-    q4.add_argument("--embedding", type=int, default=1)
-    q4.add_argument("--i", type=int, required=True)
-    q4.add_argument("--j", type=int, required=True)
-    _add_format(q4)
-    q4.set_defaults(func=cmd_qrep_tau04)
-    q1 = qsub.add_parser("tau11")
-    q1.add_argument("--level", type=int, required=True)
-    q1.add_argument("--embedding", type=int, default=1)
-    q1.add_argument("--i", type=int, required=True)
-    _add_format(q1)
-    q1.set_defaults(func=cmd_qrep_tau11)
-    qt = qsub.add_parser("torus")
-    qt.add_argument("--level", type=int, required=True)
-    qt.add_argument("--embedding", type=int, default=1)
-    qt.add_argument("--i", type=int, required=True)
-    qt.add_argument("--dump")
-    _add_format(qt)
-    qt.set_defaults(func=cmd_qrep_torus)
-
-
-def _fill_rmatrix(rmat):
-    rsub = rmat.add_subparsers(dest="sub", required=True)
-    rs = rsub.add_parser("solve")
-    rs.add_argument("--level", type=int, required=True)
-    rs.add_argument("--embedding", type=int, default=1)
-    _add_format(rs)
-    rs.set_defaults(func=cmd_rmatrix_solve)
-    rc = rsub.add_parser("class")
-    rc.add_argument("--level", type=int, required=True)
-    rc.add_argument("--embedding", type=int, default=1)
-    rc.add_argument("--g", type=int, required=True)
-    rc.add_argument("--n", type=int, required=True)
-    rc.add_argument("--colors", type=_int_list, default="1")
-    _add_format(rc)
-    rc.set_defaults(func=cmd_rmatrix_class)
-    rx = rsub.add_parser("crosscheck")
-    rx.add_argument("--gmax", type=int, default=4)
-    rx.add_argument("--nmax", type=int, default=4)
-    _add_format(rx)
-    rx.set_defaults(func=cmd_rmatrix_crosscheck)
-
-
-def _fill_classes(classes):
-    csub = classes.add_subparsers(dest="sub", required=True)
-    cc = csub.add_parser("check")
-    cc.add_argument("--case", type=_g_n, required=True, help="g,n among 0,5 1,2 1,3 2,1")
-    _add_format(cc)
-    cc.set_defaults(func=cmd_classes_check)
-    cr = csub.add_parser("reduce")
-    cr.add_argument("--class", required=True, dest="class")
-    _add_format(cr)
-    cr.set_defaults(func=cmd_classes_reduce)
-
-
-def _fill_euler(euler):
-    esub = euler.add_subparsers(dest="sub", required=True)
-    ec = esub.add_parser("chibar")
-    ec.add_argument("--g", type=int, required=True)
-    ec.add_argument("--n", type=int, required=True)
-    _add_format(ec)
-    ec.set_defaults(func=cmd_euler_chibar)
-    et = esub.add_parser("twisted")
-    et.add_argument("--g", type=int, required=True)
-    et.add_argument("--n", type=int, required=True)
-    et.add_argument("--level", type=int, required=True)
-    _add_format(et)
-    et.set_defaults(func=cmd_euler_twisted)
-
-
-def _fill_reproduce(rep):
-    rep.add_argument("--all", action="store_true")
-    rep.add_argument("--table")
-    rep.add_argument("--write-golden", action="store_true",
-                     help="write the golden files instead of checking them")
-    rep.set_defaults(func=None)
-
-
-# each command group: its help line and the function that adds its subcommands
-GROUPS = {
-    "fusion": ("fusion Frobenius algebras", _fill_fusion),
-    "herm": ("exact Hermitian linear algebra", _fill_herm),
-    "qrep": ("small-surface quantum representations", _fill_qrep),
-    "rmatrix": ("first-order R-matrix and Toledo classes", _fill_rmatrix),
-    "classes": ("second cohomology of moduli spaces", _fill_classes),
-    "euler": ("orbifold Euler characteristics", _fill_euler),
-    "reproduce": ("regenerate published tables and diff goldens", _fill_reproduce),
+# every option of a subcommand, by flag; a subcommand may override a field
+OPTIONS = {
+    "--family": {"choices": ("so3", "su2"), "default": "so3"},
+    "--level": {"type": int, "required": True},
+    "--embedding": {"type": int, "default": 1},
+    "--i": {"type": int, "required": True},
+    "--j": {"type": int, "required": True},
+    "--g": {"type": int, "required": True},
+    "--n": {"type": int, "required": True},
+    "--gmax": {"type": _count},
+    "--nmax": {"type": _count},
+    "--samples": {"type": _count, "default": 100},
+    "--seed": {"type": int, "default": 0},
+    "--colors": {"type": _int_list, "default": "1"},
+    "--case": {"type": _g_n, "required": True, "help": "g,n among 0,5 1,2 1,3 2,1"},
+    "--matrix": {"required": True},
+    "--a": {"required": True},
+    "--b": {"required": True},
+    "--form": {"required": True},
+    "--class": {"required": True},
+    "--dump": {},
+    "--format": {"choices": ("json", "csv", "md"), "default": "json"},
 }
+
+# group -> subcommand -> (function, its options in order); each also takes --format
+SUBCOMMANDS = {
+    "fusion": {
+        "build": (cmd_fusion_build, ("--family", ("--level", {
+            "help": "odd level for so3; r for su2 (embedding order 4r)"}), "--embedding")),
+        "sigtable": (cmd_fusion_sigtable, ("--level", "--embedding", ("--gmax", {"default": 3}),
+                                           ("--nmax", {"default": 6}))),
+        "gluing": (cmd_fusion_gluing, ("--family", "--level", "--embedding", "--samples",
+                                       "--seed")),
+    },
+    "herm": {
+        "signature": (cmd_herm_signature, ("--matrix",)),
+        "meyer": (cmd_herm_meyer, ("--a", "--b", "--form")),
+    },
+    "qrep": {
+        "tau04": (cmd_qrep_tau04, ("--level", "--embedding", "--i", "--j")),
+        "tau11": (cmd_qrep_tau11, ("--level", "--embedding", "--i")),
+        "torus": (cmd_qrep_torus, ("--level", "--embedding", "--i", "--dump")),
+    },
+    "rmatrix": {
+        "solve": (cmd_rmatrix_solve, ("--level", "--embedding")),
+        "class": (cmd_rmatrix_class, ("--level", "--embedding", "--g", "--n", "--colors")),
+        "crosscheck": (cmd_rmatrix_crosscheck, (("--gmax", {"default": 4}),
+                                                ("--nmax", {"default": 4}))),
+    },
+    "classes": {
+        "check": (cmd_classes_check, ("--case",)),
+        "reduce": (cmd_classes_reduce, ("--class",)),
+    },
+    "euler": {
+        "chibar": (cmd_euler_chibar, ("--g", "--n")),
+        "twisted": (cmd_euler_twisted, ("--g", "--n", "--level")),
+    },
+}
+
+# the help line of each command group
+GROUPS = {
+    "fusion": "fusion Frobenius algebras",
+    "herm": "exact Hermitian linear algebra",
+    "qrep": "small-surface quantum representations",
+    "rmatrix": "first-order R-matrix and Toledo classes",
+    "classes": "second cohomology of moduli spaces",
+    "euler": "orbifold Euler characteristics",
+    "reproduce": "regenerate published tables and diff goldens",
+}
+
+
+def _fill(group, name: str):
+    """Add the options of group name: reproduce's own, or each subcommand's from SUBCOMMANDS."""
+    if name == "reproduce":
+        which = group.add_mutually_exclusive_group(required=True)
+        which.add_argument("--all", action="store_true")
+        which.add_argument("--table", choices=TABLES, metavar="TABLE")
+        group.add_argument("--write-golden", action="store_true",
+                           help="write the golden files instead of checking them")
+        return
+    subs = group.add_subparsers(dest="sub", required=True)
+    for sub, (func, options) in SUBCOMMANDS[name].items():
+        parser = subs.add_parser(sub)
+        for option in options + ("--format",):
+            flag, override = (option, {}) if isinstance(option, str) else option
+            parser.add_argument(flag, **{**OPTIONS[flag], **override})
+        parser.set_defaults(func=func)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The command-line parser, with every group and, for argv, only the subcommands it calls.
 
-    Every group parser is added with its help line.  Its subcommands and
-    options are filled in for every group when argv is None, and otherwise
-    only for the group that the first group name in argv (normally argv[0])
-    calls: the top level takes no option with a value, so that is the group
-    argparse hands the rest of argv to, and it reads no other group's parser.
+    Every group parser is added with its help line from GROUPS.  Its options
+    and subcommands (from SUBCOMMANDS) are filled in for every group when
+    argv is None, and otherwise only for the group that the first group name
+    in argv (normally argv[0]) calls: the top level takes no option with a
+    value, so that is the group argparse hands the rest of argv to, and it
+    reads no other group's parser.
     """
     parser = argparse.ArgumentParser(prog="qtoledo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     called = None if argv is None else next((a for a in argv if a in GROUPS), None)
-    for name, (help_text, fill) in GROUPS.items():
+    for name, help_text in GROUPS.items():
         group = sub.add_parser(name, help=help_text)
         if argv is None or name == called:
-            fill(group)
+            _fill(group, name)
     return parser
 
 
@@ -626,11 +575,10 @@ def main(argv=None) -> int:
             text, code = cmd_reproduce(args)
             sys.stdout.write(text)
             return code
-        sys.stdout.write(args.func(args))
+        payload = args.func(args)
+        sys.stdout.write(_envelope(f"{args.command} {args.sub}", vars_of(args), payload,
+                                   args.format))
         return 0
-    except SystemExit2 as e:
-        sys.stderr.write(f"usage error: {e}\n")
-        return 2
     except Exception as e:  # computation failure
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 1

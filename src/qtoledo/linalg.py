@@ -429,7 +429,7 @@ class HermMatrix(Record):
 
 
 class IsometryWithForm(Record):
-    """A matrix U with U^dagger h U = h for an invertible Hermitian form h (checked)."""
+    """A matrix U with U^dagger h U = h for an invertible Hermitian form h of its size (checked)."""
 
     matrix: Matrix
     form: HermMatrix
@@ -438,6 +438,8 @@ class IsometryWithForm(Record):
         u = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", u)
         h = self.form.entries
+        if len(u) != len(h) or len(u[0]) != len(h):
+            raise ValueError(f"matrix is {len(u)}x{len(u[0])}, the form {len(h)}x{len(h)}")
         norms = diagonal_entries(h)
         if not (all(norms) if norms is not None else determinant(h)):
             raise ValueError("form is singular")

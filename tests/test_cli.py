@@ -157,6 +157,27 @@ def test_case_takes_exactly_two_integers(capsys, case, message):
     assert err.endswith(f"error: argument --case: {message}\n")
 
 
+@pytest.mark.parametrize("call, message", [
+    (("rmatrix", "crosscheck", "--gmax", "-1"),
+     "argument --gmax: expected a nonnegative integer, got '-1'"),
+    (("fusion", "gluing", "--level", "5", "--samples", "-3"),
+     "argument --samples: expected a nonnegative integer, got '-3'"),
+    (("fusion", "sigtable", "--level", "5", "--gmax", "-1"),
+     "argument --gmax: expected a nonnegative integer, got '-1'"),
+    (("fusion", "sigtable", "--level", "5", "--nmax", "x"),
+     "argument --nmax: invalid int value: 'x'"),
+    (("reproduce", "--all", "--table", "euler"),
+     "argument --table: not allowed with argument --all"),
+    # how argparse lists the choices after this varies with the Python version
+    (("reproduce", "--all", "--table", "nosuch"), "argument --table: invalid choice: 'nosuch' "),
+])
+def test_bad_count_or_two_table_choices_is_a_usage_error(capsys, call, message):
+    code, out, err = run(capsys, *call)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: qtoledo {call[0]} ")
+    assert f"error: {message}" in err
+
+
 def test_empty_color_list_still_means_no_colors(capsys):
     code, out, _ = run(capsys, "rmatrix", "class", "--level", "5", "--g", "2", "--n", "0",
                        "--colors", "")
@@ -255,6 +276,38 @@ def test_every_subcommand_runs_in_every_format(capsys, tmp_path, fmt):
         assert out.endswith("\n")
         if fmt == "json":
             assert json.loads(out)["command"] == " ".join(call[:2])
+
+
+def test_meyer_refuses_an_isometry_of_another_size_than_the_form(capsys, tmp_path):
+    one, zero = cyclo_to_json(CycloNum.rational(1)), cyclo_to_json(CycloNum.rational(0))
+    (tmp_path / "form.json").write_text(json.dumps(
+        {"embedding": {"order": 12, "exponent": 1}, "entries": [[one, zero], [zero, one]]}))
+    (tmp_path / "a.json").write_text(
+        json.dumps({"entries": [[one, zero], [zero, one], [zero, zero]]}))
+    code, out, err = run(capsys, "herm", "meyer", "--a", str(tmp_path / "a.json"),
+                         "--b", str(tmp_path / "a.json"), "--form", str(tmp_path / "form.json"))
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: matrix is 3x2, the form 2x2\n"
+
+
+# SHA-256 of the echoed parameters of every call of _small_calls, file names
+# reduced to their basenames: the option names and defaults of each subcommand
+PARAMETERS_SHA256 = "0058720be7604f4d60fa9255e9702b6cf544d4710904538bf62d972a4e4a7798"
+
+
+def test_every_subcommand_echoes_its_pinned_parameters(capsys, tmp_path):
+    echoed = []
+    for call in _small_calls(tmp_path):
+        code, out, _ = run(capsys, *call, "--format", "json")
+        assert code == 0, call
+        parameters = json.loads(out)["parameters"]
+        for key in ("matrix", "a", "b", "form", "class"):
+            if key in parameters:
+                parameters[key] = Path(parameters[key]).name
+        echoed.append(parameters)
+    assert len(echoed) == 15
+    digest = hashlib.sha256(json.dumps(echoed, sort_keys=True).encode()).hexdigest()
+    assert digest == PARAMETERS_SHA256
 
 
 def test_sigtable_json_serializes_rationals(capsys):

@@ -214,6 +214,18 @@ def test_isometry_refuses_a_matrix_that_moves_the_form():
     assert form.dim == 2
 
 
+@pytest.mark.parametrize("rows, shape", [
+    ([[1, 0], [0, 1], [0, 0]], "3x2"),
+    ([[1, 0, 0], [0, 1, 0]], "2x3"),
+    ([[1]], "1x1"),
+])
+def test_isometry_refuses_a_matrix_of_another_size_than_the_form(rows, shape):
+    # the row scaling by the form's norms zips rows away, so the size is checked first
+    form = HermMatrix(diag(1, 1), Embedding(1, 0))
+    with pytest.raises(ValueError, match=f"^matrix is {shape}, the form 2x2$"):
+        IsometryWithForm(as_matrix(rows), form)
+
+
 # -- Meyer cocycle -----------------------------------------------------------
 
 
