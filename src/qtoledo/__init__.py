@@ -14,19 +14,21 @@ layers it uses and always gets the layer's own object.
 from importlib import import_module
 
 _EXPORTS = {
-    "cyclotomic": ("CycloNum", "Embedding", "conjugate", "cyclotomic_polynomial", "galois",
-                   "quantum_int", "sign_real"),
+    "cyclotomic": ("CycloNum", "conjugate", "cyclotomic_polynomial", "galois", "quantum_int",
+                   "sign_real"),
+    "embedding": ("Embedding",),
     "eulerchi": ("ChiPoly", "chi_bar", "chi_twisted", "harer_zagier"),
     "fusion": ("FrobeniusAlgebra", "gluing_checks", "signature_table", "so3_algebra",
                "su2_algebra", "unitary_partner"),
     "hermitian": ("Signature", "eigen_split", "g_function", "meyer_cocycle", "signature",
-                  "toledo_triangle_meyer", "toledo_triangle_pu11"),
+                  "toledo_triangle_meyer"),
     "linalg": ("HermMatrix", "IsometryWithForm"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
-    "qrep": ("PuncturedTorusRep", "four_point_toledo", "punctured_torus_rep", "tau_11"),
+    "qrep": ("four_point_toledo", "punctured_torus_rep", "tau_11", "toledo_triangle_pu11"),
     "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
                 "tau_from_r1_04", "tau_from_r1_11"),
+    "torus": ("PuncturedTorusRep",),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

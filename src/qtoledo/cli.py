@@ -11,24 +11,39 @@ mismatch.
 
 Each subcommand is declared in ``SUBCOMMANDS``, its options in ``OPTIONS``,
 and ``main`` builds every envelope.  Run as a script, each subcommand
-imports only the layer modules it calls, inside its own function, and the
-parser fills in only the subcommands of the group called; imported as a
-module, ``cli`` loads every layer.
+imports only the modules it calls, inside its own function, and the parser
+fills in only the subcommands of the group called; the golden tables are
+in ``tables``, which only ``reproduce`` imports.  Imported as a module,
+``cli`` loads every module of the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 if __name__ != "__main__":
-    # Imported rather than run as a script: load every layer up front.
+    # Imported rather than run as a script: load every module up front.
     # perfbench's import_package, cache_clearers and tracer look for the
-    # layers in sys.modules after ``import qtoledo.cli``.  The installed
-    # console script loses little by it: pip compiles its bytecode at install.
-    from . import cyclotomic, eulerchi, fusion, hermitian, linalg, mgnclasses, qrep, rmatrix  # noqa: F401
+    # modules in sys.modules after ``import qtoledo.cli`` (the caches of
+    # ``embedding`` and ``torus`` among them), and its tracer wraps the
+    # golden tables in ``cli.TABLES``.  The installed console script loses
+    # little by it: pip compiles its bytecode at install.
+    from . import (  # noqa: F401
+        cyclotomic,
+        embedding,
+        eulerchi,
+        fusion,
+        hermitian,
+        linalg,
+        mgnclasses,
+        qrep,
+        rmatrix,
+        tables,
+        torus,
+    )
+    from .tables import TABLES  # noqa: F401
 
 
 def _envelope(command: str, parameters: dict, payload, fmt: str) -> str:
@@ -68,7 +83,7 @@ def _to_csv(payload) -> str:
 
 
 def _algebra(args):
-    from .cyclotomic import Embedding
+    from .embedding import Embedding
     from .fusion import so3_algebra, su2_algebra
 
     if args.family == "so3":
@@ -80,7 +95,7 @@ def _algebra(args):
 
 
 def cmd_fusion_build(args) -> dict:
-    from .cyclotomic import frac_to_json
+    from .embedding import frac_to_json
 
     v = _algebra(args)
     return {
@@ -98,7 +113,7 @@ def cmd_fusion_build(args) -> dict:
 
 
 def cmd_fusion_sigtable(args) -> dict:
-    from .cyclotomic import Embedding, frac_to_json
+    from .embedding import Embedding, frac_to_json
     from .fusion import signature_table, so3_algebra
 
     v = so3_algebra(args.level, Embedding(args.level, args.embedding))
@@ -146,7 +161,7 @@ def _load_square(data) -> tuple:
 
 def _load_matrix(path: str):
     """The HermMatrix of a file {"embedding": {"order", "exponent"}, "entries": rows}."""
-    from .cyclotomic import Embedding
+    from .embedding import Embedding
     from .hermitian import HermMatrix
 
     data = _read_json(path)
@@ -172,7 +187,7 @@ def cmd_herm_meyer(args) -> dict:
 
 
 def cmd_qrep_tau04(args) -> dict:
-    from .cyclotomic import Embedding, frac_to_json
+    from .embedding import Embedding, frac_to_json
     from .qrep import four_point_toledo
 
     value = four_point_toledo(args.level, Embedding(args.level, args.embedding), args.i, args.j)
@@ -180,7 +195,7 @@ def cmd_qrep_tau04(args) -> dict:
 
 
 def cmd_qrep_tau11(args) -> dict:
-    from .cyclotomic import Embedding, frac_to_json
+    from .embedding import Embedding, frac_to_json
     from .qrep import tau_11
 
     value = tau_11(args.level, Embedding(args.level, args.embedding), args.i)
@@ -188,7 +203,8 @@ def cmd_qrep_tau11(args) -> dict:
 
 
 def cmd_qrep_torus(args) -> dict:
-    from .cyclotomic import Embedding, cyclo_to_json
+    from .cyclotomic import cyclo_to_json
+    from .embedding import Embedding
     from .qrep import punctured_torus_rep
 
     rep = punctured_torus_rep(args.level, Embedding(args.level, args.embedding), args.i)
@@ -215,7 +231,7 @@ def cmd_qrep_torus(args) -> dict:
 
 
 def cmd_rmatrix_solve(args) -> dict:
-    from .cyclotomic import Embedding
+    from .embedding import Embedding
     from .rmatrix import solve_level
 
     r1 = solve_level(args.level, Embedding(args.level, args.embedding))
@@ -223,14 +239,14 @@ def cmd_rmatrix_solve(args) -> dict:
 
 
 def cmd_rmatrix_class(args) -> dict:
-    from .cyclotomic import Embedding
+    from .embedding import Embedding
     from .mgnclasses import reduce_class
     from .rmatrix import degree2_class, solve_level
 
     r1 = solve_level(args.level, Embedding(args.level, args.embedding))
     colors = _ints(args.colors)
-    if len(colors) == 1 and args.n > 1:
-        colors = colors * args.n
+    if len(colors) == 1 and args.n != 1:
+        colors = colors * args.n  # one color for every point, none for n = 0
     cls = degree2_class(r1, args.g, args.n, colors)
     payload = {"class": cls.to_json()}
     try:
@@ -262,7 +278,7 @@ def cmd_classes_reduce(args) -> dict:
 
 
 def cmd_euler_chibar(args) -> dict:
-    from .cyclotomic import frac_to_json
+    from .embedding import frac_to_json
     from .eulerchi import chi_bar
 
     poly = chi_bar(args.g, args.n)
@@ -274,137 +290,11 @@ def cmd_euler_chibar(args) -> dict:
 
 
 def cmd_euler_twisted(args) -> dict:
-    from .cyclotomic import frac_to_json
+    from .embedding import frac_to_json
     from .eulerchi import chi_twisted
 
     value = chi_twisted(args.g, args.n, args.level)
     return {"chi": frac_to_json(value)}
-
-
-# -- reproduce: golden tables ----------------------------------------------------
-
-
-def _table_fibonacci() -> dict:
-    from .cyclotomic import Embedding
-    from .fusion import signature_table, so3_algebra
-
-    v = so3_algebra(5, Embedding(5, 1))
-    table = signature_table(v, 3, 6)
-    return {
-        "name": "fibonacci-signatures",
-        "entries": [
-            {"g": cell["g"], "n": cell["n"], "p": cell["p"], "q": cell["q"]}
-            for line in table for cell in line
-        ],
-    }
-
-
-def _table_level7() -> dict:
-    from .cyclotomic import Embedding, frac_to_json
-    from .rmatrix import solve_level, tau_from_r1_04, tau_from_r1_11
-
-    out = {"name": "level7", "columns": {}}
-    for k in (1, 2, 3):
-        r1 = solve_level(7, Embedding(7, k))
-        v = r1.algebra
-        rows = []
-        for colors in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)):
-            rows.append({
-                "surface": "0,4", "colors": list(colors),
-                "sigma": frac_to_json(v.tft_value(0, list(colors))),
-                "tau": frac_to_json(tau_from_r1_04(v, r1, *colors)),
-            })
-        for i in range(3):
-            rows.append({
-                "surface": "1,1", "colors": [i],
-                "sigma": frac_to_json(v.tft_value(1, [i])),
-                "tau": frac_to_json(tau_from_r1_11(v, r1, i)),
-            })
-        out["columns"][f"q{k}"] = rows
-    return out
-
-
-def _table_r1() -> dict:
-    from .cyclotomic import Embedding
-    from .rmatrix import solve_level
-
-    blocks = {}
-    for level, k in ((5, 1), (7, 1), (7, 2), (7, 3)):
-        r1 = solve_level(level, Embedding(level, k))
-        blocks[f"level{level}_q{k}"] = r1.to_json()
-    return {"name": "r1-matrices", "matrices": blocks}
-
-
-def _table_uniformization() -> dict:
-    from .mgnclasses import uniformization_check
-
-    return {
-        "name": "uniformization",
-        "cases": [uniformization_check(c) for c in ((0, 5), (1, 2), (1, 3), (2, 1))],
-    }
-
-
-def _table_appendixb() -> dict:
-    from .rmatrix import appendixB_crosscheck
-
-    report = appendixB_crosscheck(4, 4)
-    return {"name": "appendixb", "report": report}
-
-
-def _table_euler() -> dict:
-    from .cyclotomic import frac_to_json
-    from .eulerchi import chi_bar, chi_twisted
-
-    rows = []
-    for g in range(3):
-        for n in range(6):
-            if 2 * g - 2 + n <= 0:
-                continue
-            poly = chi_bar(g, n)
-            rows.append({
-                "g": g, "n": n,
-                "coefficients": [frac_to_json(c) for c in poly.coeffs],
-                "level5": frac_to_json(chi_twisted(g, n, 5)),
-            })
-    return {"name": "euler", "rows": rows}
-
-
-TABLES = {
-    "fibonacci-signatures": _table_fibonacci,
-    "level7": _table_level7,
-    "r1-matrices": _table_r1,
-    "uniformization": _table_uniformization,
-    "appendixb": _table_appendixb,
-    "euler": _table_euler,
-}
-
-
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
-
-
-def cmd_reproduce(args) -> tuple[str, int]:
-    names = list(TABLES) if args.all else [args.table]
-    out_lines = []
-    mismatched = False
-    for name in names:
-        payload = TABLES[name]()
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        golden = os.path.join(GOLDEN_DIR, f"{name}.json")
-        if args.write_golden:
-            os.makedirs(GOLDEN_DIR, exist_ok=True)
-            _write_text(golden, text)
-            out_lines.append(f"{name}: wrote {golden}")
-            continue
-        if not os.path.exists(golden):
-            out_lines.append(f"{name}: MISSING golden file {golden}")
-            mismatched = True
-            continue
-        if _read_text(golden) != text:
-            out_lines.append(f"{name}: MISMATCH against {golden}")
-            mismatched = True
-        else:
-            out_lines.append(f"{name}: ok")
-    return "\n".join(out_lines) + "\n", (3 if mismatched else 0)
 
 
 def vars_of(args) -> dict:
@@ -527,6 +417,8 @@ GROUPS = {
 def _fill(group, name: str):
     """Add the options of group name: reproduce's own, or each subcommand's from SUBCOMMANDS."""
     if name == "reproduce":
+        from .tables import TABLES
+
         which = group.add_mutually_exclusive_group(required=True)
         which.add_argument("--all", action="store_true")
         which.add_argument("--table", choices=TABLES, metavar="TABLE")
@@ -572,6 +464,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.command == "reproduce":
+            from .tables import cmd_reproduce
+
             text, code = cmd_reproduce(args)
             sys.stdout.write(text)
             return code

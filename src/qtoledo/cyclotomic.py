@@ -11,6 +11,11 @@ Mixed-order arithmetic lifts both operands to Q(zeta_lcm).  A power of a
 root of unity zeta^j and a quantum integer at q = zeta^j are read from the
 table of rows x^m mod Phi_N, with no multiplication.
 
+`CycloNum` is also the entry type that `linalg` hands its cyclotomic
+matrices to: besides the field operations it supplies `rational`,
+`conjugate` and `products`, the sums of products of whole rows and columns
+as one packed int sum each, reduced mod Phi_N once.
+
 Real elements (fixed by zeta -> 1/zeta) get a certified sign under a chosen
 complex embedding zeta -> exp(2 pi i k / N), in integer arithmetic only.
 Zero and rational elements are decided exactly.  Otherwise the sign comes
@@ -22,18 +27,19 @@ image of the element then lies in one integer interval dot product; its
 precision b doubles from 64 bits up to MAX_SIGN_BITS until the interval
 excludes zero.
 
-The signs of quantum integers are read off exact residues instead, and so
-are the SO3 fusion structure signs (`so3_structure_sign`) that both the
-fusion algebras and the torus representations start from.
+`Embedding` and the signs read off exact residues (of quantum integers and
+of the SO3 structure constants) live in the field-free `embedding` module;
+`Embedding` is imported here, so `cyclotomic.Embedding` is that class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from ._record import Record
+from .embedding import Embedding, frac_to_json
 
 #: hard cap for the precision of a certified sign, in bits
 MAX_SIGN_BITS = 16384
@@ -374,6 +380,55 @@ class CycloNum:
     def is_conjugation_fixed(self) -> bool:
         return conjugate(self) == self
 
+    # -- what linalg asks of a non-rational entry type ------------------
+
+    def conjugate(self) -> "CycloNum":
+        """The complex conjugate, zeta -> 1/zeta (the module function `conjugate`)."""
+        return conjugate(self)
+
+    @staticmethod
+    def products(rows, cols) -> list[list]:
+        """[[sum_k row[k] col[k] for col in cols] for row in rows], summed as ints.
+
+        The entries are CycloNums, ints and Fractions, and all lie in
+        Q(zeta_N), N the lcm of the orders of the nonzero CycloNums.  Each
+        row and each column is put over one denominator, and each entry is
+        lifted to order N and packed into one int by Kronecker substitution:
+        its phi(N) numerators are the digits in base 2^k (a rational entry
+        is just its numerator).  Every sum of products is then one sum of
+        int products.  The width k bounds each coefficient of such a sum by
+        len(row) * phi(N) * max|a| * max|b|, plus a sign bit; each sum is
+        unpacked once into its 2 phi(N) - 1 digits, biased by 2^(k-1) to
+        make them nonnegative, and reduced mod Phi_N once.
+
+        Every sum is a CycloNum, of order N if some product in it has a
+        nonzero factor of order above 1, and of order 1 otherwise.
+        """
+        order = math.lcm(*(x.order for v in (*rows, *cols) for x in v
+                           if isinstance(x, CycloNum) and x))
+        a, b = _cyclo_vectors(rows, order), _cyclo_vectors(cols, order)
+        top_a, top_b = (max((t[2] for t in vecs), default=0) for vecs in (a, b))
+        phi = euler_phi(order)
+        width = (max(map(len, rows), default=0) * phi * top_a * top_b).bit_length() + 1
+        bias, bias_reduced = _bias(order, width)
+        mask, shifts = (1 << width) - 1, range(0, (2 * phi - 1) * width, width)
+        packed_cols = [_pack(t[0], width) for t in b]
+        out = []
+        for terms, row_den, _, row_nonzero, row_cyclo in a:
+            packed = _pack(terms, width)
+            out_row = []
+            for (_, col_den, _, col_nonzero, col_cyclo), packed_col in zip(b, packed_cols):
+                s = sum(map(operator.mul, packed, packed_col))
+                if row_cyclo & col_nonzero or col_cyclo & row_nonzero:
+                    s += bias
+                    nums = map(operator.sub, _reduce(order, [s >> k & mask for k in shifts]),
+                               bias_reduced)
+                    out_row.append(_from_ints(order, tuple(nums), row_den * col_den))
+                else:  # a rational sum: its packed value is its numerator
+                    out_row.append(_from_ints(1, (s,), row_den * col_den))
+            out.append(out_row)
+        return out
+
 
 _set_order = CycloNum.order.__set__
 _set_nums = CycloNum.nums.__set__
@@ -417,6 +472,59 @@ def _coerce(value) -> CycloNum:
     if isinstance(value, (int, Fraction)):
         return CycloNum.rational(value)
     raise TypeError(f"cannot coerce {type(value)!r} into a cyclotomic number")
+
+
+# -- the packed kernel of CycloNum.products ----------------------------------
+
+def _cyclo_vectors(vecs, order: int):
+    """Each vector as (terms, denominator, largest numerator, nonzero, cyclo), all at `order`.
+
+    A term is (numerators, factor to the common denominator), or None for a
+    zero entry; a rational entry has the one numerator.  `nonzero` and
+    `cyclo` are the bitmasks of the nonzero entries and of the CycloNums of
+    order above 1.
+    """
+    out = []
+    for v in vecs:
+        terms, nonzero, cyclo = [], 0, 0
+        for k, x in enumerate(v):
+            if not x:
+                terms.append(None)
+                continue
+            nonzero |= 1 << k
+            if not isinstance(x, CycloNum):  # a Fraction or an int
+                terms.append(((x.numerator,), x.denominator))
+                continue
+            if x.order > 1:
+                cyclo |= 1 << k
+            nums = x.nums if x.order in (1, order) else _map_powers(x.nums, order, order // x.order)
+            terms.append((nums, x.den))
+        den = math.lcm(*(t[1] for t in terms if t))
+        terms = [t and (t[0], den // t[1]) for t in terms]
+        top = max((max(map(abs, t[0])) * t[1] for t in terms if t), default=0)
+        out.append((terms, den, top, nonzero, cyclo))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bias(order: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """2^(width-1) in each of 2 phi(order) - 1 digits in base 2^width, and those digits mod Phi_order."""
+    length, half = 2 * euler_phi(order) - 1, 1 << (width - 1)
+    return sum(half << (i * width) for i in range(length)), tuple(_reduce(order, [half] * length))
+
+
+def _pack(terms, width: int) -> list[int]:
+    """Each term's numerators, times its factor, as the signed digits of one int in base 2^width."""
+    out = []
+    for t in terms:
+        u = 0
+        if t is not None:
+            nums, scale = t
+            for c in reversed(nums):
+                u = (u << width) + c
+            u *= scale
+        out.append(u)
+    return out
 
 
 # -- Galois action -------------------------------------------------------
@@ -463,34 +571,7 @@ def quantum_int(n: int, q: CycloNum) -> CycloNum:
     return total
 
 
-# -- embeddings and certified signs ---------------------------------------
-
-class Embedding(Record):
-    """zeta_order -> exp(2*pi*i*exponent/order)."""
-
-    order: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        given = self.exponent
-        object.__setattr__(self, "exponent", given % self.order if self.order > 1 else 0)
-        k = self.exponent if self.order > 1 else 1
-        if math.gcd(k if k else self.order, self.order) != 1:
-            raise ValueError(f"exponent {given} not coprime to {self.order}")
-
-    def extend(self, order: int) -> "Embedding":
-        """An embedding of Q(zeta_order) restricting to this one (order multiple)."""
-        if order % self.order:
-            raise ValueError("extension order must be a multiple")
-        if order == self.order:
-            return self
-        k = self.exponent if self.order > 1 else 1
-        while math.gcd(k, order) != 1:
-            k += self.order
-        return Embedding(order, k)
-
+# -- certified signs -------------------------------------------------------
 
 def _atan_inv_fixed(n: int, w: int) -> tuple[int, int]:
     """(t, e) with |t - 2^w atan(1/n)| <= e, for an integer n >= 2.
@@ -625,79 +706,7 @@ def sign_real(a: CycloNum, emb: Embedding) -> int:
     raise ArithmeticError("sign undecided at maximal precision (nonzero was certified exactly)")
 
 
-def sin_turn_sign(numerator: int, denominator: int) -> int:
-    """Exact sign of sin(2*pi*numerator/denominator)."""
-    r = numerator % denominator
-    if r == 0 or 2 * r == denominator:
-        return 0
-    return 1 if 2 * r < denominator else -1
-
-
-def quantum_int_sign(n: int, emb: Embedding) -> int:
-    """Sign of [n] at q = exp(2*pi*i*k/N), by exact residue arithmetic."""
-    k, big_n = emb.exponent, emb.order
-    return sin_turn_sign(n * k, big_n) * sin_turn_sign(k, big_n)
-
-
-# -- SO3 structure signs ---------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _qfact_signs(emb: Embedding) -> tuple[int, ...]:
-    """The signs of the quantum factorials [n]! for 0 <= n <= order; the last is 0, since [order] = 0."""
-    signs = [1]
-    for m in range(1, emb.order + 1):
-        signs.append(signs[-1] * quantum_int_sign(m, emb))
-    return tuple(signs)
-
-
-def _qfact_sign(n: int, emb: Embedding) -> int:
-    """Sign of [n]! at the embedding: 1 for n <= 0 (the empty product), 0 from n = order on."""
-    signs = _qfact_signs(emb)
-    return signs[min(max(n, 0), emb.order)]
-
-
-def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:
-    """Sign of the triple-point invariant of three colors, 0 if inadmissible."""
-    if (x + y + z) % 2:
-        return 0
-    a, b, c = (y + z - x) // 2, (x + z - y) // 2, (x + y - z) // 2
-    if min(a, b, c) < 0:
-        return 0
-    sign = (-1) ** (a + b + c)
-    num = _qfact_sign(a + b + c + 1, emb) * _qfact_sign(a, emb) * _qfact_sign(b, emb) * _qfact_sign(c, emb)
-    if num == 0:
-        return 0
-    den = _qfact_sign(x, emb) * _qfact_sign(y, emb) * _qfact_sign(z, emb)
-    if den == 0:
-        raise ArithmeticError("vanishing quantum factorial for an in-range color")
-    return sign * num * den
-
-
-def check_so3_level(level: int, emb: Embedding):
-    """Refuse a level that is not an odd integer >= 3, or an embedding of another order."""
-    if level < 3 or level % 2 == 0:
-        raise ValueError("level must be an odd integer >= 3")
-    if emb.order != level:
-        raise ValueError("embedding must have the same order as the level")
-
-
-def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
-    """omega03(e_i, e_j, e_k) of the SO3 algebra at q = zeta_level^k (colors 2i, 2j, 2k).
-
-    The triple-point sign is fixed only up to the gauge e_i -> (-1)^i e_i;
-    the gauge is chosen so that omega03(e_1, e_1, e_1) is +1, that is, a
-    triple of odd index sum is multiplied by the raw (1,1,1) sign.
-    """
-    return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
-
-
 # -- JSON encoding ---------------------------------------------------------
-
-def frac_to_json(x) -> str:
-    """An exact rational (Fraction or int) as the string "p/q"."""
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
 
 def cyclo_to_json(a: CycloNum) -> dict:
     return {"order": a.order, "coeffs": [frac_to_json(c) for c in a.coeffs]}

@@ -1,0 +1,124 @@
+"""Complex embeddings of Q(zeta_N) and the signs read off them from integer residues.
+
+An `Embedding` sends zeta_N to exp(2 pi i k / N).  At such an embedding the
+quantum integer [n] = sin(2 pi n k / N) / sin(2 pi k / N) has the sign of a
+product of two sines of rational turns, and each sine's sign is read off
+the residue of its turn mod 1 (`sin_turn_sign`, `quantum_int_sign`).  So
+are the signs of the quantum factorials and of the triple-point invariants
+built from them, and with them the SO3 fusion structure signs
+(`so3_structure_sign`) that both the fusion algebras and the torus
+representations start from.
+
+No field arithmetic is done here: a computation that needs only these
+signs, such as a solve whose blocks are all definite, loads no cyclotomic
+field.  `frac_to_json` writes the exact rationals of every layer.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from ._record import Record
+
+
+class Embedding(Record):
+    """zeta_order -> exp(2*pi*i*exponent/order)."""
+
+    order: int
+    exponent: int
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be positive")
+        given = self.exponent
+        object.__setattr__(self, "exponent", given % self.order if self.order > 1 else 0)
+        k = self.exponent if self.order > 1 else 1
+        if math.gcd(k if k else self.order, self.order) != 1:
+            raise ValueError(f"exponent {given} not coprime to {self.order}")
+
+    def extend(self, order: int) -> "Embedding":
+        """An embedding of Q(zeta_order) restricting to this one (order multiple)."""
+        if order % self.order:
+            raise ValueError("extension order must be a multiple")
+        if order == self.order:
+            return self
+        k = self.exponent if self.order > 1 else 1
+        while math.gcd(k, order) != 1:
+            k += self.order
+        return Embedding(order, k)
+
+
+def sin_turn_sign(numerator: int, denominator: int) -> int:
+    """Exact sign of sin(2*pi*numerator/denominator)."""
+    r = numerator % denominator
+    if r == 0 or 2 * r == denominator:
+        return 0
+    return 1 if 2 * r < denominator else -1
+
+
+def quantum_int_sign(n: int, emb: Embedding) -> int:
+    """Sign of [n] at q = exp(2*pi*i*k/N), by exact residue arithmetic."""
+    k, big_n = emb.exponent, emb.order
+    return sin_turn_sign(n * k, big_n) * sin_turn_sign(k, big_n)
+
+
+# -- SO3 structure signs ---------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _qfact_signs(emb: Embedding) -> tuple[int, ...]:
+    """The signs of the quantum factorials [n]! for 0 <= n <= order; the last is 0, since [order] = 0."""
+    signs = [1]
+    for m in range(1, emb.order + 1):
+        signs.append(signs[-1] * quantum_int_sign(m, emb))
+    return tuple(signs)
+
+
+def _qfact_sign(n: int, emb: Embedding) -> int:
+    """Sign of [n]! at the embedding: 1 for n <= 0 (the empty product), 0 from n = order on."""
+    signs = _qfact_signs(emb)
+    return signs[min(max(n, 0), emb.order)]
+
+
+def _triple_sign(x: int, y: int, z: int, emb: Embedding) -> int:
+    """Sign of the triple-point invariant of three colors, 0 if inadmissible."""
+    if (x + y + z) % 2:
+        return 0
+    a, b, c = (y + z - x) // 2, (x + z - y) // 2, (x + y - z) // 2
+    if min(a, b, c) < 0:
+        return 0
+    sign = (-1) ** (a + b + c)
+    num = _qfact_sign(a + b + c + 1, emb) * _qfact_sign(a, emb) * _qfact_sign(b, emb) * _qfact_sign(c, emb)
+    if num == 0:
+        return 0
+    den = _qfact_sign(x, emb) * _qfact_sign(y, emb) * _qfact_sign(z, emb)
+    if den == 0:
+        raise ArithmeticError("vanishing quantum factorial for an in-range color")
+    return sign * num * den
+
+
+def check_so3_level(level: int, emb: Embedding):
+    """Refuse a level that is not an odd integer >= 3, or an embedding of another order."""
+    if level < 3 or level % 2 == 0:
+        raise ValueError("level must be an odd integer >= 3")
+    if emb.order != level:
+        raise ValueError("embedding must have the same order as the level")
+
+
+def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
+    """omega03(e_i, e_j, e_k) of the SO3 algebra at q = zeta_level^k (colors 2i, 2j, 2k).
+
+    The triple-point sign is fixed only up to the gauge e_i -> (-1)^i e_i;
+    the gauge is chosen so that omega03(e_1, e_1, e_1) is +1, that is, a
+    triple of odd index sum is multiplied by the raw (1,1,1) sign.
+    """
+    return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
+
+
+# -- JSON encoding ---------------------------------------------------------
+
+def frac_to_json(x) -> str:
+    """An exact rational (Fraction or int) as the string "p/q"."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"

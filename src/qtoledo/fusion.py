@@ -2,9 +2,10 @@
 
 The algebra attached to a root of unity has structure constants that are
 signs of products of quantum integers, so construction runs on exact
-integer residue arithmetic (`cyclotomic.so3_structure_sign` and the
-triple-point signs beside it).  Once built, everything downstream (traces,
-signatures, gluing checks) is plain rational linear algebra.
+integer residue arithmetic (`embedding.so3_structure_sign` and the
+triple-point signs beside it), with no field arithmetic.  Once built,
+everything downstream (traces, signatures, gluing checks) is plain
+rational linear algebra.
 
 Vectors are tuples of ``Fraction`` at the API.  Inside, products, the form
 and the trace run on an integer kernel: an operand is put over one common
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import (
+from .embedding import (
     Embedding,
     _triple_sign,
     check_so3_level,

@@ -6,8 +6,10 @@ per pivot): of a form; of the Meyer form of a pair of isometries, on one
 kernel; and of the form on each eigenspace of a finite-order isometry,
 whose eigenvalues are exact roots of unity with multiplicities from the
 traces of its powers.  On them rest the rational G-function that corrects
-the Meyer cocycle into a Toledo invariant, and the Toledo invariants of
-triangle-group representations.
+the Meyer cocycle into a Toledo invariant, and the Toledo invariant of a
+triangle-group representation from its Meyer cocycle
+(`toledo_triangle_meyer`).  The PU(1,1) triangle formula on rotation
+numbers alone needs no form and is `qrep.toledo_triangle_pu11`.
 
 Each invariant is computed in two passes.  The exact pass works in
 Q(zeta_N) and depends on the matrices, the form and the order of the
@@ -20,8 +22,8 @@ data at an embedding zeta -> exp(2 pi i k / N): the certified sign of each
 pivot (`_inertia`), the turn fraction (j k mod F) / F of each eigenvalue,
 and the sign of sin(2 pi k / M), since zeta_M - 1/zeta_M is 2 i sin(2 pi k / M)
 there.  The Galois conjugate representations of one level share the exact
-pass, so `qrep` keeps it once per (level, color) and runs only the sign
-pass per embedding (`_toledo_data`, `_read_toledo`).
+pass, so `torus` keeps it once per (level, color) and `qrep` runs only the
+sign pass per embedding (`_toledo_data`, `_read_toledo`).
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cyclotomic import CycloNum, Embedding, _root_exponent, conjugate, sign_real, sin_turn_sign
+from .cyclotomic import CycloNum, _root_exponent, conjugate, sign_real
+from .embedding import Embedding, sin_turn_sign
 from .linalg import (
     HermMatrix,
     IsometryWithForm,
     Matrix,
     _common_value,
-    _field_order,
     diagonal_entries,
     gram,
     identity,
@@ -52,6 +54,11 @@ from .linalg import (
 
 #: eigen_split looks for a scalar power U^k up to k = SCALAR_POWER_FACTOR * base_order**2
 SCALAR_POWER_FACTOR = 24
+
+
+def _field_order(*mats) -> int:
+    """The lcm of the orders of the CycloNum entries of the matrices."""
+    return math.lcm(*(x.order for m in mats for row in m for x in row))
 
 
 # -- signatures -------------------------------------------------------------
@@ -346,30 +353,6 @@ def g_function(u: IsometryWithForm) -> Fraction:
 
 
 # -- triangle-group Toledo invariants ----------------------------------------
-
-def toledo_triangle_pu11(turn_a: Fraction, turn_b: Fraction, turn_c: Fraction) -> Fraction:
-    """Toledo invariant of a PU(1,1) triangle representation from its rotation numbers.
-
-    Each turn is taken mod 1, as a rotation number t in [0, 1): an elliptic
-    element turning by 2 pi t about its fixed point.  Three elliptics with
-    product 1 turn about the vertices of a geodesic triangle.  If the
-    triangle is positively oriented its interior angles are pi t, so the
-    sum s of the turns is at most 1 and tau = 1 - s, its area over pi.  If
-    it is negatively oriented its angles are pi (1 - t), so s >= 2 and tau
-    is minus that area, 2 - s.  No triple with 1 < s < 2 has product 1
-    (Jankins-Neumann, Math. Ann. 271, 1985), and a zero turn is no
-    elliptic; both raise ValueError.
-    """
-    turns = [Fraction(t) % 1 for t in (turn_a, turn_b, turn_c)]
-    if not all(turns):
-        raise ValueError(f"zero turn among the rotation numbers {turns}")
-    s = sum(turns)
-    if s <= 1:
-        return 1 - s
-    if s >= 2:
-        return 2 - s
-    raise ValueError(f"rotation numbers sum to {s}, strictly between 1 and 2: no triangle")
-
 
 def _toledo_data(a: Matrix, b: Matrix, h: Matrix, emb_order: int):
     """The exact part of toledo_triangle_meyer for isometries A, B of the form h.

@@ -1,23 +1,32 @@
-"""Exact linear algebra over one field: Q or a cyclotomic field Q(zeta_N).
+"""Exact linear algebra over one field: Q or a field whose entry type supplies its own kernel.
 
-A matrix is a tuple of rows whose entries are `Fraction` or `CycloNum`
-values of one field.  Products, matrix-vector products, linear combinations
-and Gram matrices share one integer kernel (`_products`): each row and
-column is put over one common denominator, each entry is lifted to the one
-field order N and packed into a single int by Kronecker substitution, and
-each sum of products is one sum of int products, unpacked and reduced mod
-Phi_N once.  So one `Fraction` or `CycloNum` is made per output entry, not
-per scalar product.  Rational systems (`solve`, `determinant`,
-`kernel_basis`) are scaled row by row to integers and eliminated
-fraction-free (Bareiss); cyclotomic ones go through one Gauss-Jordan
-elimination (`rref`), which now serves only `kernel_basis` (the Meyer
-kernel of `hermitian`) and the generic `solve` and `determinant`.  No
-routine takes a matrix inverse.
+A matrix is a tuple of rows whose entries lie in one field.  Rational
+entries (`int`, `Fraction`) are handled here, with no field module loaded:
+products, matrix-vector products, linear combinations and Gram matrices
+put each row and column over one common denominator and sum each product
+of a row and a column as ints (`_products`), one `Fraction` per output
+entry; `solve`, `determinant` and `kernel_basis` scale each row to integers
+and eliminate fraction-free (Bareiss).
+
+A matrix with any other entry type, in practice `cyclotomic.CycloNum`, is
+handed to that type, which must supply:
+
+- `rational(value)`, the field element of an int or a Fraction;
+- `x.conjugate()`, the complex conjugate of an entry;
+- `products(rows, cols)`, the sums of products of each row with each
+  column (rows and columns may mix its entries with ints and Fractions),
+  as a list of lists of its entries;
+- the field operations +, -, *, ==, truth as "nonzero", and division of
+  `Fraction(1)` by a nonzero entry.
+
+Such matrices go through one Gauss-Jordan elimination (`rref`).  No routine
+takes a matrix inverse.  `as_matrix` and `identity` make `CycloNum`
+entries, importing `cyclotomic` when called.
 
 `HermMatrix` is a square matrix checked to be Hermitian, with the embedding
 that sends its entries into C, and `IsometryWithForm` a matrix checked to
 preserve one.  The signatures and invariants of these forms are in
-`hermitian`; the torus representations of `qrep` need only this module.
+`hermitian`; the torus representations of `torus` need only this module.
 """
 
 from __future__ import annotations
@@ -25,37 +34,34 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from ._record import Record
-from .cyclotomic import (
-    CycloNum,
-    Embedding,
-    _from_ints,
-    _map_powers,
-    _reduce,
-    conjugate,
-    euler_phi,
-)
+from .embedding import Embedding
 
-Matrix = tuple[tuple, ...]  # entries in one field: Fraction or CycloNum
+Matrix = tuple[tuple, ...]  # entries in one field: int and Fraction, or a field's entry type
+
+_RATIONAL = (int, Fraction)
 
 
 # -- matrix helpers over one field -------------------------------------------
 
+def _field(entries):
+    """The type of the first entry that is not an int or a Fraction, or None if there is none."""
+    return next((type(x) for x in entries if not isinstance(x, _RATIONAL)), None)
+
+
 def _zero_one(rows):
     """Zero and one of the field the entries live in."""
-    if any(isinstance(x, CycloNum) for row in rows for x in row):
-        return CycloNum.rational(0), CycloNum.rational(1)
-    return Fraction(0), Fraction(1)
-
-
-def _field_order(*mats) -> int:
-    """The lcm of the orders of the CycloNum entries of the matrices."""
-    return math.lcm(*(x.order for m in mats for row in m for x in row))
+    field = _field(x for row in rows for x in row)
+    if field is None:
+        return Fraction(0), Fraction(1)
+    return field.rational(0), field.rational(1)
 
 
 def as_matrix(rows) -> Matrix:
+    """The rows as a tuple of tuples of CycloNums, each rational entry made one."""
+    from .cyclotomic import CycloNum
+
     out = []
     for row in rows:
         out.append(tuple(x if isinstance(x, CycloNum) else CycloNum.rational(x) for x in row))
@@ -74,6 +80,9 @@ def diagonal(values) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
+    """The n x n identity, with CycloNum entries."""
+    from .cyclotomic import CycloNum
+
     return diagonal((CycloNum.rational(1),) * n)
 
 
@@ -98,101 +107,20 @@ def _int_vectors(vecs):
     return out
 
 
-def _cyclo_vectors(vecs, order: int):
-    """Each vector as (terms, denominator, largest numerator, nonzero, cyclo), all at `order`.
-
-    A term is (numerators, factor to the common denominator), or None for a
-    zero entry; a rational entry has the one numerator.  `nonzero` and
-    `cyclo` are the bitmasks of the nonzero entries and of the CycloNums of
-    order above 1.
-    """
-    out = []
-    for v in vecs:
-        terms, nonzero, cyclo = [], 0, 0
-        for k, x in enumerate(v):
-            if not x:
-                terms.append(None)
-                continue
-            nonzero |= 1 << k
-            if not isinstance(x, CycloNum):  # a Fraction or an int
-                terms.append(((x.numerator,), x.denominator))
-                continue
-            if x.order > 1:
-                cyclo |= 1 << k
-            nums = x.nums if x.order in (1, order) else _map_powers(x.nums, order, order // x.order)
-            terms.append((nums, x.den))
-        den = math.lcm(*(t[1] for t in terms if t))
-        terms = [t and (t[0], den // t[1]) for t in terms]
-        top = max((max(map(abs, t[0])) * t[1] for t in terms if t), default=0)
-        out.append((terms, den, top, nonzero, cyclo))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _bias(order: int, width: int) -> tuple[int, tuple[int, ...]]:
-    """2^(width-1) in each of 2 phi(order) - 1 digits in base 2^width, and those digits mod Phi_order."""
-    length, half = 2 * euler_phi(order) - 1, 1 << (width - 1)
-    return sum(half << (i * width) for i in range(length)), tuple(_reduce(order, [half] * length))
-
-
-def _pack(terms, width: int) -> list[int]:
-    """Each term's numerators, times its factor, as the signed digits of one int in base 2^width."""
-    out = []
-    for t in terms:
-        u = 0
-        if t is not None:
-            nums, scale = t
-            for c in reversed(nums):
-                u = (u << width) + c
-            u *= scale
-        out.append(u)
-    return out
-
-
 def _products(rows, cols) -> list[list]:
     """[[sum_k row[k] col[k] for col in cols] for row in rows], summed as ints.
 
-    All entries lie in Q(zeta_N), N the lcm of the orders of the nonzero
-    CycloNum entries.  Each row and each column is put over one denominator,
-    and each entry is lifted to order N and packed into one int by Kronecker
-    substitution: its phi(N) numerators are the digits in base 2^k (a
-    rational entry is just its numerator).  Every sum of products is then
-    one sum of int products.  The width k bounds each coefficient of such a
-    sum by len(row) * phi(N) * max|a| * max|b|, plus a sign bit; each sum is
-    unpacked once into its 2 phi(N) - 1 digits, biased by 2^(k-1) to make
-    them nonnegative, and reduced mod Phi_N once.
-
-    The sums are Fractions, or CycloNums if any entry is one.  A CycloNum
-    sum has order N if some product in it has a nonzero factor of order
-    above 1, and order 1 otherwise.
+    Rational rows and columns are put over one denominator each, and each
+    sum is one sum of int products over the product of the two
+    denominators: one Fraction per sum.  Any other entry type computes the
+    sums itself (its `products`).
     """
-    entries = [x for v in (*rows, *cols) for x in v]
-    if not any(isinstance(x, CycloNum) for x in entries):
-        b = _int_vectors(cols)
-        return [[Fraction(sum(map(operator.mul, r, c)), row_den * col_den) for c, col_den in b]
-                for r, row_den in _int_vectors(rows)]
-    order = math.lcm(*(x.order for x in entries if isinstance(x, CycloNum) and x))
-    a, b = _cyclo_vectors(rows, order), _cyclo_vectors(cols, order)
-    top_a, top_b = (max((t[2] for t in vecs), default=0) for vecs in (a, b))
-    phi = euler_phi(order)
-    width = (max(map(len, rows), default=0) * phi * top_a * top_b).bit_length() + 1
-    bias, bias_reduced = _bias(order, width)
-    mask, shifts = (1 << width) - 1, range(0, (2 * phi - 1) * width, width)
-    packed_cols = [_pack(t[0], width) for t in b]
-    out = []
-    for terms, row_den, _, row_nonzero, row_cyclo in a:
-        packed = _pack(terms, width)
-        out_row = []
-        for (_, col_den, _, col_nonzero, col_cyclo), packed_col in zip(b, packed_cols):
-            s = sum(map(operator.mul, packed, packed_col))
-            if row_cyclo & col_nonzero or col_cyclo & row_nonzero:
-                s += bias
-                nums = map(operator.sub, _reduce(order, [s >> k & mask for k in shifts]), bias_reduced)
-                out_row.append(_from_ints(order, tuple(nums), row_den * col_den))
-            else:  # a rational sum: its packed value is its numerator
-                out_row.append(_from_ints(1, (s,), row_den * col_den))
-        out.append(out_row)
-    return out
+    field = _field(x for v in (*rows, *cols) for x in v)
+    if field is not None:
+        return field.products(rows, cols)
+    b = _int_vectors(cols)
+    return [[Fraction(sum(map(operator.mul, r, c)), row_den * col_den) for c, col_den in b]
+            for r, row_den in _int_vectors(rows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -221,7 +149,7 @@ def lin_comb(coeffs, mats) -> Matrix:
 
 def _conj(x):
     """The complex conjugate; rational entries are their own conjugates."""
-    return conjugate(x) if isinstance(x, CycloNum) else x
+    return x if isinstance(x, _RATIONAL) else x.conjugate()
 
 
 def conj_transpose(a: Matrix) -> Matrix:
@@ -258,7 +186,7 @@ def is_scalar(m: Matrix):
     return None if d is None else _common_value(d)
 
 
-# -- one exact elimination over Fraction or CycloNum ---------------------------
+# -- one exact elimination over Q or another field ------------------------------
 
 def rref(rows):
     """Reduced row echelon form by Gauss-Jordan elimination.
@@ -267,7 +195,7 @@ def rref(rows):
     column of each leading row, and the product of the pivots times the
     sign of the row swaps, which is the determinant of a nonsingular square
     input.  Entries are touched only by *, -, Fraction(1) / p and truth
-    tests, so Fraction and CycloNum entries keep their type and int input
+    tests, so Fraction and field entries keep their type and int input
     stays exact.
     """
     rows = [list(r) for r in rows]
@@ -354,9 +282,9 @@ def _eliminate(a):
     column(c) = [R[i][c] for i < rank], and the signed product of the pivots.
 
     Rational input has each row scaled to integers by the lcm of its
-    denominators and goes through `_bareiss`; cyclotomic input through `rref`.
+    denominators and goes through `_bareiss`; any other through `rref`.
     """
-    if any(isinstance(x, CycloNum) for row in a for x in row):
+    if _field(x for row in a for x in row) is not None:
         rows, pivots, scale = rref(a)
         return pivots, lambda c: [row[c] for row in rows[:len(pivots)]], scale
     int_rows = _int_vectors(a)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ._record import Record
-from .cyclotomic import frac_to_json
+from .embedding import frac_to_json
 
 Label = tuple
 
@@ -307,7 +307,7 @@ def uniformization_check(case: tuple[int, int]) -> dict:
     intersection numbers of the canonical classes, the integral of the
     four-point class, and the delta_irr restriction on (1,2).
     """
-    from .cyclotomic import Embedding
+    from .embedding import Embedding
     from .rmatrix import degree2_class, solve_level, tau_from_r1_04
 
     if tuple(case) not in {(0, 5), (1, 2), (1, 3), (2, 1)}:

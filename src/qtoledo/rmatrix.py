@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .cyclotomic import Embedding, frac_to_json
+from .embedding import Embedding, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
 from .linalg import (
     conj_transpose,
@@ -235,7 +235,7 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
     (11, 5) every color is definite.  The embeddings of one level share
     the rest: the exact pass of tau_{1,1} (the torus representation, its
     eigen-data and its Meyer kernel and pivots) is cached per (level,
-    color) in ``qrep``, so solving a second embedding of a level reads only
+    color) in ``torus``, so solving a second embedding of a level reads only
     signs and turns for tau_{1,1}.  The fusion algebra, tau_{0,4} and the
     R_1 solve run per embedding.
     """

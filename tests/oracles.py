@@ -42,19 +42,14 @@ from functools import lru_cache
 
 import mpmath
 
-from qtoledo.cyclotomic import (
-    CycloNum,
-    Embedding,
-    conjugate,
-    quantum_int_sign,
-    sign_real,
-    so3_structure_sign,
-)
+from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, sign_real
+from qtoledo.embedding import quantum_int_sign, so3_structure_sign
 from qtoledo.eulerchi import harer_zagier
 from qtoledo.fusion import so3_algebra, unitary_partner
 from qtoledo.hermitian import (
     SCALAR_POWER_FACTOR,
     Signature,
+    _field_order,
     _least_scalar_power,
     _read_eigen,
     _read_toledo,
@@ -67,7 +62,6 @@ from qtoledo.linalg import (
     HermMatrix,
     IsometryWithForm,
     _conj,
-    _field_order,
     _zero_one,
     diagonal,
     diagonal_entries,
@@ -76,7 +70,7 @@ from qtoledo.linalg import (
     rref,
 )
 from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
-from qtoledo.qrep import PuncturedTorusRep, _eigenbasis, _u_value, _validate_rep
+from qtoledo.torus import PuncturedTorusRep, _eigenbasis, _u_value, _validate_rep
 
 
 def embed_complex(a: CycloNum, emb: Embedding) -> complex:

@@ -184,6 +184,15 @@ def test_empty_color_list_still_means_no_colors(capsys):
     assert code == 0 and json.loads(out)["parameters"]["colors"] == ""
 
 
+def test_no_marked_points_take_no_default_color(capsys):
+    # the default --colors 1 is repeated once per marked point, so n = 0 gets none
+    call = ("rmatrix", "class", "--level", "5", "--g", "2", "--n", "0")
+    code, out, err = run(capsys, *call)
+    explicit = run(capsys, *call, "--colors", "")
+    assert (code, err) == (0, "") and explicit[0] == 0
+    assert json.loads(out)["payload"] == json.loads(explicit[1])["payload"]
+
+
 def test_computation_failure_exit_code(capsys):
     code, _, err = run(capsys, "qrep", "tau04", "--level", "7", "--embedding", "1",
                        "--i", "5", "--j", "5")

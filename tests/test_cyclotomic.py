@@ -20,10 +20,10 @@ from qtoledo.cyclotomic import (
     euler_phi,
     galois,
     quantum_int,
-    quantum_int_sign,
     sign_real,
 )
-from qtoledo.cyclotomic import _cos_fixed, _qfact_sign, _real_bounds
+from qtoledo.cyclotomic import _cos_fixed, _real_bounds
+from qtoledo.embedding import _qfact_sign, quantum_int_sign
 
 
 def test_cyclotomic_polynomials():
@@ -346,8 +346,8 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     # import some of them from hiding a regression.
     heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources", "mpmath", "sympy",
              "numpy")
-    layers = ("cyclotomic", "linalg", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses",
-              "eulerchi", "cli")
+    layers = ("embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix",
+              "mgnclasses", "eulerchi", "tables", "cli")
     out = _run_python(
         "import qtoledo.cli, sys\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"
@@ -356,11 +356,12 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     assert out == "[]\n[]\n"
 
 
-LAYERS = ("cyclotomic", "linalg", "hermitian", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi")
+LAYERS = ("embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix",
+          "mgnclasses", "eulerchi")
 
 
 def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
-    """(layers, heavy modules) loaded by ``python -S -m qtoledo.cli argv``."""
+    """(layers and ``tables``, heavy modules) loaded by ``python -S -m qtoledo.cli argv``."""
     out = _run_python(
         "import contextlib, io, json, runpy, sys\n"
         f"sys.argv = ['qtoledo', *{argv!r}]\n"
@@ -369,7 +370,7 @@ def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
         "        runpy.run_module('qtoledo.cli', run_name='__main__')\n"
         "    except SystemExit as e:\n"
         "        assert not e.code, e.code\n"
-        f"print(json.dumps([m for m in {LAYERS!r} if 'qtoledo.' + m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {LAYERS + ('tables',)!r} if 'qtoledo.' + m in sys.modules]))\n"
         "print(json.dumps([m for m in ('fractions', 'decimal', 'random') if m in sys.modules]))\n",
         "-S")
     layers, heavy = out.splitlines()
@@ -380,29 +381,56 @@ def test_each_cli_call_imports_only_the_layers_it_uses():
     # run as a script, a subcommand imports its layers inside its function
     assert _imports_of_cli_run("--help") == ([], [])
     layers, heavy = _imports_of_cli_run("qrep", "torus", "--level", "5", "--i", "1")
-    assert layers == ["cyclotomic", "linalg", "qrep"] and "random" not in heavy
+    assert layers == ["embedding", "cyclotomic", "linalg", "qrep", "torus"] and "random" not in heavy
     layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "5")
-    assert not {"mgnclasses", "eulerchi"} & set(layers)
-    # every block of (11, 5) is definite, so tau_{0,4} and tau_{1,1} never reach hermitian
-    layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "11", "--embedding", "5")
-    assert layers == ["cyclotomic", "linalg", "fusion", "qrep", "rmatrix"]
-    assert _imports_of_cli_run("reproduce", "--all")[0] == list(LAYERS)
+    assert not {"mgnclasses", "eulerchi", "tables"} & set(layers)
+    # every block of (9, 2) and (11, 5) is definite, so tau_{0,4} and tau_{1,1}
+    # are read from residues and no field arithmetic is loaded
+    definite = ["embedding", "linalg", "fusion", "qrep", "rmatrix"]
+    assert _imports_of_cli_run("rmatrix", "solve", "--level", "9", "--embedding", "2")[0] == definite
+    assert _imports_of_cli_run("rmatrix", "solve", "--level", "11", "--embedding", "5")[0] == definite
+    # (9, 1) has indefinite torus blocks, whose exact pass needs the field
+    assert _imports_of_cli_run("rmatrix", "solve", "--level", "9", "--embedding", "1")[0] == [
+        "embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix"]
+    assert _imports_of_cli_run("reproduce", "--all")[0] == [*LAYERS, "tables"]
 
 
-# the public names of the package, as the layers exported them up front
+def test_rational_linear_algebra_loads_no_field():
+    # Fraction matrices stay on linalg's own integer and Bareiss paths
+    out = _run_python(
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from qtoledo import linalg\n"
+        "a = ((F(1, 2), F(3)), (F(-2, 3), F(5, 7)))\n"
+        "print(linalg.solve(a, (F(1), F(2))))\n"
+        "print(linalg.mat_mul(a, a))\n"
+        "print(repr(linalg.determinant(a)), linalg.kernel_basis(((F(1), F(2)),)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n",
+        "-S")
+    assert out.splitlines() == [
+        "[Fraction(-74, 33), Fraction(70, 99)]",
+        "((Fraction(-7, 4), Fraction(51, 14)), (Fraction(-17, 21), Fraction(-73, 49)))",
+        "Fraction(33, 14) [(Fraction(-2, 1), Fraction(1, 1))]",
+        "['qtoledo._record', 'qtoledo.embedding', 'qtoledo.linalg']",
+    ]
+
+
+# the public names of the package, each with the layer that defines it
 PUBLIC = {
-    "cyclotomic": ("CycloNum", "Embedding", "conjugate", "cyclotomic_polynomial", "galois",
-                   "quantum_int", "sign_real"),
+    "cyclotomic": ("CycloNum", "conjugate", "cyclotomic_polynomial", "galois", "quantum_int",
+                   "sign_real"),
+    "embedding": ("Embedding",),
     "eulerchi": ("ChiPoly", "chi_bar", "chi_twisted", "harer_zagier"),
     "fusion": ("FrobeniusAlgebra", "gluing_checks", "signature_table", "so3_algebra",
                "su2_algebra", "unitary_partner"),
     "hermitian": ("HermMatrix", "IsometryWithForm", "Signature", "eigen_split", "g_function",
-                  "meyer_cocycle", "signature", "toledo_triangle_meyer", "toledo_triangle_pu11"),
+                  "meyer_cocycle", "signature", "toledo_triangle_meyer"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
-    "qrep": ("PuncturedTorusRep", "four_point_toledo", "punctured_torus_rep", "tau_11"),
+    "qrep": ("four_point_toledo", "punctured_torus_rep", "tau_11", "toledo_triangle_pu11"),
     "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
                 "tau_from_r1_04", "tau_from_r1_11"),
+    "torus": ("PuncturedTorusRep",),
 }
 
 
@@ -418,6 +446,10 @@ def test_package_resolves_each_public_name_in_its_layer():
             assert getattr(qtoledo, name) is getattr(module, name), (layer, name)
     assert qtoledo.signature is qtoledo.hermitian.signature
     assert qtoledo.HermMatrix is qtoledo.linalg.HermMatrix is qtoledo.hermitian.HermMatrix
+    # names that moved out of a layer are still bound there, as the same objects
+    assert qtoledo.Embedding is qtoledo.cyclotomic.Embedding
+    assert qtoledo.PuncturedTorusRep is qtoledo.qrep.PuncturedTorusRep
+    assert qtoledo.qrep.mat_mul is qtoledo.torus.mat_mul is qtoledo.linalg.mat_mul
     star = {}
     exec("from qtoledo import *", star)
     del star["__builtins__"]
@@ -434,5 +466,5 @@ def test_package_resolves_each_public_name_in_its_layer():
         "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n"
         "print(qtoledo.eulerchi.chi_bar is qtoledo.chi_bar)\n",
         "-S")
-    assert out == ("[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.hermitian', 'qtoledo.linalg']"
-                   "\nTrue\n")
+    assert out == ("[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.embedding', 'qtoledo.hermitian',"
+                   " 'qtoledo.linalg']\nTrue\n")

@@ -26,8 +26,8 @@ from qtoledo.cyclotomic import (
     euler_phi,
     quantum_int,
     sign_real,
-    sin_turn_sign,
 )
+from qtoledo.embedding import sin_turn_sign
 from qtoledo.hermitian import (
     Signature,
     eigen_split,
@@ -35,7 +35,6 @@ from qtoledo.hermitian import (
     meyer_cocycle,
     signature,
     toledo_triangle_meyer,
-    toledo_triangle_pu11,
 )
 from qtoledo.linalg import (
     HermMatrix,
@@ -48,6 +47,7 @@ from qtoledo.linalg import (
     mat_scale,
     mat_sub,
 )
+from qtoledo.qrep import toledo_triangle_pu11
 
 EMB5 = Embedding(5, 1)
 Q5 = CycloNum.zeta(5)

@@ -26,15 +26,14 @@ from qtoledo.linalg import (
     mat_sub,
 )
 from qtoledo.qrep import (
-    PuncturedTorusRep,
     _norm_signs,
-    _validate_rep,
     four_point_toledo,
     pivot_tau04_table,
     punctured_torus_rep,
     tau_11,
     tau11_table,
 )
+from qtoledo.torus import PuncturedTorusRep, _validate_rep
 
 F = Fraction
 

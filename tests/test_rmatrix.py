@@ -12,7 +12,7 @@ import sympy
 import oracles
 from oracles import level5_sigma_recursion_checks
 
-from qtoledo import qrep, rmatrix
+from qtoledo import rmatrix, torus
 from qtoledo.cli import main
 from qtoledo.cyclotomic import Embedding
 from qtoledo.fusion import so3_algebra
@@ -409,8 +409,8 @@ def test_reproduce_all_solves_each_r1_once(monkeypatch, capsys):
 
 def _cold():
     """Forget every solved level: the torus exact passes and solve_level."""
-    qrep._torus_exact.cache_clear()
-    qrep._tau11_exact.cache_clear()
+    torus._torus_exact.cache_clear()
+    torus._tau11_exact.cache_clear()
     solve_level.cache_clear()
 
 
@@ -463,7 +463,7 @@ def test_a_level_runs_one_exact_pass_per_color(monkeypatch):
         tau11_table(9, Embedding(9, k))
     # colors 1 and 2 of rank 4; colors 0 and 3 are definite at every unit
     assert passes == [9, 9]
-    assert qrep._tau11_exact.cache_info().currsize == 2
+    assert torus._tau11_exact.cache_info().currsize == 2
 
 
 def test_a_definite_solve_runs_no_exact_pass(monkeypatch):
@@ -474,7 +474,7 @@ def test_a_definite_solve_runs_no_exact_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact pass ran for a definite form")
 
-    monkeypatch.setattr(qrep, "_torus_exact", refuse)
+    monkeypatch.setattr(torus, "_torus_exact", refuse)
     monkeypatch.setattr(hermitian, "_toledo_data", refuse)
     solve_level.cache_clear()
     assert tau11_table(11, Embedding(11, 5)) == [0] * 5
