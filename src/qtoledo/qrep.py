@@ -2,26 +2,32 @@
 
 tau_{0,4} comes from the hyperbolic-triangle formula on the rotation
 numbers in [0, 1) of the three four-point twists (`toledo_triangle_pu11`),
-which answers in either orientation of the triangle; tau_{1,1} from the
-Meyer signature of the punctured-torus twists plus G-function corrections.
+which answers in either orientation of the triangle.
 
 Per embedding only signs are read.  The sign of every norm of the torus
 form is a product of the exact residue signs of `embedding`
 (`so3_structure_sign` and `quantum_int_sign`; `_form_sign`, `_norm_signs`),
 so whether the form is definite is decided from integer residues before
-anything is built, and so are the rotation numbers of tau_{0,4}.  Where
-the form is definite, tau_{1,1} is 0: the representation then lies in the
-compact group U(n).
+anything is built, and so are the rotation numbers of tau_{0,4}.
+tau_{1,1} of a color then takes one of three routes:
+
+- a definite form gives 0: the representation lies in the compact U(n);
+- an indefinite form on two gluing colors is a PU(1,1) representation of a
+  (2, 3, m) triangle group, and tau_{1,1} is the same triangle formula
+  on three rotation numbers read from residues (`_two_color_toledo`);
+- any other form, or a two-color one whose certificate fails, runs the
+  exact pass: the Meyer signature of the punctured-torus twists plus
+  G-function corrections.
 
 The module imports only `embedding` at load.  The exact representation
 and the exact part of tau_{1,1}, both built once per (level, color), are in
-`torus`, which `punctured_torus_rep`, and `tau_11` on an indefinite block,
+`torus`, which `punctured_torus_rep`, and the exact route of `tau_11`,
 import inside the function, and `tau_11` reads that exact part with
-`hermitian`, imported there too.  So a solve whose blocks are all definite
-compiles no field arithmetic, and building a torus representation no
-`hermitian`.  `PuncturedTorusRep` and `mat_mul`, bound here before the
-torus builder moved, still resolve here and import `torus` on first use
-(perfbench's self-test reads `qrep.mat_mul`).
+`hermitian`, imported there too.  So a solve whose torus blocks are all
+definite or two-colored compiles no field arithmetic, and building a torus
+representation no `hermitian`.  `PuncturedTorusRep` and `mat_mul`, bound
+here before the torus builder moved, still resolve here and import `torus`
+on first use (perfbench's self-test reads `qrep.mat_mul`).
 """
 
 from __future__ import annotations
@@ -177,25 +183,68 @@ def _norm_signs(level: int, emb: Embedding, i: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
+def _two_color_toledo(level: int, emb: Embedding, j0: int, s0: int) -> Fraction | None:
+    """tau_{1,1} of an indefinite form on the gluing colors (j0, j0 + 1), or None if uncertified.
+
+    The form has signature (1, 1) and s0 is the sign of its first norm, so
+    the representation lies in PU(1,1), where the projective relations
+    (T_gamma T_delta)^3 and (T_gamma T_delta T_gamma)^2 make it a
+    (2, 3, m) triangle group, m the projective order of T_gamma.  Its
+    Toledo invariant is the signed area of the triangle that
+    toledo_triangle_pu11 reads off three rotation numbers:
+    T_gamma = diag(q^(-2 j (j+1))) turns by the ratio q^(-4 (j0+1)) of its
+    eigenvalues, in the direction of s0, so by -4 (j0+1) k s0 / level mod 1;
+    T_delta T_gamma, of projective order 3, by 1/3 or 2/3, whichever closes
+    a triangle (Jankins-Neumann); and T_gamma T_delta T_gamma, of
+    projective order 2, by 1/2.
+
+    The certificate: exactly one of 1/3 and 2/3 closes a triangle, and the
+    value lies in (-1, 1) with 6 level tau an integer.  If any check fails
+    this returns None and tau_11 runs the exact pass instead.
+    """
+    turn_gamma = Fraction(-4 * (j0 + 1) * emb.exponent * s0, level)
+    values = []
+    for turn in (Fraction(1, 3), Fraction(2, 3)):
+        try:
+            values.append(toledo_triangle_pu11(turn_gamma, turn, Fraction(1, 2)))
+        except ValueError:
+            pass  # no triangle for this turn
+    if len(values) != 1:
+        return None
+    value = values[0]
+    if not -1 < value < 1 or (6 * level * value).denominator != 1:
+        return None
+    return value
+
+
 def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     """tau_{1,1}(e_i): the triangle-group Toledo pairing of T_gamma and T_delta T_gamma.
 
-    That is the Meyer signature of the twist pair plus G-corrections (see
-    toledo_triangle_meyer).  It vanishes when the form is definite at the
-    embedding: the representation then lies in the compact group U(n),
-    where the Kaehler class pulls back to 0.  The signs of the norms are
-    read from exact residues (_norm_signs), so a definite block builds
-    nothing exact; color 0 is one at every unit, since its u_m are all 1.
-    Otherwise the exact part runs once per (level, i)
-    (torus._tau11_exact); at the embedding only signs and turns are read,
-    and the value takes the sign of the form, because negating the form
-    negates the Meyer cocycle and every eigenspace signature.
+    The signs of the torus form's norms are read from exact residues
+    (_norm_signs), and the value takes one of three routes:
+
+    - definite: 0, because the representation then lies in the compact
+      group U(n), where the Kaehler class pulls back to 0; color 0 is
+      definite at every unit, since its u_m are all 1;
+    - two colors, indefinite: the signed area of the (2, 3, m)
+      triangle of the PU(1,1) representation, from three rotation numbers
+      read off residues (_two_color_toledo), with nothing exact built;
+    - otherwise, or if that triangle's certificate fails: the Meyer
+      signature of the twist pair plus G-corrections (see
+      toledo_triangle_meyer).  Its exact part runs once per (level, i)
+      (torus._tau11_exact); at the embedding only signs and turns are read,
+      and the value takes the sign of the form, because negating the form
+      negates the Meyer cocycle and every eigenspace signature.
     """
     check_so3_level(level, emb)
     _check_color(level, i)
     signs = _norm_signs(level, emb, i)
     if all(s == signs[0] for s in signs):
         return Fraction(0)  # definite form
+    if len(signs) == 2:
+        value = _two_color_toledo(level, emb, _window(level, i)[0], signs[0])
+        if value is not None:
+            return value
     from .hermitian import _read_toledo
     from .torus import _tau11_exact
 

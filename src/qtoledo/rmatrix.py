@@ -230,19 +230,30 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
     other than ``reproduce`` solves one pair, so it neither gains nor loses.
 
     tau_{1,1} of a color whose torus form is definite at the embedding is 0,
-    decided from exact residues with no exact pass, so a solve runs that
-    pass only for its indefinite colors; at (9, 2), (9, 4), (11, 3) and
-    (11, 5) every color is definite.  The embeddings of one level share
-    the rest: the exact pass of tau_{1,1} (the torus representation, its
-    eigen-data and its Meyer kernel and pivots) is cached per (level,
-    color) in ``torus``, so solving a second embedding of a level reads only
-    signs and turns for tau_{1,1}.  The fusion algebra, tau_{0,4} and the
-    R_1 solve run per embedding.
+    and that of an indefinite form on two gluing colors is a triangle area;
+    both are read from exact residues with no exact pass, so a solve runs
+    that pass only for its indefinite colors of three or more gluing
+    colors.  At (9, 2), (9, 4), (11, 3) and (11, 5) every color is
+    definite; at (9, 1) only color 1 runs an exact pass, since color 2 has
+    two gluing colors.  The embeddings of one level share the rest: the
+    exact pass of tau_{1,1} (the torus representation, its eigen-data and
+    its Meyer kernel and pivots) is cached per (level, color) in ``torus``,
+    so solving a second embedding of a level reads only signs and turns for
+    tau_{1,1}.  The fusion algebra, tau_{0,4} and the R_1 solve run per
+    embedding.
     """
     return solve_r1(so3_algebra(level, emb), pivot_tau04_table(level, emb), tau11_table(level, emb))
 
 
 # -- degree-2 classes -------------------------------------------------------------
+
+
+def _check_moduli(g: int, n: int):
+    """Refuse a negative genus or point count, then an unstable (g, n)."""
+    if g < 0 or n < 0:
+        raise ValueError(f"genus and number of points must be nonnegative, got ({g},{n})")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("unstable moduli space")
 
 
 def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
@@ -261,8 +272,7 @@ def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
     from .mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
 
     v = r1.algebra
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable moduli space")
+    _check_moduli(g, n)
     x = [v.scaled(c) for c in colors]
     if len(x) != n:
         raise ValueError("need one color per marked point")
@@ -318,8 +328,7 @@ def presentation_class(v: FrobeniusAlgebra, g: int, n: int) -> H2Class:
 
     if v.level != 5:
         raise ValueError("the presentation table is tabulated at level 5")
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable moduli space")
+    _check_moduli(g, n)
     # powers[k] = e_1^k, so tft(h, powers[k]) is sigma_h with k points of color e_1
     tft = v.tft_scaled
     powers = [v.scaled(0)]

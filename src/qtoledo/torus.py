@@ -16,8 +16,10 @@ by those two numbers (`_torus_exact`), and so is the exact part of
 tau_{1,1}: the eigen-data of T_gamma, T_delta T_gamma and their product and
 the Meyer kernel with its congruence pivots (`_tau11_exact`).  The sign of
 the form at an embedding, and the tau_{1,1} read off the exact part there,
-are `qrep`'s: `qrep.punctured_torus_rep` and, on an indefinite block,
-`qrep.tau_11` import this module inside the function.
+are `qrep`'s.  `qrep.punctured_torus_rep` imports this module inside the
+function, and so does `qrep.tau_11` on an indefinite block of three or more
+colors, or of two whose triangle certificate fails; a definite block and a
+two-color indefinite one are read from residues and never load it.
 
 The module imports `cyclotomic`, `linalg` and the gluing window of `qrep`;
 `_tau11_exact` imports its `hermitian` routine inside the function, so

@@ -228,9 +228,11 @@ def test_out_of_range_color_is_refused(capsys):
     assert err == "error: ValueError: color 5 is out of range for an algebra of rank 2\n"
 
 
-@pytest.mark.parametrize("g, n", [(-1, 5), (1, -1)])
+@pytest.mark.parametrize("g, n", [(-1, 5), (1, -1), (2, -1)])
 def test_negative_genus_or_point_count_is_refused(capsys, g, n):
-    for call in (("euler", "chibar"), ("euler", "twisted", "--level", "5")):
+    # rmatrix class names the range before it counts the colors
+    for call in (("euler", "chibar"), ("euler", "twisted", "--level", "5"),
+                 ("rmatrix", "class", "--level", "5")):
         code, out, err = run(capsys, *call, "--g", str(g), "--n", str(n))
         assert (code, out) == (1, "")
         assert err == f"error: ValueError: genus and number of points must be nonnegative, got ({g},{n})\n"

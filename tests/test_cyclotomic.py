@@ -392,7 +392,12 @@ def test_each_cli_call_imports_only_the_layers_it_uses():
     # (9, 1) has indefinite torus blocks, whose exact pass needs the field
     assert _imports_of_cli_run("rmatrix", "solve", "--level", "9", "--embedding", "1")[0] == [
         "embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix"]
-    assert _imports_of_cli_run("reproduce", "--all")[0] == [*LAYERS, "tables"]
+    # every torus block reproduce touches is definite or two-colored, read from residues
+    assert _imports_of_cli_run("reproduce", "--all")[0] == [
+        "embedding", "linalg", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi", "tables"]
+    # a two-color indefinite block is a triangle area: no field module either
+    assert _imports_of_cli_run("qrep", "tau11", "--level", "7", "--embedding", "1", "--i", "1")[0] == [
+        "embedding", "qrep"]
 
 
 def test_rational_linear_algebra_loads_no_field():

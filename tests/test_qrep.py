@@ -27,6 +27,8 @@ from qtoledo.linalg import (
 )
 from qtoledo.qrep import (
     _norm_signs,
+    _two_color_toledo,
+    _window,
     four_point_toledo,
     pivot_tau04_table,
     punctured_torus_rep,
@@ -169,6 +171,65 @@ def test_tau11_matches_triangle_meyer():
                    + g_function(IsometryWithForm(tdtg, form))
                    - g_function(IsometryWithForm(tgtdtg, form)))
         assert tau_11(level, emb, i) == F(sig, 2) - g_terms / 2
+
+
+def _two_color_blocks(levels):
+    """(level, k, i) of every indefinite torus form on two gluing colors at these levels."""
+    for level in levels:
+        i = (level - 1) // 2 - 2  # the color whose window has two gluing colors
+        for k in range(1, level):
+            if i < 0 or math.gcd(k, level) != 1:
+                continue
+            if len(set(_norm_signs(level, Embedding(level, k), i))) == 2:
+                yield level, k, i
+
+
+def test_two_color_tau11_is_the_exact_routes_value():
+    # the (2, 3, m) triangle area equals the Meyer route's exact pass read at the embedding
+    from qtoledo import hermitian, torus
+
+    blocks = list(_two_color_blocks(range(5, 46, 2)))
+    assert len(blocks) == 136
+    for level, k, i in blocks:
+        emb = Embedding(level, k)
+        signs = _norm_signs(level, emb, i)
+        exact = signs[0] * hermitian._read_toledo(torus._tau11_exact(level, i), emb)
+        assert _two_color_toledo(level, emb, _window(level, i)[0], signs[0]) == exact, (level, k, i)
+        assert tau_11(level, emb, i) == exact, (level, k, i)
+
+
+def test_two_color_tau11_builds_nothing_exact(monkeypatch):
+    from qtoledo import hermitian, torus
+
+    def refuse(*args):
+        raise AssertionError("an exact pass ran for a two-color block")
+
+    for module, name in ((torus, "_torus_exact"), (torus, "_tau11_exact"), (hermitian, "_toledo_data")):
+        monkeypatch.setattr(module, name, refuse)
+    assert tau_11(7, Embedding(7, 1), 1) == F(-1, 42)   # the (2, 3, 7) line
+    assert tau_11(9, Embedding(9, 1), 2) == F(-1, 18)
+
+
+def _no_triangle(*turns):
+    raise ValueError("no triangle")
+
+
+@pytest.mark.parametrize("triangle", [
+    _no_triangle,
+    lambda *turns: F(0),
+    lambda a, b, c: F(1) if b == F(1, 3) else _no_triangle(),
+    lambda a, b, c: F(1, 1000) if b == F(1, 3) else _no_triangle(),
+], ids=["no-triangle", "two-triangles", "out-of-range", "not-integral"])
+def test_a_failed_triangle_certificate_falls_back_to_the_exact_pass(monkeypatch, triangle):
+    from qtoledo import qrep, torus
+
+    monkeypatch.setattr(qrep, "toledo_triangle_pu11", triangle)
+    torus._tau11_exact.cache_clear()
+    for level, k, i, value in ((7, 1, 1, F(-1, 42)), (9, 1, 2, F(-1, 18))):
+        emb = Embedding(level, k)
+        assert _two_color_toledo(level, emb, _window(level, i)[0], _norm_signs(level, emb, i)[0]) is None
+        assert tau_11(level, emb, i) == value
+    assert torus._tau11_exact.cache_info().misses == 2
 
 
 def test_tau11_scale_invariance():

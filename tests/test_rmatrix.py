@@ -461,9 +461,10 @@ def test_a_level_runs_one_exact_pass_per_color(monkeypatch):
     _cold()
     for k in _units(9):
         tau11_table(9, Embedding(9, k))
-    # colors 1 and 2 of rank 4; colors 0 and 3 are definite at every unit
-    assert passes == [9, 9]
-    assert torus._tau11_exact.cache_info().currsize == 2
+    # color 1 of rank 4; colors 0 and 3 are definite at every unit, and color 2
+    # has two gluing colors, so it is a triangle area read from residues
+    assert passes == [9]
+    assert torus._tau11_exact.cache_info().currsize == 1
 
 
 def test_a_definite_solve_runs_no_exact_pass(monkeypatch):
