@@ -25,10 +25,10 @@ _EXPORTS = {
     "linalg": ("HermMatrix", "IsometryWithForm"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
-    "qrep": ("four_point_toledo", "punctured_torus_rep", "tau_11", "toledo_triangle_pu11"),
+    "qrep": ("four_point_toledo", "tau_11", "toledo_triangle_pu11"),
     "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
                 "tau_from_r1_04", "tau_from_r1_11"),
-    "torus": ("PuncturedTorusRep",),
+    "torus": ("PuncturedTorusRep", "punctured_torus_rep"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

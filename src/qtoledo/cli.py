@@ -27,11 +27,12 @@ if __name__ != "__main__":
     # Imported rather than run as a script: load every module up front.
     # perfbench's import_package, cache_clearers and tracer look for the
     # modules in sys.modules after ``import qtoledo.cli`` (the caches of
-    # ``embedding`` and ``torus`` among them), and its tracer wraps the
-    # golden tables in ``cli.TABLES``.  The installed console script loses
-    # little by it: pip compiles its bytecode at install.
+    # ``embedding``, ``realbounds`` and ``torus`` among them), and its
+    # tracer wraps the golden tables in ``cli.TABLES``.  The installed
+    # console script loses little by it: pip compiles its bytecode at install.
     from . import (  # noqa: F401
         cyclotomic,
+        elimination,
         embedding,
         eulerchi,
         fusion,
@@ -39,6 +40,7 @@ if __name__ != "__main__":
         linalg,
         mgnclasses,
         qrep,
+        realbounds,
         rmatrix,
         tables,
         torus,
@@ -205,7 +207,7 @@ def cmd_qrep_tau11(args) -> dict:
 def cmd_qrep_torus(args) -> dict:
     from .cyclotomic import cyclo_to_json
     from .embedding import Embedding
-    from .qrep import punctured_torus_rep
+    from .torus import punctured_torus_rep
 
     rep = punctured_torus_rep(args.level, Embedding(args.level, args.embedding), args.i)
 

@@ -7,7 +7,9 @@ the residue of its turn mod 1 (`sin_turn_sign`, `quantum_int_sign`).  So
 are the signs of the quantum factorials and of the triple-point invariants
 built from them, and with them the SO3 fusion structure signs
 (`so3_structure_sign`) that both the fusion algebras and the torus
-representations start from.
+representations start from.  The torus's gluing window and the sign of its
+form's first norm (`_window`, `_form_sign`) are read here too, so `qrep`
+and `torus` share them without importing each other.
 
 No field arithmetic is done here: a computation that needs only these
 signs, such as a solve whose blocks are all definite, loads no cyclotomic
@@ -114,6 +116,35 @@ def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:
     triple of odd index sum is multiplied by the raw (1,1,1) sign.
     """
     return _triple_sign(2 * i, 2 * j, 2 * k, emb) * _triple_sign(2, 2, 2, emb) ** ((i + j + k) % 2)
+
+
+# -- the one-holed torus with boundary color e_i ---------------------------
+
+def _rank(level: int) -> int:
+    return (level - 1) // 2
+
+
+def _check_color(level: int, i: int):
+    if not 0 <= i <= _rank(level) - 1:
+        raise ValueError(f"color index {i} out of range for level {level}")
+
+
+def _window(level: int, i: int) -> tuple[int, ...]:
+    """The gluing colors 2j of the torus with boundary color e_i, indexed by j."""
+    r = _rank(level)
+    window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
+    if len(window) != r - i:
+        raise ArithmeticError("admissibility window has unexpected size")
+    return window
+
+
+def _form_sign(emb: Embedding, window, i: int) -> int:
+    """The sign of the first norm of the torus form at the embedding."""
+    j_min = window[0]
+    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
+    if base == 0:
+        raise ArithmeticError("degenerate base norm")
+    return base
 
 
 # -- JSON encoding ---------------------------------------------------------

@@ -33,7 +33,7 @@ from .embedding import (
     quantum_int_sign,
     so3_structure_sign,
 )
-from .linalg import determinant, solve
+from .elimination import determinant, solve
 
 Vector = tuple[Fraction, ...]
 # A vector as (numerators, denominator): coefficient k is numerators[k] / denominator.

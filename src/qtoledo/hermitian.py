@@ -1,15 +1,16 @@
 """Signatures of Hermitian forms over cyclotomic fields and the invariants built on them.
 
-These rest on the exact matrix core of `linalg`.  Every signature here is
-one Hermitian congruence (Sylvester's law of inertia: one certified sign
-per pivot): of a form; of the Meyer form of a pair of isometries, on one
-kernel; and of the form on each eigenspace of a finite-order isometry,
-whose eigenvalues are exact roots of unity with multiplicities from the
-traces of its powers.  On them rest the rational G-function that corrects
-the Meyer cocycle into a Toledo invariant, and the Toledo invariant of a
-triangle-group representation from its Meyer cocycle
-(`toledo_triangle_meyer`).  The PU(1,1) triangle formula on rotation
-numbers alone needs no form and is `qrep.toledo_triangle_pu11`.
+These rest on the exact matrix core of `linalg`, and on `elimination` for
+the Meyer kernel.  Every signature here is one Hermitian congruence
+(Sylvester's law of inertia: one certified sign per pivot): of a form; of
+the Meyer form of a pair of isometries, on one kernel; and of the form on
+each eigenspace of a finite-order isometry, whose eigenvalues are exact
+roots of unity with multiplicities from the traces of its powers.  On them
+rest the rational G-function that corrects the Meyer cocycle into a Toledo
+invariant, and the Toledo invariant of a triangle-group representation
+from its Meyer cocycle (`toledo_triangle_meyer`).  The PU(1,1) triangle
+formula on rotation numbers alone needs no form and is
+`qrep.toledo_triangle_pu11`.
 
 Each invariant is computed in two passes.  The exact pass works in
 Q(zeta_N) and depends on the matrices, the form and the order of the
@@ -33,6 +34,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .cyclotomic import CycloNum, _root_exponent, conjugate, sign_real
+from .elimination import kernel_basis
 from .embedding import Embedding, sin_turn_sign
 from .linalg import (
     HermMatrix,
@@ -43,7 +45,6 @@ from .linalg import (
     gram,
     identity,
     is_scalar,
-    kernel_basis,
     lin_combs,
     mat_mul,
     mat_scale,

@@ -1,12 +1,11 @@
-"""Exact linear algebra over one field: Q or a field whose entry type supplies its own kernel.
+"""Exact matrix arithmetic over one field: Q or a field whose entry type supplies its own kernel.
 
 A matrix is a tuple of rows whose entries lie in one field.  Rational
 entries (`int`, `Fraction`) are handled here, with no field module loaded:
 products, matrix-vector products, linear combinations and Gram matrices
 put each row and column over one common denominator and sum each product
 of a row and a column as ints (`_products`), one `Fraction` per output
-entry; `solve`, `determinant` and `kernel_basis` scale each row to integers
-and eliminate fraction-free (Bareiss).
+entry.
 
 A matrix with any other entry type, in practice `cyclotomic.CycloNum`, is
 handed to that type, which must supply:
@@ -19,14 +18,16 @@ handed to that type, which must supply:
 - the field operations +, -, *, ==, truth as "nonzero", and division of
   `Fraction(1)` by a nonzero entry.
 
-Such matrices go through one Gauss-Jordan elimination (`rref`).  No routine
-takes a matrix inverse.  `as_matrix` and `identity` make `CycloNum`
-entries, importing `cyclotomic` when called.
+Elimination (`solve`, `determinant`, `kernel_basis`) is in `elimination`,
+built on `_field`, `_int_vectors` and `_zero_one` here.  `as_matrix` and
+`identity` make `CycloNum` entries, importing `cyclotomic` when called.
 
 `HermMatrix` is a square matrix checked to be Hermitian, with the embedding
 that sends its entries into C, and `IsometryWithForm` a matrix checked to
-preserve one.  The signatures and invariants of these forms are in
-`hermitian`; the torus representations of `torus` need only this module.
+preserve one; both refuse an entry outside the embedding's field.  Only a
+non-diagonal form loads `elimination`, for its determinant.  The
+signatures and invariants of these forms are in `hermitian`; the torus
+representations of `torus` need only this module.
 """
 
 from __future__ import annotations
@@ -186,152 +187,14 @@ def is_scalar(m: Matrix):
     return None if d is None else _common_value(d)
 
 
-# -- one exact elimination over Q or another field ------------------------------
-
-def rref(rows):
-    """Reduced row echelon form by Gauss-Jordan elimination.
-
-    Returns (rows, pivots, scale): the reduced rows as lists, the pivot
-    column of each leading row, and the product of the pivots times the
-    sign of the row swaps, which is the determinant of a nonsingular square
-    input.  Entries are touched only by *, -, Fraction(1) / p and truth
-    tests, so Fraction and field entries keep their type and int input
-    stays exact.
-    """
-    rows = [list(r) for r in rows]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    scale = Fraction(1)
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            scale = -scale
-        p = rows[r][c]
-        scale = scale * p
-        inv = Fraction(1) / p
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots, scale
-
-
-def _bareiss(rows):
-    """Fraction-free row echelon form of integer rows (Bareiss, Math. Comp. 22, 1968).
-
-    Each step multiplies the rows below the pivot by it, subtracts their
-    multiple of the pivot row and divides by the previous pivot.  The
-    division is exact, since every entry stays a minor of the input: after
-    the row swaps, the last pivot is the determinant of the pivot columns
-    of the first rank rows.  Returns (rows, pivots, sign of the swaps).
-    """
-    rows = [list(r) for r in rows]
-    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    sign, prev, r = 1, 1, 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
-        top = rows[r]
-        p, tail = top[c], top[c + 1:]
-        for row in rows[r + 1:]:
-            f = row[c]
-            row[c:] = [0] + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-        prev = p
-        pivots.append(c)
-        r += 1
-    return rows, pivots, sign
-
-
-def _back_substitute(rows, pivots, c) -> list[Fraction]:
-    """Entries R[i][c], i < rank, of the reduced echelon form of Bareiss rows.
-
-    They solve the triangular system on the pivot columns with right side
-    column c.  By Cramer's rule, d times the solution is integral for d the
-    last pivot, so each step divides exactly.
-    """
-    r = len(pivots)
-    if not r:
-        return []
-    d = rows[r - 1][pivots[-1]]
-    xs = [0] * r  # d times the solution
-    for i in range(r - 1, -1, -1):
-        row = rows[i]
-        acc = d * row[c] - sum(row[pivots[j]] * xs[j] for j in range(i + 1, r))
-        xs[i] = acc // row[pivots[i]]
-    return [Fraction(x, d) for x in xs]
-
-
-def _eliminate(a):
-    """(pivots, column, det): the pivot columns of the reduced echelon form R of a,
-    column(c) = [R[i][c] for i < rank], and the signed product of the pivots.
-
-    Rational input has each row scaled to integers by the lcm of its
-    denominators and goes through `_bareiss`; any other through `rref`.
-    """
-    if _field(x for row in a for x in row) is not None:
-        rows, pivots, scale = rref(a)
-        return pivots, lambda c: [row[c] for row in rows[:len(pivots)]], scale
-    int_rows = _int_vectors(a)
-    rows, pivots, sign = _bareiss([r for r, _ in int_rows])
-    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return (pivots, lambda c: _back_substitute(rows, pivots, c),
-            Fraction(sign * last, math.prod(den for _, den in int_rows)))
-
-
-def kernel_basis(a) -> list[tuple]:
-    """Exact right-kernel basis, one vector per free column of the RREF."""
-    pivots, column, _ = _eliminate(a)
-    zero, one = _zero_one(a)
-    n_cols = len(a[0]) if a else 0
-    basis = []
-    for fc in range(n_cols):
-        if fc in pivots:
-            continue
-        vec = [zero] * n_cols
-        vec[fc] = one
-        for pc, x in zip(pivots, column(fc)):
-            vec[pc] = -x
-        basis.append(tuple(vec))
-    return basis
-
-
-def solve(a, b) -> list:
-    """The unique x with a x = b, where a may have more rows than columns.
-
-    Raises ArithmeticError when the system is underdetermined or inconsistent.
-    """
-    n = len(a[0])
-    pivots, column, _ = _eliminate([list(row) + [bi] for row, bi in zip(a, b)])
-    if pivots[:n] != list(range(n)):
-        raise ArithmeticError("underdetermined system")
-    if len(pivots) > n:
-        raise ArithmeticError("inconsistent system")
-    return column(n)
-
-
-def determinant(a):
-    """det(a) as the signed product of the pivots, zero for a singular matrix."""
-    pivots, _, det = _eliminate(a)
-    return det if len(pivots) == len(a) else _zero_one(a)[0]
-
-
 # -- Hermitian forms and their isometries ------------------------------------
+
+def _check_field(m: Matrix, emb: Embedding):
+    """Refuse an entry of an order that does not divide the embedding's."""
+    order = next((x.order for row in m for x in row if emb.order % x.order), None)
+    if order is not None:
+        raise ValueError(f"entry of order {order} is not in Q(zeta_{emb.order}), the field of the embedding")
+
 
 class HermMatrix(Record):
     """Square matrix over a cyclotomic field, Hermitian for zeta -> 1/zeta."""
@@ -342,6 +205,7 @@ class HermMatrix(Record):
     def __post_init__(self):
         m = as_matrix(self.entries)
         object.__setattr__(self, "entries", m)
+        _check_field(m, self.embedding)
         if any(len(row) != len(m) for row in m):
             raise ValueError("matrix is not square")
         mh = conj_transpose(m)
@@ -365,11 +229,17 @@ class IsometryWithForm(Record):
     def __post_init__(self):
         u = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", u)
+        _check_field(u, self.form.embedding)
         h = self.form.entries
         if len(u) != len(h) or len(u[0]) != len(h):
             raise ValueError(f"matrix is {len(u)}x{len(u[0])}, the form {len(h)}x{len(h)}")
         norms = diagonal_entries(h)
-        if not (all(norms) if norms is not None else determinant(h)):
+        if norms is None:
+            from .elimination import determinant
+
+            if not determinant(h):
+                raise ValueError("form is singular")
+        elif not all(norms):
             raise ValueError("form is singular")
         hu = mat_mul(h, u) if norms is None else scale_rows(norms, u)
         if mat_mul(conj_transpose(u), hu) != h:

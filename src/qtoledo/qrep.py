@@ -19,25 +19,34 @@ tau_{1,1} of a color then takes one of three routes:
   exact pass: the Meyer signature of the punctured-torus twists plus
   G-function corrections.
 
-The module imports only `embedding` at load.  The exact representation
-and the exact part of tau_{1,1}, both built once per (level, color), are in
-`torus`, which `punctured_torus_rep`, and the exact route of `tau_11`,
-import inside the function, and `tau_11` reads that exact part with
-`hermitian`, imported there too.  So a solve whose torus blocks are all
-definite or two-colored compiles no field arithmetic, and building a torus
-representation no `hermitian`.  `PuncturedTorusRep` and `mat_mul`, bound
-here before the torus builder moved, still resolve here and import `torus`
-on first use (perfbench's self-test reads `qrep.mat_mul`).
+The module imports only `embedding`, which also holds the torus's gluing
+window and first-norm sign.  The exact torus representation
+(`torus.punctured_torus_rep`) and the exact part of tau_{1,1}, both built
+once per (level, color), are in `torus`; the exact route of `tau_11`
+imports it, and `hermitian` to read that part, inside the function.  So a
+solve whose torus blocks are all definite or two-colored compiles no field
+arithmetic, and a torus call no `qrep`.  `PuncturedTorusRep`,
+`punctured_torus_rep` and `mat_mul`, bound here before the torus builder
+moved, still resolve here and import `torus` on first use (perfbench's
+self-test reads `qrep.mat_mul`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .embedding import Embedding, check_so3_level, quantum_int_sign, so3_structure_sign
+from .embedding import (
+    Embedding,
+    _check_color,
+    _form_sign,
+    _rank,
+    _window,
+    check_so3_level,
+    quantum_int_sign,
+)
 
 #: names that moved to `torus`, resolved there when read from this module
-_TORUS_NAMES = ("PuncturedTorusRep", "mat_mul")
+_TORUS_NAMES = ("PuncturedTorusRep", "mat_mul", "punctured_torus_rep")
 
 
 def __getattr__(name):
@@ -46,15 +55,6 @@ def __getattr__(name):
 
         return getattr(torus, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _rank(level: int) -> int:
-    return (level - 1) // 2
-
-
-def _check_color(level: int, i: int):
-    if not 0 <= i <= _rank(level) - 1:
-        raise ValueError(f"color index {i} out of range for level {level}")
 
 
 def toledo_triangle_pu11(turn_a: Fraction, turn_b: Fraction, turn_c: Fraction) -> Fraction:
@@ -117,50 +117,7 @@ def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     return value
 
 
-# -- punctured torus -----------------------------------------------------------
-
-
-def punctured_torus_rep(level: int, emb: Embedding, i: int):
-    """Construct the torus representation with boundary color e_i.
-
-    The form is fixed up to scale by self-adjointness of the tridiagonal
-    curve operator.  Its base sign, on the lowest gluing color 2j, is the
-    SO3 structure sign embedding.so3_structure_sign(emb, j, j, i) times
-    the sign of [2j+1]; the tests check the resulting signature against
-    tr_V(e_i) of the fusion algebra.
-
-    Only that sign depends on the embedding.  Everything else, the curve
-    operators, the twists and the form up to its sign, is exact in
-    Q(zeta_level) and is built and certified once per (level, i)
-    (torus._torus_exact); a global sign of the form changes none of the
-    certificates.  Returns a torus.PuncturedTorusRep.
-    """
-    check_so3_level(level, emb)
-    _check_color(level, i)
-    from .torus import PuncturedTorusRep, _torus_exact
-
-    rep = _torus_exact(level, i)
-    norms = rep.norms if _form_sign(emb, rep.window, i) > 0 else tuple(-x for x in rep.norms)
-    return PuncturedTorusRep(level, emb, i, rep.window, norms,
-                             rep.c_gamma, rep.c_delta, rep.t_gamma, rep.t_delta)
-
-
-def _form_sign(emb: Embedding, window, i: int) -> int:
-    """The sign of the first norm of the torus form at the embedding."""
-    j_min = window[0]
-    base = so3_structure_sign(emb, j_min, j_min, i) * quantum_int_sign(2 * j_min + 1, emb)
-    if base == 0:
-        raise ArithmeticError("degenerate base norm")
-    return base
-
-
-def _window(level: int, i: int) -> tuple[int, ...]:
-    """The gluing colors 2j of the torus with boundary color e_i, indexed by j."""
-    r = _rank(level)
-    window = tuple(j for j in range(r) if i <= 2 * j < 2 * r - i)
-    if len(window) != r - i:
-        raise ArithmeticError("admissibility window has unexpected size")
-    return window
+# -- tau_{1,1} ------------------------------------------------------------------
 
 
 def _norm_signs(level: int, emb: Embedding, i: int) -> tuple[int, ...]:

@@ -1,10 +1,15 @@
 """Degree-2 reconstruction: the first-order R-matrix and Toledo classes.
 
 Solves one rational system for the traceless part of R_1 on the
-eta-self-adjoint matrices (`solve_r1`), recovers the trace part from the
-one-holed-torus invariants, and expands the resulting degree-2 class of any
-(g, n, colors) over the tautological basis.  A presentation-based
-coefficient pipeline cross-checks the level-5 closed formulas.
+eta-self-adjoint matrices (`solve_r1`, by `elimination.solve`), recovers
+the trace part from the one-holed-torus invariants, and expands the
+resulting degree-2 class of any (g, n, colors) over the tautological basis.
+A presentation-based coefficient pipeline cross-checks the level-5 closed
+formulas.
+
+tau_{0,4}(v1, v2, x, y) from R_1 is bilinear in (x, y): one integer form
+T(v1, v2) over one denominator (`_tau04_form`), which `tau_from_r1_04`
+contracts and `solve_r1`'s exact round trip reads once, at v1 = v2 = w.
 
 Solving R_1 loads no moduli-space layer: the two class builders import the
 `mgnclasses` labels inside the function.
@@ -12,23 +17,16 @@ Solving R_1 loads no moduli-space layer: the two class builders import the
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
+from .elimination import determinant, solve
 from .embedding import Embedding, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
-from .linalg import (
-    conj_transpose,
-    determinant,
-    diagonal,
-    lin_comb,
-    mat_add,
-    mat_mul,
-    solve,
-)
+from .linalg import conj_transpose, diagonal, lin_comb, mat_add, mat_mul
 from .qrep import pivot_tau04_table, tau11_table
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -75,19 +73,39 @@ class R1Matrix(Record):
 # -- tau from R_1 ---------------------------------------------------------------
 
 
-def tau_from_r1_04(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2, v3, v4) -> Fraction:
-    """Degree-2 four-point invariant integrated over the moduli of spheres."""
+def _tau04_form(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2) -> tuple[list[list[int]], int]:
+    """T with tau_{0,4}(v1, v2, x, y) = x^T T y, as integer rows over one denominator.
+
+    With u = v2 R v1 + v1 R v2 - v1 v2 R 1 - R(v1 v2), the terms of
+    tau_from_r1_04 in which x and y meet only in eta(., x y) give
+    C_ij = eta(u e_i, e_j); eta(R x, v1 v2 y) and eta(R(v1 x), v2 y), with
+    their transposes, give N + N^T for N_ij = eta(v1 v2 R e_i - v2 R(v1 e_i), e_j).
+    Every product runs on the integer kernel over den(R) den(v1) den(v2).
+    """
     m = scaled_matrix(r1.matrix if isinstance(r1, R1Matrix) else r1)
-    mul, eta = v.multiply_scaled, v.eta_scaled
-    x = [v.scaled(c) for c in (v1, v2, v3, v4)]
-    pair = {(a, b): mul(x[a], x[b]) for a, b in itertools.combinations(range(4), 2)}
-    # the product of the three colors other than the i-th, for i = 0, 1, 2, 3
-    rest = (mul(pair[1, 2], x[3]), mul(pair[0, 2], x[3]), mul(pair[0, 1], x[3]), mul(pair[0, 1], x[2]))
-    total = sum(eta(apply_scaled(m, x[i]), rest[i]) for i in range(4))
-    total -= eta(mul(pair[0, 1], pair[2, 3]), apply_scaled(m, v.scaled(0)))
-    for ab, cd in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        total -= eta(apply_scaled(m, pair[ab]), pair[cd])
-    return total
+    mul, eps = v.multiply_scaled, v.eps
+    x1, x2 = v.scaled(v1), v.scaled(v2)
+    p = mul(x1, x2)
+    terms = (mul(x2, apply_scaled(m, x1)), mul(x1, apply_scaled(m, x2)),
+             mul(p, apply_scaled(m, v.scaled(0))), apply_scaled(m, p))
+    u = ([a + b - c - d for a, b, c, d in zip(*(t[0] for t in terms))], 1)
+    c_rows, n_rows = [], []
+    for i, r_col in enumerate(zip(*m[0])):
+        e = v.scaled(i)
+        c_rows.append(mul(u, e)[0])
+        left, right = mul(p, (r_col, 1))[0], mul(x2, apply_scaled(m, mul(x1, e)))[0]
+        n_rows.append([a - b for a, b in zip(left, right)])
+    form = [[eps[j] * (c + n) + eps[i] * n_rows[j][i] for j, (c, n) in enumerate(zip(cr, nr))]
+            for i, (cr, nr) in enumerate(zip(c_rows, n_rows))]
+    return form, m[1] * x1[1] * x2[1]
+
+
+def tau_from_r1_04(v: FrobeniusAlgebra, r1: R1Matrix | Mat, v1, v2, v3, v4) -> Fraction:
+    """Degree-2 four-point invariant integrated over the moduli of spheres: v3^T T(v1, v2) v4."""
+    form, den = _tau04_form(v, r1, v1, v2)
+    (xs, xd), (ys, yd) = v.scaled(v3), v.scaled(v4)
+    return Fraction(sum(x * sum(map(operator.mul, row, ys)) for x, row in zip(xs, form) if x),
+                    den * xd * yd)
 
 
 def tau_from_r1_11(v: FrobeniusAlgebra, r1: R1Matrix | Mat, vec) -> Fraction:
@@ -162,11 +180,11 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
     M_(D(R_1') e_0) = A_w and tr(R_1' M_k) = 0 (`_system_column`), unique
     when M_w has simple spectrum.  The trace part then solves the Gram
     system of tau11.  The output satisfies the self-adjointness,
-    decomposition, and round-trip identities exactly.  Both discriminants,
-    of the characteristic polynomials of M_w and of M_(e_1), come from the
-    trace form (`_discriminant`): the first must be nonzero, and the
-    denominator bound 2*3*level*disc^2 of the second is asserted entry by
-    entry.
+    decomposition, and round-trip identities exactly (`_round_trip`).  Both
+    discriminants, of the characteristic polynomials of M_w and of M_(e_1),
+    come from the trace form (`_discriminant`): the first must be nonzero,
+    and the denominator bound 2*3*level*disc^2 of the second is asserted
+    entry by entry.
     """
     r = v.rank
     if _discriminant(v, r - 1) == 0:  # a repeated root
@@ -196,15 +214,7 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
 
     out = R1Matrix(v, mat_add(v.mult_matrix(r1_vec), perp), r1_vec, perp)
 
-    # exact round trip through both reconstruction formulas
-    for i in range(r):
-        for j in range(r):
-            got = tau_from_r1_04(v, out, r - 1, r - 1, i, j)
-            if got != Fraction(tau04.get((i, j), 0)):
-                raise ArithmeticError(f"tau04 round trip fails at {(i, j)}: {got}")
-    for i in range(r):
-        if tau_from_r1_11(v, out, i) != Fraction(tau11[i]):
-            raise ArithmeticError(f"tau11 round trip fails at {i}")
+    _round_trip(v, out, tau04, tau11)
 
     if r > 1:
         disc = _discriminant(v, 1)
@@ -214,6 +224,20 @@ def solve_r1(v: FrobeniusAlgebra, tau04: dict, tau11: list) -> R1Matrix:
                 if bound % x.denominator:
                     raise ArithmeticError(f"denominator of {x} exceeds the bound {bound}")
     return out
+
+
+def _round_trip(v: FrobeniusAlgebra, r1: R1Matrix | Mat, tau04: dict, tau11: list):
+    """Raise unless r1 gives back both tables: tau04 from one form T(w, w), then tau11."""
+    r = v.rank
+    form, den = _tau04_form(v, r1, r - 1, r - 1)
+    for i, row in enumerate(form):
+        for j, x in enumerate(row):
+            got = Fraction(x, den)
+            if got != Fraction(tau04.get((i, j), 0)):
+                raise ArithmeticError(f"tau04 round trip fails at {(i, j)}: {got}")
+    for i in range(r):
+        if tau_from_r1_11(v, r1, i) != Fraction(tau11[i]):
+            raise ArithmeticError(f"tau11 round trip fails at {i}")
 
 
 @lru_cache(maxsize=None)

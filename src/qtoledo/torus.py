@@ -14,14 +14,14 @@ The representations at the embeddings of one level are Galois conjugates
 in Q(zeta_level), so all of this is exact per (level, color) and is cached
 by those two numbers (`_torus_exact`), and so is the exact part of
 tau_{1,1}: the eigen-data of T_gamma, T_delta T_gamma and their product and
-the Meyer kernel with its congruence pivots (`_tau11_exact`).  The sign of
-the form at an embedding, and the tau_{1,1} read off the exact part there,
-are `qrep`'s.  `qrep.punctured_torus_rep` imports this module inside the
-function, and so does `qrep.tau_11` on an indefinite block of three or more
-colors, or of two whose triangle certificate fails; a definite block and a
-two-color indefinite one are read from residues and never load it.
+the Meyer kernel with its congruence pivots (`_tau11_exact`).  At an
+embedding, `punctured_torus_rep` only signs the form, by the residue sign
+`embedding._form_sign`; the tau_{1,1} read off the exact part there is
+`qrep`'s, which imports this module only on an indefinite block of three
+or more colors, or of two whose triangle certificate fails.
 
-The module imports `cyclotomic`, `linalg` and the gluing window of `qrep`;
+The module imports `embedding`, `cyclotomic` and `linalg`, and no
+elimination: the representation needs no solve, kernel or determinant.
 `_tau11_exact` imports its `hermitian` routine inside the function, so
 building a representation loads no `hermitian`.
 """
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .cyclotomic import CycloNum, conjugate, quantum_int
-from .embedding import Embedding
+from .embedding import Embedding, _check_color, _form_sign, _window, check_so3_level
 from .linalg import (
     HermMatrix,
     IsometryWithForm,
@@ -44,7 +44,6 @@ from .linalg import (
     mat_mul,
     scale_rows,
 )
-from .qrep import _window
 
 
 class PuncturedTorusRep(Record):
@@ -69,13 +68,38 @@ class PuncturedTorusRep(Record):
         return HermMatrix(diagonal(self.norms), self.embedding)
 
 
+def punctured_torus_rep(level: int, emb: Embedding, i: int) -> PuncturedTorusRep:
+    """Construct the torus representation with boundary color e_i.
+
+    The form is fixed up to scale by self-adjointness of the tridiagonal
+    curve operator.  Its base sign, on the lowest gluing color 2j, is the
+    SO3 structure sign embedding.so3_structure_sign(emb, j, j, i) times
+    the sign of [2j+1] (embedding._form_sign); the tests check the
+    resulting signature against tr_V(e_i) of the fusion algebra.
+
+    Only that sign depends on the embedding.  Everything else, the curve
+    operators, the twists and the form up to its sign, is exact in
+    Q(zeta_level) and is built and certified once per (level, i)
+    (_torus_exact); a global sign of the form changes none of the
+    certificates.
+    """
+    check_so3_level(level, emb)
+    _check_color(level, i)
+    rep = _torus_exact(level, i)
+    norms = rep.norms if _form_sign(emb, rep.window, i) > 0 else tuple(-x for x in rep.norms)
+    return PuncturedTorusRep(level, emb, i, rep.window, norms,
+                             rep.c_gamma, rep.c_delta, rep.t_gamma, rep.t_delta)
+
+
 def _u_value(m: int, i: int, q: CycloNum, level: int) -> CycloNum:
-    # u_m = [i+m+1][m-i] / ([m][m+1]); zero whenever the numerator vanishes
+    # u_m = [i+m+1][m-i] / ([m][m+1]); zero whenever the numerator vanishes,
+    # and 1 of Q(zeta_level) with no inverse when it equals the denominator
+    # (every nonzero u of color 0)
     if (m - i) % level == 0 or (i + m + 1) % level == 0:
         return CycloNum.rational(0)
     num = quantum_int(i + m + 1, q) * quantum_int(m - i, q)
     den = quantum_int(m, q) * quantum_int(m + 1, q)
-    return num / den
+    return CycloNum.zeta(level, 0) if num == den else num / den
 
 
 @lru_cache(maxsize=None)
@@ -94,9 +118,10 @@ def _torus_exact(level: int, i: int) -> PuncturedTorusRep:
 
     The result is certified before it is returned (_validate_rep):
 
-    - C_delta is self-adjoint for the form, and T_gamma, T_delta preserve it;
-    - C_gamma = diag(c) and T_gamma = diag(t) are diagonal, and C_delta is
-      tridiagonal with a unit subdiagonal;
+    - C_gamma = diag(c) and T_gamma = diag(t) are diagonal, so products
+      with them and with the diagonal form are row and column scalings;
+    - C_delta is self-adjoint for the form, T_gamma and T_delta preserve
+      it, and C_delta is tridiagonal with a unit subdiagonal;
     - C_delta and C_gamma have one spectrum: the recurrence, one step past
       the end, gives det(c_k - C_delta), and it vanishes at each of the n
       distinct c_k;
@@ -190,17 +215,17 @@ def _validate_rep(rep: PuncturedTorusRep, eigenbasis=None):
     Raises ArithmeticError, or ValueError from IsometryWithForm, naming the
     first relation that fails.
     """
+    points = [row[a] for a, row in enumerate(rep.c_gamma)]
+    twists = [row[a] for a, row in enumerate(rep.t_gamma)]
+    if rep.c_gamma != diagonal(points) or rep.t_gamma != diagonal(twists):
+        raise ArithmeticError("gamma operators are not diagonal")
     form = rep.form
-    prod = mat_mul(form.entries, rep.c_delta)
+    prod = scale_rows(rep.norms, rep.c_delta)
     if prod != conj_transpose(prod):
         raise ArithmeticError("curve operator is not self-adjoint for the form")
     IsometryWithForm(rep.t_gamma, form)
     IsometryWithForm(rep.t_delta, form)
 
-    points = [row[a] for a, row in enumerate(rep.c_gamma)]
-    twists = [row[a] for a, row in enumerate(rep.t_gamma)]
-    if rep.c_gamma != diagonal(points) or rep.t_gamma != diagonal(twists):
-        raise ArithmeticError("gamma operators are not diagonal")
     c_delta = rep.c_delta
     off_band = [x for a, row in enumerate(c_delta) for b, x in enumerate(row) if abs(a - b) > 1]
     if any(off_band) or any(c_delta[a + 1][a] != 1 for a in range(rep.dim - 1)):
@@ -211,15 +236,15 @@ def _validate_rep(rep: PuncturedTorusRep, eigenbasis=None):
     if mat_mul(left, right) != identity(rep.dim):
         raise ArithmeticError("eigenvector matrix is not inverted through the form")
 
-    # triangle-group relations hold projectively
+    # triangle-group relations hold projectively; T_gamma scales rows or columns
     powers = [t ** rep.level for t in twists]
     if any(p != powers[0] for p in powers):
         raise ArithmeticError("twist does not have the right projective order")
-    td_tg = mat_mul(rep.t_gamma, rep.t_delta)
+    td_tg = scale_rows(twists, rep.t_delta)
     cube = mat_mul(td_tg, mat_mul(td_tg, td_tg))
     if is_scalar(cube) is None:
         raise ArithmeticError("(T_gamma T_delta)^3 is not scalar")
-    half = mat_mul(td_tg, rep.t_gamma)
+    half = tuple(tuple(x * t for x, t in zip(row, twists)) for row in td_tg)
     if is_scalar(mat_mul(half, half)) is None:
         raise ArithmeticError("(T_gamma T_delta T_gamma)^2 is not scalar")
 

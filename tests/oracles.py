@@ -26,13 +26,14 @@ triangle formula); the sine formula for Verlinde dimensions; the closed
 U(1) Meyer cocycle; the level-5 recursions of the TFT values; the signature of a torus representation's
 diagonal form; TFT values and degree-2 classes from `Fraction` vector
 products (the package reads them off scaled integer products and per-genus
-trace forms); the nodal-count polynomials of the Euler characteristics
-by `Fraction` polynomial sums and products (the package sums integers over
-one denominator); associativity of a fusion algebra by the O(r^5) loop over
-every triple (the package checks r commutators with the tridiagonal M_1);
-and R_1's traceless part in floating point from the eigenbasis of the pivot
-multiplication (the package solves one exact system on the symmetric
-matrices).
+trace forms); tau_{0,4} from R_1 term by term for each quadruple (the
+package contracts one bilinear form T(v1, v2) per pair); the nodal-count
+polynomials of the Euler characteristics by `Fraction` polynomial sums and
+products (the package sums integers over one denominator); associativity
+of a fusion algebra by the O(r^5) loop over every triple (the package
+checks r commutators with the tridiagonal M_1); and R_1's traceless part
+in floating point from the eigenbasis of the pivot multiplication (the
+package solves one exact system on the symmetric matrices).
 """
 
 import itertools
@@ -43,9 +44,10 @@ from functools import lru_cache
 import mpmath
 
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, sign_real
+from qtoledo.elimination import rref
 from qtoledo.embedding import quantum_int_sign, so3_structure_sign
 from qtoledo.eulerchi import harer_zagier
-from qtoledo.fusion import so3_algebra, unitary_partner
+from qtoledo.fusion import apply_scaled, scaled_matrix, so3_algebra, unitary_partner
 from qtoledo.hermitian import (
     SCALAR_POWER_FACTOR,
     Signature,
@@ -67,7 +69,6 @@ from qtoledo.linalg import (
     diagonal_entries,
     mat_add,
     mat_scale,
-    rref,
 )
 from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
 from qtoledo.torus import PuncturedTorusRep, _eigenbasis, _u_value, _validate_rep
@@ -591,6 +592,21 @@ def r1_perp_closed_form(v, tau04: dict):
 
 
 # -- degree-2 classes and Euler characteristics on Fractions --------------------------
+
+
+def tau_from_r1_04(v, r1, v1, v2, v3, v4) -> Fraction:
+    """The degree-2 four-point invariant, term by term, one quadruple per call."""
+    m = scaled_matrix(r1.matrix if hasattr(r1, "matrix") else r1)
+    mul, eta = v.multiply_scaled, v.eta_scaled
+    x = [v.scaled(c) for c in (v1, v2, v3, v4)]
+    pair = {(a, b): mul(x[a], x[b]) for a, b in itertools.combinations(range(4), 2)}
+    # the product of the three colors other than the i-th, for i = 0, 1, 2, 3
+    rest = (mul(pair[1, 2], x[3]), mul(pair[0, 2], x[3]), mul(pair[0, 1], x[3]), mul(pair[0, 1], x[2]))
+    total = sum(eta(apply_scaled(m, x[i]), rest[i]) for i in range(4))
+    total -= eta(mul(pair[0, 1], pair[2, 3]), apply_scaled(m, v.scaled(0)))
+    for ab, cd in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        total -= eta(apply_scaled(m, pair[ab]), pair[cd])
+    return total
 
 
 def tft_value(v, genus: int, colors) -> Fraction:

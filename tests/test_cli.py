@@ -85,6 +85,17 @@ def test_herm_signature_file(capsys, tmp_path):
     assert payload == {"positive": 1, "negative": 1, "zero": 0}
 
 
+def test_herm_signature_refuses_entries_outside_the_embeddings_field(capsys, tmp_path):
+    z = CycloNum.zeta(5)
+    entries = [[cyclo_to_json(CycloNum.rational(1)), cyclo_to_json(z)],
+               [cyclo_to_json(z.inverse()), cyclo_to_json(CycloNum.rational(-1))]]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"embedding": {"order": 7, "exponent": 1}, "entries": entries}))
+    code, out, err = run(capsys, "herm", "signature", "--matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: entry of order 5 is not in Q(zeta_7), the field of the embedding\n"
+
+
 def test_herm_meyer_files(capsys, tmp_path):
     one = cyclo_to_json(CycloNum.rational(1))
     z = cyclo_to_json(CycloNum.zeta(12))

@@ -22,8 +22,8 @@ from qtoledo.cyclotomic import (
     quantum_int,
     sign_real,
 )
-from qtoledo.cyclotomic import _cos_fixed, _real_bounds
 from qtoledo.embedding import _qfact_sign, quantum_int_sign
+from qtoledo.realbounds import _cos_fixed, _real_bounds
 
 
 def test_cyclotomic_polynomials():
@@ -346,8 +346,8 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     # import some of them from hiding a regression.
     heavy = ("dataclasses", "inspect", "typing", "pathlib", "importlib.resources", "mpmath", "sympy",
              "numpy")
-    layers = ("embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix",
-              "mgnclasses", "eulerchi", "tables", "cli")
+    layers = ("embedding", "cyclotomic", "realbounds", "linalg", "elimination", "hermitian", "fusion",
+              "qrep", "torus", "rmatrix", "mgnclasses", "eulerchi", "tables", "cli")
     out = _run_python(
         "import qtoledo.cli, sys\n"
         f"print([m for m in {heavy!r} if m in sys.modules])\n"
@@ -356,8 +356,8 @@ def test_cli_starts_on_only_the_standard_library_it_uses():
     assert out == "[]\n[]\n"
 
 
-LAYERS = ("embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix",
-          "mgnclasses", "eulerchi")
+LAYERS = ("embedding", "cyclotomic", "realbounds", "linalg", "elimination", "hermitian", "fusion",
+          "qrep", "torus", "rmatrix", "mgnclasses", "eulerchi")
 
 
 def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
@@ -380,24 +380,33 @@ def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
 def test_each_cli_call_imports_only_the_layers_it_uses():
     # run as a script, a subcommand imports its layers inside its function
     assert _imports_of_cli_run("--help") == ([], [])
+    # a torus representation needs no qrep, no elimination and no cosine bounds
+    torus = ["embedding", "cyclotomic", "linalg", "torus"]
     layers, heavy = _imports_of_cli_run("qrep", "torus", "--level", "5", "--i", "1")
-    assert layers == ["embedding", "cyclotomic", "linalg", "qrep", "torus"] and "random" not in heavy
+    assert layers == torus and "random" not in heavy
+    assert _imports_of_cli_run("qrep", "torus", "--level", "13", "--embedding", "1", "--i", "0")[0] == torus
     layers, _ = _imports_of_cli_run("rmatrix", "solve", "--level", "5")
     assert not {"mgnclasses", "eulerchi", "tables"} & set(layers)
     # every block of (9, 2) and (11, 5) is definite, so tau_{0,4} and tau_{1,1}
     # are read from residues and no field arithmetic is loaded
-    definite = ["embedding", "linalg", "fusion", "qrep", "rmatrix"]
+    definite = ["embedding", "linalg", "elimination", "fusion", "qrep", "rmatrix"]
     assert _imports_of_cli_run("rmatrix", "solve", "--level", "9", "--embedding", "2")[0] == definite
     assert _imports_of_cli_run("rmatrix", "solve", "--level", "11", "--embedding", "5")[0] == definite
-    # (9, 1) has indefinite torus blocks, whose exact pass needs the field
+    # (9, 1) has indefinite torus blocks, whose exact pass needs the field and
+    # certified signs of irrational pivots
+    exact = ["embedding", "cyclotomic", "realbounds", "linalg", "elimination", "hermitian"]
     assert _imports_of_cli_run("rmatrix", "solve", "--level", "9", "--embedding", "1")[0] == [
-        "embedding", "cyclotomic", "linalg", "hermitian", "fusion", "qrep", "torus", "rmatrix"]
+        *exact, "fusion", "qrep", "torus", "rmatrix"]
     # every torus block reproduce touches is definite or two-colored, read from residues
     assert _imports_of_cli_run("reproduce", "--all")[0] == [
-        "embedding", "linalg", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi", "tables"]
+        "embedding", "linalg", "elimination", "fusion", "qrep", "rmatrix", "mgnclasses", "eulerchi",
+        "tables"]
     # a two-color indefinite block is a triangle area: no field module either
     assert _imports_of_cli_run("qrep", "tau11", "--level", "7", "--embedding", "1", "--i", "1")[0] == [
         "embedding", "qrep"]
+    # a block of three gluing colors runs the exact pass
+    assert _imports_of_cli_run("qrep", "tau11", "--level", "9", "--embedding", "1", "--i", "1")[0] == [
+        *exact, "qrep", "torus"]
 
 
 def test_rational_linear_algebra_loads_no_field():
@@ -405,18 +414,18 @@ def test_rational_linear_algebra_loads_no_field():
     out = _run_python(
         "import sys\n"
         "from fractions import Fraction as F\n"
-        "from qtoledo import linalg\n"
+        "from qtoledo import elimination, linalg\n"
         "a = ((F(1, 2), F(3)), (F(-2, 3), F(5, 7)))\n"
-        "print(linalg.solve(a, (F(1), F(2))))\n"
+        "print(elimination.solve(a, (F(1), F(2))))\n"
         "print(linalg.mat_mul(a, a))\n"
-        "print(repr(linalg.determinant(a)), linalg.kernel_basis(((F(1), F(2)),)))\n"
+        "print(repr(elimination.determinant(a)), elimination.kernel_basis(((F(1), F(2)),)))\n"
         "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n",
         "-S")
     assert out.splitlines() == [
         "[Fraction(-74, 33), Fraction(70, 99)]",
         "((Fraction(-7, 4), Fraction(51, 14)), (Fraction(-17, 21), Fraction(-73, 49)))",
         "Fraction(33, 14) [(Fraction(-2, 1), Fraction(1, 1))]",
-        "['qtoledo._record', 'qtoledo.embedding', 'qtoledo.linalg']",
+        "['qtoledo._record', 'qtoledo.elimination', 'qtoledo.embedding', 'qtoledo.linalg']",
     ]
 
 
@@ -432,10 +441,10 @@ PUBLIC = {
                   "meyer_cocycle", "signature", "toledo_triangle_meyer"),
     "mgnclasses": ("H2Class", "canonical_class", "elliptic_pullback", "intersect", "reduce_class",
                    "uniformization_check"),
-    "qrep": ("four_point_toledo", "punctured_torus_rep", "tau_11", "toledo_triangle_pu11"),
+    "qrep": ("four_point_toledo", "tau_11", "toledo_triangle_pu11"),
     "rmatrix": ("R1Matrix", "appendixB_crosscheck", "degree2_class", "solve_level", "solve_r1",
                 "tau_from_r1_04", "tau_from_r1_11"),
-    "torus": ("PuncturedTorusRep",),
+    "torus": ("PuncturedTorusRep", "punctured_torus_rep"),
 }
 
 
@@ -454,6 +463,7 @@ def test_package_resolves_each_public_name_in_its_layer():
     # names that moved out of a layer are still bound there, as the same objects
     assert qtoledo.Embedding is qtoledo.cyclotomic.Embedding
     assert qtoledo.PuncturedTorusRep is qtoledo.qrep.PuncturedTorusRep
+    assert qtoledo.qrep.punctured_torus_rep is qtoledo.torus.punctured_torus_rep
     assert qtoledo.qrep.mat_mul is qtoledo.torus.mat_mul is qtoledo.linalg.mat_mul
     star = {}
     exec("from qtoledo import *", star)
@@ -471,5 +481,5 @@ def test_package_resolves_each_public_name_in_its_layer():
         "print(sorted(m for m in sys.modules if m.startswith('qtoledo.')))\n"
         "print(qtoledo.eulerchi.chi_bar is qtoledo.chi_bar)\n",
         "-S")
-    assert out == ("[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.embedding', 'qtoledo.hermitian',"
-                   " 'qtoledo.linalg']\nTrue\n")
+    assert out == ("[]\n['qtoledo._record', 'qtoledo.cyclotomic', 'qtoledo.elimination', 'qtoledo.embedding',"
+                   " 'qtoledo.hermitian', 'qtoledo.linalg']\nTrue\n")

@@ -23,6 +23,7 @@ from qtoledo.cyclotomic import (
     galois,
     sign_real,
 )
+from qtoledo.embedding import frac_to_json
 
 
 def units(n):
@@ -142,6 +143,16 @@ def test_json_round_trip(a):
     back = cyclo_from_json(data)
     assert back.order == a.order and back.nums == a.nums and back.den == a.den
     assert all(Fraction(s) == c for s, c in zip(data["coeffs"], a.coeffs))
+
+
+@SETTINGS
+@given(elements(orders=(1, 5, 12, 13, 66)), st.sampled_from((1, -1, 3 ** 60, -(7 ** 45))),
+       st.integers(1, 2 ** 80))
+def test_json_coefficients_are_the_fractions_in_lowest_terms(a, scale, den):
+    # zero, negative and large numerators over large denominators: the strings
+    # read off the integer normal form equal frac_to_json of each coefficient
+    for b in (a, a * Fraction(scale, den), CycloNum.rational(0).lift(a.order)):
+        assert cyclo_to_json(b)["coeffs"] == [frac_to_json(c) for c in b.coeffs]
 
 
 @SETTINGS

@@ -97,7 +97,7 @@ def test_unitary_so3_alpha_closed_form():
 
 def _in_powers_of_e1(v: FrobeniusAlgebra, vec):
     """Coordinates of vec in the basis 1, e1, e1^2, ..."""
-    from qtoledo.linalg import solve
+    from qtoledo.elimination import solve
 
     powers = [v.basis(0)]
     for _ in range(v.rank - 1):

@@ -214,6 +214,20 @@ def test_isometry_refuses_a_matrix_that_moves_the_form():
     assert form.dim == 2
 
 
+def test_entries_outside_the_embeddings_field_are_refused():
+    z = CycloNum.zeta(5)
+    h = as_matrix([[1, z], [z.inverse(), -1]])
+    message = "^entry of order 5 is not in Q\\(zeta_7\\), the field of the embedding$"
+    with pytest.raises(ValueError, match=message):
+        HermMatrix(h, Embedding(7, 1))
+    with pytest.raises(ValueError, match=message):
+        IsometryWithForm(diag(z, z), HermMatrix(diag(1, -1), Embedding(7, 1)))
+    # Q(zeta_5) lies in Q(zeta_10) and Q(zeta_15)
+    for emb in (Embedding(10, 3), Embedding(15, 2)):
+        assert signature(HermMatrix(h, emb)) == Signature(1, 1, 0)
+        assert IsometryWithForm(diag(z, z ** 2), HermMatrix(diag(1, -1), emb)).embedding == emb
+
+
 @pytest.mark.parametrize("rows, shape", [
     ([[1, 0], [0, 1], [0, 0]], "3x2"),
     ([[1, 0, 0], [0, 1, 0]], "2x3"),

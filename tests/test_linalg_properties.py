@@ -1,4 +1,4 @@
-"""Property tests for the linear algebra in qtoledo.linalg.
+"""Property tests for the linear algebra in qtoledo.linalg and qtoledo.elimination.
 
 `rref`, the routines that eliminate (kernel_basis, solve, determinant: by
 Bareiss on rational input, by `rref` otherwise), the inverse `mat_inv` of
@@ -23,20 +23,17 @@ from oracles import charpoly, mat_inv, mat_trace
 
 from qtoledo import linalg
 from qtoledo.cyclotomic import CycloNum, Embedding, conjugate, euler_phi
+from qtoledo.elimination import determinant, kernel_basis, rref, solve
 from qtoledo.hermitian import signature
 from qtoledo.linalg import (
     HermMatrix,
     as_matrix,
     conj_transpose,
-    determinant,
     diagonal,
     gram,
     is_scalar,
-    kernel_basis,
     lin_comb,
     mat_mul,
-    rref,
-    solve,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)

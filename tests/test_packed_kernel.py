@@ -1,4 +1,4 @@
-"""The packed integer products and the Bareiss elimination of qtoledo.linalg.
+"""The packed integer products of qtoledo.linalg and the Bareiss elimination of qtoledo.elimination.
 
 `mat_mul`, `mat_vec`, `gram` and `lin_comb` sum their scalar products as
 Kronecker-packed integers; tests/oracles.py keeps the entry loop they
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtoledo import linalg
+from qtoledo import elimination, linalg
 from qtoledo.cyclotomic import CycloNum, euler_phi
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -207,7 +207,7 @@ def rational_matrices(draw, rows, cols):
 @given(st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
     lambda c: rational_matrices(r, c))))
 def test_kernel_basis_matches_rref(a):
-    got = linalg.kernel_basis(a)
+    got = elimination.kernel_basis(a)
     assert [[exact(x) for x in v] for v in got] == [[exact(x) for x in v]
                                                    for v in oracles.rref_kernel_basis(a)]
 
@@ -215,7 +215,7 @@ def test_kernel_basis_matches_rref(a):
 @SETTINGS
 @given(st.integers(1, 6).flatmap(lambda n: rational_matrices(n, n)))
 def test_determinant_matches_rref(a):
-    assert exact(linalg.determinant(a)) == exact(Fraction(oracles.rref_determinant(a)))
+    assert exact(elimination.determinant(a)) == exact(Fraction(oracles.rref_determinant(a)))
 
 
 def outcome(f, *args):
@@ -241,13 +241,13 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_solve_matches_rref(case):
     a, b = case
-    got = outcome(linalg.solve, a, b)
+    got = outcome(elimination.solve, a, b)
     assert got == outcome(oracles.rref_solve, a, b)
     assert isinstance(got, list) or got in ("underdetermined system", "inconsistent system")
 
 
 def test_solve_keeps_its_messages():
     with pytest.raises(ArithmeticError, match="^underdetermined system$"):
-        linalg.solve([[1, 2], [2, 4]], [1, 2])
+        elimination.solve([[1, 2], [2, 4]], [1, 2])
     with pytest.raises(ArithmeticError, match="^inconsistent system$"):
-        linalg.solve([[1], [2]], [1, 3])
+        elimination.solve([[1], [2]], [1, 3])

@@ -11,6 +11,8 @@ from oracles import (
 )
 
 from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
+from qtoledo.elimination import kernel_basis
+from qtoledo.embedding import _window
 from qtoledo.fusion import so3_algebra
 from qtoledo.hermitian import eigen_split, g_function, signature, toledo_triangle_meyer
 from qtoledo.linalg import (
@@ -19,7 +21,6 @@ from qtoledo.linalg import (
     conj_transpose,
     diagonal,
     identity,
-    kernel_basis,
     lin_comb,
     mat_mul,
     mat_scale,
@@ -28,14 +29,12 @@ from qtoledo.linalg import (
 from qtoledo.qrep import (
     _norm_signs,
     _two_color_toledo,
-    _window,
     four_point_toledo,
     pivot_tau04_table,
-    punctured_torus_rep,
     tau_11,
     tau11_table,
 )
-from qtoledo.torus import PuncturedTorusRep, _validate_rep
+from qtoledo.torus import PuncturedTorusRep, _validate_rep, punctured_torus_rep
 
 F = Fraction
 

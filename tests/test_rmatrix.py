@@ -9,6 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import oracles
 from oracles import level5_sigma_recursion_checks
 
@@ -373,6 +375,60 @@ def test_tau04_is_symmetric_in_its_four_colors():
             for quad in itertools.combinations_with_replacement(colors, 4):
                 values = {tau_from_r1_04(v, r1, *p) for p in itertools.permutations(quad)}
                 assert len(values) == 1, (level, k, quad)
+
+
+def _level_units(levels):
+    return [(level, k) for level in levels for k in _units(level)]
+
+
+def test_tau04_form_matches_the_term_by_term_oracle_on_basis_quadruples():
+    for level, k in _level_units((5, 7, 9, 11)):
+        r1 = solve_level(level, Embedding(level, k))
+        v = r1.algebra
+        for quad in itertools.product(range(v.rank), repeat=4):
+            assert tau_from_r1_04(v, r1, *quad) == oracles.tau_from_r1_04(v, r1, *quad), (level, k, quad)
+
+
+@st.composite
+def _unit_and_vectors(draw):
+    level, k = draw(st.sampled_from(_level_units((7, 9))))
+    rank = (level - 1) // 2
+    entry = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+    return level, k, [tuple(draw(st.lists(entry, min_size=rank, max_size=rank))) for _ in range(4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_unit_and_vectors())
+def test_tau04_form_matches_the_term_by_term_oracle_on_rational_vectors(case):
+    level, k, vecs = case
+    r1 = solve_level(level, Embedding(level, k))
+    assert tau_from_r1_04(r1.algebra, r1, *vecs) == oracles.tau_from_r1_04(r1.algebra, r1, *vecs)
+
+
+def test_round_trip_names_the_first_entry_the_oracle_loop_misses():
+    # perturb one entry of R_1: the one form T(w, w) must name the same first
+    # (i, j), in row order, as r^2 term-by-term evaluations
+    for level, k in ((7, 1), (9, 2), (9, 4), (11, 3)):
+        emb = Embedding(level, k)
+        r1, tau04, tau11 = solve_level(level, emb), pivot_tau04_table(level, emb), tau11_table(level, emb)
+        v, r = r1.algebra, r1.algebra.rank
+        for a, b in itertools.product(range(r), repeat=2):
+            perturbed = tuple(tuple(x + F(1, 3) * ((i, j) == (a, b)) for j, x in enumerate(row))
+                              for i, row in enumerate(r1.matrix))
+            want = next((f"tau04 round trip fails at {(i, j)}: {got}"
+                         for i in range(r) for j in range(r)
+                         for got in [oracles.tau_from_r1_04(v, perturbed, r - 1, r - 1, i, j)]
+                         if got != tau04.get((i, j), 0)), None)
+            if want is None:
+                want = next((f"tau11 round trip fails at {i}" for i in range(r)
+                             if tau_from_r1_11(v, perturbed, i) != tau11[i]), None)
+            try:
+                rmatrix._round_trip(v, perturbed, tau04, tau11)
+                got = None
+            except ArithmeticError as e:
+                got = str(e)
+            assert got == want, (level, k, a, b)
+            assert want is not None and want.startswith("tau04"), (level, k, a, b)
 
 
 def test_solve_level_is_cached():
