@@ -1,13 +1,28 @@
 """Second cohomology of the compactified moduli spaces, symbolically.
 
 Classes are rational combinations of psi_i, kappa_1, the reduced
-kappa-tilde, lambda_1, delta_irr and the separating divisors delta_{a,A}.
-Relations and intersection pairings are stored only for the (g, n) the
-computations actually use; everything else rejects loudly.
+kappa-tilde = kappa_1 - sum(psi_i), lambda_1, delta_irr, the separating
+divisors delta_{a,A} and psi_total = sum(psi_i).  A space of dimension one,
+(0,4) or (1,1), is a curve, so H^2 is a line and the class `point` of
+integral one exists there; every other space refuses the label.
+
+`RELATIONS` holds the relations in H^2 (Arbarello-Cornalba, Publ. IHES 88,
+1998) for the six (g, n) the computations use, one entry per space: the
+image of every label the space admits over its reduced coordinates, the
+label groups whose coefficients must agree, and the intersection pairing
+of the reduced coordinates where one is needed.  `reduce_class` rewrites
+kappa_1 in the kappa-tilde basis, refuses a class that is not symmetric on
+a group, and sums coefficient times image; a label of a group maps to its
+share of the group's sum, which is exact once the check has passed.
+`intersect` reduces both classes and reads the entry's pairing.  Any other
+(g, n) is refused by name.  A reduced class lists its coordinates in the
+entry's fixed order, because the `uniformization` golden table prints
+reduced classes by `repr`, which shows the order of their keys.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,8 +40,6 @@ DELTA_IRR = "delta_irr"
 DELTA_SEP = "delta"
 PSI_TOTAL = "psi_total"     # reduced coordinate on symmetric cases
 POINT = "point"             # integral-one generator where H^2 is a line
-
-REDUCIBLE = {(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)}
 
 
 def _stable_side(genus: int, points: int) -> bool:
@@ -68,8 +81,9 @@ def standard_labels(g: int, n: int) -> list[Label]:
 
 @lru_cache(maxsize=None)
 def _allowed_labels(g: int, n: int) -> frozenset:
-    """Every label an H2Class on moduli (g, n) may carry."""
-    return frozenset(standard_labels(g, n)) | {(PSI_TOTAL,), (POINT,)}
+    """Every label an H2Class on moduli (g, n) may carry; `point` only on a curve."""
+    extra = {(PSI_TOTAL,), (POINT,)} if 3 * g - 3 + n == 1 else {(PSI_TOTAL,)}
+    return frozenset(standard_labels(g, n)) | extra
 
 
 class H2Class(Record):
@@ -143,21 +157,15 @@ class H2Class(Record):
 
 
 def class_from_json(data: dict) -> H2Class:
+    """Read the names `H2Class.to_json` writes; any other name is a label H2Class refuses."""
     g, n = int(data["g"]), int(data["n"])
     coeffs = {}
     for name, value in data["coeffs"].items():
-        if name.startswith("psi_total"):
-            label: Label = (PSI_TOTAL,)
-        elif name.startswith("psi_"):
-            label = (PSI, int(name.split("_")[1]))
-        elif name.startswith("delta_irr"):
-            label = (DELTA_IRR,)
-        elif name.startswith("delta_"):
-            body = name[len("delta_"):]
-            a, subset = body.split("_", 1)
-            subset = subset.strip("{}")
-            pts = tuple(int(x) for x in subset.split(",") if x)
-            label = canonical_separating_label(g, n, int(a), pts)
+        if psi := re.fullmatch(r"psi_([1-9][0-9]*)", name):
+            label: Label = (PSI, int(psi[1]))
+        elif sep := re.fullmatch(r"delta_(0|[1-9][0-9]*)_\{((?:[1-9][0-9]*,)*[1-9][0-9]*)?\}", name):
+            pts = tuple(int(x) for x in sep[2].split(",")) if sep[2] else ()
+            label = canonical_separating_label(g, n, int(sep[1]), pts)
         else:
             label = (name,)
         coeffs[label] = Fraction(value)
@@ -202,98 +210,85 @@ def elliptic_pullback(g: int, n: int) -> H2Class:
 # -- reduction -----------------------------------------------------------------
 
 
-def _symmetric_coefficient(cls: H2Class, labels: list[Label], what: str) -> Fraction:
-    vals = {cls.coeffs.get(label, Fraction(0)) for label in labels}
-    if len(vals) > 1:
-        raise ValueError(f"reduction needs symmetric {what} coefficients")
-    return vals.pop() if vals else Fraction(0)
+class Relations(Record):
+    """The relations of H^2 on one moduli space, over its reduced coordinates."""
+
+    coords: tuple           # reduced coordinates, in the order a reduced class lists them
+    images: dict            # label -> {reduced coordinate: weight}
+    symmetric: tuple = ()   # (name, labels): groups whose coefficients must agree
+    pairing: tuple = None   # intersection matrix over coords, where one is needed
+
+
+def _relations() -> dict:
+    """One entry per supported (g, n); each reduced coordinate is its own image."""
+    F = Fraction
+    kt, lam, irr = (KAPPA1T,), (LAMBDA1,), (DELTA_IRR,)
+    total, point, psi1 = (PSI_TOTAL,), (POINT,), (PSI, 1)
+    table = {}
+
+    def put(g, n, coords, images, symmetric=(), pairing=None):
+        table[g, n] = Relations(coords, {c: {c: 1} for c in coords} | images, symmetric, pairing)
+
+    def psi(n):
+        return [(PSI, i) for i in range(1, n + 1)]
+
+    each = dict.fromkeys
+    # (0,4): every psi_i, kappa_1 and boundary divisor integrates to one, so
+    # kappa_tilde integrates to 1 - 4 = -3, and lambda_1 to zero
+    put(0, 4, (point,), each(psi(4) + separating_labels(0, 4), {point: 1})
+        | {total: {point: 4}, kt: {point: -3}, lam: {}})
+    # (1,1): kappa_1 = lambda_1 = psi_1 and delta_irr = 12 psi_1; psi_1 integrates to 1/24
+    put(1, 1, (psi1,), {total: {psi1: 1}, kt: {}, lam: {psi1: 1}, irr: {psi1: 12}, point: {psi1: 24}})
+    # (0,5): kappa_1 = delta/2 and delta = (2/3) psi_total, hence kappa_tilde =
+    # -(2/3) psi_total, each boundary divisor is psi_total/15, and lambda_1 =
+    # (kappa_tilde + delta)/12 = 0
+    boundary = separating_labels(0, 5)
+    put(0, 5, (total,), each(psi(5), {total: F(1, 5)}) | each(boundary, {total: F(1, 15)})
+        | {kt: {total: F(-2, 3)}, lam: {}},
+        (("psi", psi(5)), ("boundary", boundary)), ((45,),))
+    # (1,2): psi_i = delta_irr/12 + delta_{1,0}, kappa_tilde = -delta_{1,0}, lambda_1 = delta_irr/12
+    tail = canonical_separating_label(1, 2, 1, ())
+    put(1, 2, (irr, tail), each(psi(2) + [total], {irr: F(1, 12), tail: 1})
+        | {kt: {tail: -1}, lam: {irr: F(1, 12)}},
+        pairing=((0, F(1, 2)), (F(1, 2), F(-1, 24))))
+    # (1,3): psi_total = delta_irr/4 + 3 delta_{1,0} + 2 sum(delta_{1,{i}}), a
+    # third of it for each psi_i; kappa_tilde = -delta_{1,0} - sum(delta_{1,{i}});
+    # lambda_1 = (kappa_tilde + delta)/12 = (delta_irr + sum(delta_{1,{i}}))/12.
+    # delta_{1,{i}} is the divisor delta_{0,{j,k}}, listed once
+    tail = canonical_separating_label(1, 3, 1, ())
+    one_point = [canonical_separating_label(1, 3, 1, (i,)) for i in (1, 2, 3)]
+    sum_psi = {irr: F(1, 4), tail: 3} | each(one_point, 2)
+    images = each(psi(3), {k: F(w, 3) for k, w in sum_psi.items()}) | {
+        total: sum_psi,
+        kt: {tail: -1} | each(one_point, -1),
+        lam: {irr: F(1, 12)} | each(one_point, F(1, 12)),
+    }
+    put(1, 3, (irr, tail, *one_point), images, (("psi", psi(3)), ("delta_{1,{i}}", one_point)))
+    # (2,1): kappa_tilde = delta_irr/5 + (7/5) delta_{1,0}, lambda_1 = delta_irr/10 + delta_{1,0}/5
+    tail = canonical_separating_label(2, 1, 1, ())
+    put(2, 1, (psi1, irr, tail), {total: {psi1: 1}, kt: {irr: F(1, 5), tail: F(7, 5)},
+                                  lam: {irr: F(1, 10), tail: F(1, 5)}})
+    return table
+
+
+RELATIONS = _relations()
 
 
 def reduce_class(cls: H2Class) -> H2Class:
     """Canonical reduced coordinates on the supported (g, n); idempotent."""
     g, n = cls.g, cls.n
-    if (g, n) not in REDUCIBLE:
+    if (g, n) not in RELATIONS:
         raise ValueError(f"no relation table for moduli ({g},{n})")
+    rel = RELATIONS[g, n]
     c = cls.in_kappa_tilde_basis()
-    kt = c.coefficient(KAPPA1T)
-    lt = c.coefficient(LAMBDA1)
-    pt = c.coefficient(PSI_TOTAL)
-
-    if (g, n) == (0, 4):
-        # every psi_i, kappa_1 and boundary class integrates to one;
-        # kappa_tilde to 1 - 4 = -3 and lambda_1 to zero
-        total = c.coefficient(POINT) + kt * (-3)
-        for label, v in c.coeffs.items():
-            if label[0] in (PSI, DELTA_SEP):
-                total += v
-        total += 4 * pt
-        return H2Class(0, 4, {(POINT,): total})
-
-    if (g, n) == (1, 1):
-        # kappa_1 = psi, so kappa_tilde = 0; delta_irr = 12 psi; lambda_1 = psi
-        val = (c.coefficient(PSI, 1) + pt
-               + c.coefficient(DELTA_IRR) * 12
-               + lt)
-        return H2Class(1, 1, {(PSI, 1): val})
-
-    if (g, n) == (0, 5):
-        # kappa_1 = delta/2 and delta = (2/3) psi, hence kappa_tilde = -(2/3) psi,
-        # each boundary divisor is psi/15, and lambda_1 = (kappa_tilde + delta)/12 = 0
-        p = _symmetric_coefficient(c, [(PSI, i) for i in range(1, 6)], "psi")
-        d = _symmetric_coefficient(c, separating_labels(0, 5), "boundary")
-        total = p + pt + kt * Fraction(-2, 3) + 10 * d * Fraction(1, 15)
-        return H2Class(0, 5, {(PSI_TOTAL,): total})
-
-    if (g, n) == (1, 2):
-        tail = canonical_separating_label(1, 2, 1, ())
-        out = {(DELTA_IRR,): c.coefficient(DELTA_IRR), tail: c.coeffs.get(tail, Fraction(0))}
-        for i in (1, 2):
-            p = c.coefficient(PSI, i)  # psi_i = delta_irr/12 + delta_{1,0}
-            out[(DELTA_IRR,)] += p * Fraction(1, 12)
-            out[tail] += p
-        out[(DELTA_IRR,)] += pt * Fraction(1, 12)
-        out[tail] += pt
-        out[tail] += -kt  # kappa_tilde = -delta_{1,0}
-        out[(DELTA_IRR,)] += lt * Fraction(1, 12)  # lambda_1 = delta_irr/12
-        return H2Class(1, 2, out)
-
-    if (g, n) == (1, 3):
-        tail = canonical_separating_label(1, 3, 1, ())
-        one_point = [canonical_separating_label(1, 3, 1, (i,)) for i in (1, 2, 3)]
-        two_point = [canonical_separating_label(1, 3, 0, pair)
-                     for pair in ((1, 2), (1, 3), (2, 3))]
-        p = _symmetric_coefficient(c, [(PSI, i) for i in (1, 2, 3)], "psi")
-        d1 = _symmetric_coefficient(c, one_point, "delta_{1,{i}}")
-        d0 = _symmetric_coefficient(c, two_point, "delta_{0,{i,j}}")
-        psi_content = p + pt  # multiple of the psi sum carried by the class
-        out = {(DELTA_IRR,): c.coefficient(DELTA_IRR), tail: c.coeffs.get(tail, Fraction(0))}
-        for lab in one_point:
-            out[lab] = d1
-        for lab in two_point:
-            out[lab] = d0
-        # sum(psi) = delta_irr/4 + 3 delta_{1,0} + 2 sum(delta_{1,{i}})
-        out[(DELTA_IRR,)] += psi_content * Fraction(1, 4)
-        out[tail] += psi_content * 3
-        for lab in one_point:
-            out[lab] += psi_content * 2
-        # kappa_tilde = -delta_{1,0} - sum(delta_{1,{i}})
-        out[tail] += -kt
-        for lab in one_point:
-            out[lab] += -kt
-        # lambda_1 = (kappa_tilde + delta)/12 = (delta_irr + sum(delta_0))/12
-        out[(DELTA_IRR,)] += lt * Fraction(1, 12)
-        for lab in two_point:
-            out[lab] += lt * Fraction(1, 12)
-        return H2Class(1, 3, out)
-
-    # (2, 1): kappa_tilde = delta_irr/5 + (7/5) delta_{1,0}
-    tail = canonical_separating_label(2, 1, 1, ())
-    out = {
-        (PSI, 1): c.coefficient(PSI, 1) + pt,
-        (DELTA_IRR,): c.coefficient(DELTA_IRR) + kt * Fraction(1, 5) + lt * Fraction(1, 10),
-        tail: c.coeffs.get(tail, Fraction(0)) + kt * Fraction(7, 5) + lt * Fraction(1, 5),
-    }
-    return H2Class(2, 1, out)
+    for what, labels in rel.symmetric:
+        if len({c.coefficient(*label) for label in labels}) > 1:
+            raise ValueError(f"reduction needs symmetric {what} coefficients")
+    out = dict.fromkeys(rel.coords, Fraction(0))
+    for label, value in c.coeffs.items():
+        for coord, weight in rel.images[label].items():
+            out[coord] += value * weight
+    return H2Class(g, n, out)
 
 
 # -- uniformization identities ---------------------------------------------------
@@ -350,23 +345,8 @@ def uniformization_check(case: tuple[int, int]) -> dict:
 def intersect(c1: H2Class, c2: H2Class) -> Fraction:
     """Intersection number on the dimension-two cases (0,5) and (1,2)."""
     c1._same_space(c2)
-    g, n = c1.g, c1.n
-    if (g, n) == (0, 5):
-        a = reduce_class(c1).coefficient(PSI_TOTAL)
-        b = reduce_class(c2).coefficient(PSI_TOTAL)
-        return a * b * 45  # psi_i . psi_j = 2 - delta_ij off 1 on: 5 + 2*20
-    if (g, n) == (1, 2):
-        r1, r2 = reduce_class(c1), reduce_class(c2)
-        tail = canonical_separating_label(1, 2, 1, ())
-        pairing = {
-            ((DELTA_IRR,), (DELTA_IRR,)): Fraction(0),
-            ((DELTA_IRR,), tail): Fraction(1, 2),
-            (tail, (DELTA_IRR,)): Fraction(1, 2),
-            (tail, tail): Fraction(-1, 24),
-        }
-        total = Fraction(0)
-        for ka, va in r1.coeffs.items():
-            for kb, vb in r2.coeffs.items():
-                total += va * vb * pairing[(ka, kb)]
-        return total
-    raise ValueError(f"no intersection table for moduli ({g},{n})")
+    rel = RELATIONS.get((c1.g, c1.n))
+    if rel is None or rel.pairing is None:
+        raise ValueError(f"no intersection table for moduli ({c1.g},{c1.n})")
+    x, y = ([reduce_class(c).coefficient(*k) for k in rel.coords] for c in (c1, c2))
+    return sum((a * w * b for a, row in zip(x, rel.pairing) for w, b in zip(row, y)), Fraction(0))

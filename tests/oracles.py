@@ -31,9 +31,12 @@ package contracts one bilinear form T(v1, v2) per pair); the nodal-count
 polynomials of the Euler characteristics by `Fraction` polynomial sums and
 products (the package sums integers over one denominator); associativity
 of a fusion algebra by the O(r^5) loop over every triple (the package
-checks r commutators with the tridiagonal M_1); and R_1's traceless part
+checks r commutators with the tridiagonal M_1); R_1's traceless part
 in floating point from the eigenbasis of the pivot multiplication (the
-package solves one exact system on the symmetric matrices).
+package solves one exact system on the symmetric matrices); and the
+reduction and intersection pairing of degree-2 classes with one
+hand-written branch per moduli space (the package reads one relation table
+per space in one loop).
 """
 
 import itertools
@@ -70,7 +73,18 @@ from qtoledo.linalg import (
     mat_add,
     mat_scale,
 )
-from qtoledo.mgnclasses import DELTA_IRR, KAPPA1T, PSI, H2Class, separating_labels
+from qtoledo.mgnclasses import (
+    DELTA_IRR,
+    DELTA_SEP,
+    KAPPA1T,
+    LAMBDA1,
+    POINT,
+    PSI,
+    PSI_TOTAL,
+    H2Class,
+    canonical_separating_label,
+    separating_labels,
+)
 from qtoledo.torus import PuncturedTorusRep, _eigenbasis, _u_value, _validate_rep
 
 
@@ -694,3 +708,128 @@ def chi_bar_coeffs(g: int, n: int) -> tuple:
             prod = _poly_mul(list(chi_bar_coeffs(g1, n1 + 1)), list(chi_bar_coeffs(g2, n2 + 1)))
             integrand = _poly_add(integrand, [math.comb(n, n1) * c for c in prod])
     return (harer_zagier(g, n),) + tuple(Fraction(c, 2 * (k + 1)) for k, c in enumerate(integrand))
+
+
+# -- H^2(M_{g,n}) relations, one hand-written branch per space ---------------------------
+
+
+def _symmetric_coefficient(cls: H2Class, labels: list, what: str) -> Fraction:
+    vals = {cls.coeffs.get(label, Fraction(0)) for label in labels}
+    if len(vals) > 1:
+        raise ValueError(f"reduction needs symmetric {what} coefficients")
+    return vals.pop() if vals else Fraction(0)
+
+
+def reduce_class(cls: H2Class) -> H2Class:
+    """Reduced coordinates on the six supported (g, n), each space's relations written out.
+
+    `point` is read on (0,4) only; elsewhere this reference drops it.
+    """
+    g, n = cls.g, cls.n
+    if (g, n) not in {(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)}:
+        raise ValueError(f"no relation table for moduli ({g},{n})")
+    c = cls.in_kappa_tilde_basis()
+    kt = c.coefficient(KAPPA1T)
+    lt = c.coefficient(LAMBDA1)
+    pt = c.coefficient(PSI_TOTAL)
+
+    if (g, n) == (0, 4):
+        # every psi_i, kappa_1 and boundary class integrates to one;
+        # kappa_tilde to 1 - 4 = -3 and lambda_1 to zero
+        total = c.coefficient(POINT) + kt * (-3)
+        for label, v in c.coeffs.items():
+            if label[0] in (PSI, DELTA_SEP):
+                total += v
+        total += 4 * pt
+        return H2Class(0, 4, {(POINT,): total})
+
+    if (g, n) == (1, 1):
+        # kappa_1 = psi, so kappa_tilde = 0; delta_irr = 12 psi; lambda_1 = psi
+        val = (c.coefficient(PSI, 1) + pt
+               + c.coefficient(DELTA_IRR) * 12
+               + lt)
+        return H2Class(1, 1, {(PSI, 1): val})
+
+    if (g, n) == (0, 5):
+        # kappa_1 = delta/2 and delta = (2/3) psi, hence kappa_tilde = -(2/3) psi,
+        # each boundary divisor is psi/15, and lambda_1 = (kappa_tilde + delta)/12 = 0
+        p = _symmetric_coefficient(c, [(PSI, i) for i in range(1, 6)], "psi")
+        d = _symmetric_coefficient(c, separating_labels(0, 5), "boundary")
+        total = p + pt + kt * Fraction(-2, 3) + 10 * d * Fraction(1, 15)
+        return H2Class(0, 5, {(PSI_TOTAL,): total})
+
+    if (g, n) == (1, 2):
+        tail = canonical_separating_label(1, 2, 1, ())
+        out = {(DELTA_IRR,): c.coefficient(DELTA_IRR), tail: c.coeffs.get(tail, Fraction(0))}
+        for i in (1, 2):
+            p = c.coefficient(PSI, i)  # psi_i = delta_irr/12 + delta_{1,0}
+            out[(DELTA_IRR,)] += p * Fraction(1, 12)
+            out[tail] += p
+        out[(DELTA_IRR,)] += pt * Fraction(1, 12)
+        out[tail] += pt
+        out[tail] += -kt  # kappa_tilde = -delta_{1,0}
+        out[(DELTA_IRR,)] += lt * Fraction(1, 12)  # lambda_1 = delta_irr/12
+        return H2Class(1, 2, out)
+
+    if (g, n) == (1, 3):
+        tail = canonical_separating_label(1, 3, 1, ())
+        one_point = [canonical_separating_label(1, 3, 1, (i,)) for i in (1, 2, 3)]
+        two_point = [canonical_separating_label(1, 3, 0, pair)
+                     for pair in ((1, 2), (1, 3), (2, 3))]
+        p = _symmetric_coefficient(c, [(PSI, i) for i in (1, 2, 3)], "psi")
+        d1 = _symmetric_coefficient(c, one_point, "delta_{1,{i}}")
+        d0 = _symmetric_coefficient(c, two_point, "delta_{0,{i,j}}")
+        psi_content = p + pt  # multiple of the psi sum carried by the class
+        out = {(DELTA_IRR,): c.coefficient(DELTA_IRR), tail: c.coeffs.get(tail, Fraction(0))}
+        for lab in one_point:
+            out[lab] = d1
+        for lab in two_point:
+            out[lab] = d0
+        # sum(psi) = delta_irr/4 + 3 delta_{1,0} + 2 sum(delta_{1,{i}})
+        out[(DELTA_IRR,)] += psi_content * Fraction(1, 4)
+        out[tail] += psi_content * 3
+        for lab in one_point:
+            out[lab] += psi_content * 2
+        # kappa_tilde = -delta_{1,0} - sum(delta_{1,{i}})
+        out[tail] += -kt
+        for lab in one_point:
+            out[lab] += -kt
+        # lambda_1 = (kappa_tilde + delta)/12 = (delta_irr + sum(delta_0))/12
+        out[(DELTA_IRR,)] += lt * Fraction(1, 12)
+        for lab in two_point:
+            out[lab] += lt * Fraction(1, 12)
+        return H2Class(1, 3, out)
+
+    # (2, 1): kappa_tilde = delta_irr/5 + (7/5) delta_{1,0}
+    tail = canonical_separating_label(2, 1, 1, ())
+    out = {
+        (PSI, 1): c.coefficient(PSI, 1) + pt,
+        (DELTA_IRR,): c.coefficient(DELTA_IRR) + kt * Fraction(1, 5) + lt * Fraction(1, 10),
+        tail: c.coeffs.get(tail, Fraction(0)) + kt * Fraction(7, 5) + lt * Fraction(1, 5),
+    }
+    return H2Class(2, 1, out)
+
+
+def intersect(c1: H2Class, c2: H2Class) -> Fraction:
+    """Intersection number on (0,5) and (1,2), each pairing written out."""
+    c1._same_space(c2)
+    g, n = c1.g, c1.n
+    if (g, n) == (0, 5):
+        a = reduce_class(c1).coefficient(PSI_TOTAL)
+        b = reduce_class(c2).coefficient(PSI_TOTAL)
+        return a * b * 45  # psi_i . psi_j = 2 - delta_ij off 1 on: 5 + 2*20
+    if (g, n) == (1, 2):
+        r1, r2 = reduce_class(c1), reduce_class(c2)
+        tail = canonical_separating_label(1, 2, 1, ())
+        pairing = {
+            ((DELTA_IRR,), (DELTA_IRR,)): Fraction(0),
+            ((DELTA_IRR,), tail): Fraction(1, 2),
+            (tail, (DELTA_IRR,)): Fraction(1, 2),
+            (tail, tail): Fraction(-1, 24),
+        }
+        total = Fraction(0)
+        for ka, va in r1.coeffs.items():
+            for kb, vb in r2.coeffs.items():
+                total += va * vb * pairing[(ka, kb)]
+        return total
+    raise ValueError(f"no intersection table for moduli ({g},{n})")

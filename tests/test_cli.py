@@ -124,6 +124,16 @@ def test_classes_reduce_file(capsys, tmp_path):
     assert payload["coeffs"]["delta_irr"] == "1/6"
 
 
+@pytest.mark.parametrize("g, n, name", [(1, 2, "psi_totally"), (1, 2, "delta_irrational"), (1, 2, "point")])
+def test_classes_reduce_refuses_a_name_the_space_does_not_admit(capsys, tmp_path, g, n, name):
+    # a misspelled name is not read by its prefix, and `point` exists only on (0,4) and (1,1)
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"g": g, "n": n, "coeffs": {name: "1/1"}}))
+    code, out, err = run(capsys, "classes", "reduce", "--class", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: label ('{name}',) not valid on moduli ({g},{n})\n"
+
+
 def test_reproduce_all(capsys):
     code, out, _ = run(capsys, "reproduce", "--all")
     assert code == 0

@@ -1,8 +1,15 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import oracles
 
 from qtoledo.mgnclasses import (
+    KAPPA1,
+    POINT,
+    RELATIONS,
     H2Class,
     _allowed_labels,
     canonical_class,
@@ -18,6 +25,8 @@ from qtoledo.mgnclasses import (
 )
 
 F = Fraction
+
+SPACES = [(0, 4), (1, 1), (0, 5), (1, 2), (1, 3), (2, 1)]
 
 
 def test_separating_labels():
@@ -186,3 +195,91 @@ def test_json_round_trip():
 def test_uniformization_checks(case):
     report = uniformization_check(case)
     assert report["passed"], report["checks"]
+
+
+def test_relation_table_has_an_image_for_every_admitted_label():
+    assert set(RELATIONS) == set(SPACES)
+    for g, n in SPACES:
+        # kappa_1 is rewritten in the kappa-tilde basis before the table is read
+        assert set(RELATIONS[g, n].images) == _allowed_labels(g, n) - {(KAPPA1,)}, (g, n)
+        assert ((POINT,) in _allowed_labels(g, n)) == ((g, n) in {(0, 4), (1, 1)})
+
+
+def _symmetric_groups(g, n):
+    psi = [("psi", i) for i in range(1, n + 1)]
+    if (g, n) == (0, 5):
+        return [psi, separating_labels(0, 5)]
+    if (g, n) == (1, 3):
+        return [psi, [label for label in separating_labels(1, 3) if len(label[2]) == 2]]
+    return []
+
+
+@st.composite
+def _classes_on(draw, space):
+    g, n = space
+    # the reference drops `point` on every space but (0,4); only (1,1) still admits it
+    labels = sorted(_allowed_labels(g, n) - ({(POINT,)} if space != (0, 4) else set()))
+    values = st.one_of(st.just(F(0)), st.builds(F, st.integers(-20, 20), st.integers(1, 12)))
+    coeffs = {label: draw(values) for label in labels}
+    for group in _symmetric_groups(g, n):
+        if draw(st.booleans()):
+            coeffs.update(dict.fromkeys(group, coeffs[group[0]]))
+    return H2Class(g, n, coeffs)
+
+
+def _outcome(func, *args):
+    try:
+        return repr(func(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SPACES).flatmap(lambda space: st.tuples(_classes_on(space), _classes_on(space))))
+def test_reduction_and_pairing_agree_with_the_branch_by_branch_reference(pair):
+    x, y = pair
+    # repr shows the order of the reduced coordinates, which the uniformization golden prints
+    assert _outcome(reduce_class, x) == _outcome(oracles.reduce_class, x)
+    assert _outcome(intersect, x, y) == _outcome(oracles.intersect, x, y)
+
+
+@pytest.mark.parametrize("g, n, group, what", [
+    (0, 5, [("psi", 1)], "psi"),
+    (0, 5, [("delta", 0, (1, 2))], "boundary"),
+    (1, 3, [("psi", 2)], "psi"),
+    (1, 3, [("delta", 0, (1, 3))], "delta_{1,{i}}"),
+])
+def test_reduction_refuses_an_asymmetric_group(g, n, group, what):
+    cls = H2Class(g, n, dict.fromkeys(group, F(1)))
+    with pytest.raises(ValueError, match=rf"^reduction needs symmetric {re.escape(what)} coefficients$"):
+        reduce_class(cls)
+    # the psi group is checked first, so an asymmetric psi hides an asymmetric boundary
+    both = cls + H2Class(g, n, {("psi", 1): F(1), ("delta", 0, (1, 2)): F(1)})
+    with pytest.raises(ValueError, match=r"^reduction needs symmetric psi coefficients$"):
+        reduce_class(both)
+
+
+def test_point_is_the_class_of_integral_one_on_a_curve():
+    # on (1,1) psi_1 integrates to 1/24, so the point class is 24 psi_1
+    assert reduce_class(H2Class(1, 1, {("point",): F(1)})) == H2Class(1, 1, {("psi", 1): F(24)})
+    assert reduce_class(H2Class(0, 4, {("point",): F(3, 7)})).coefficient("point") == F(3, 7)
+    for g, n in SPACES[2:]:
+        with pytest.raises(ValueError, match=rf"^label \('point',\) not valid on moduli \({g},{n}\)$"):
+            H2Class(g, n, {("point",): F(1)})
+
+
+@pytest.mark.parametrize("g, n", SPACES)
+def test_json_round_trips_every_admitted_label(g, n):
+    labels = sorted(_allowed_labels(g, n))
+    for k, label in enumerate(labels):
+        cls = H2Class(g, n, {label: F(k + 1, 7)})
+        assert class_from_json(cls.to_json()) == cls, label
+    every = H2Class(g, n, {label: F(-k - 1, 3) for k, label in enumerate(labels)})
+    assert class_from_json(every.to_json()) == every
+
+
+@pytest.mark.parametrize("name", ["psi_totally", "delta_irrational", "psi_1x", "psi_01", "delta_0_{1,2}x",
+                                  "delta_0_1,2", "kappa", "point"])
+def test_json_names_are_read_exactly(name):
+    with pytest.raises(ValueError, match=r"not valid on moduli \(1,2\)$"):
+        class_from_json({"g": 1, "n": 2, "coeffs": {name: "1/1"}})

@@ -260,12 +260,27 @@ def test_degree2_class_level5_closed_formulas(level5):
                 assert cls.coefficient("delta_irr") == c
 
 
-def test_degree2_class_integral_matches_tau04(level5):
-    v, r1 = level5
+def test_degree2_class_integral_matches_tau04():
+    # the reduced degree-2 class integrates to the tau read off R_1: on (0,4) at
+    # every basis quadruple, and on (1,1), where psi_1 integrates to 1/24, at
+    # every color; at every unit of levels 5, 7 and 9
     from qtoledo.mgnclasses import reduce_class
 
-    cls = degree2_class(r1, 0, 4, [1] * 4)
-    assert reduce_class(cls).coefficient("point") == tau_from_r1_04(v, r1, 1, 1, 1, 1)
+    units = 0
+    for level in (5, 7, 9):
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            r1 = solve_level(level, Embedding(level, k))
+            v = r1.algebra
+            units += 1
+            for quad in itertools.product(range(v.rank), repeat=4):
+                point = reduce_class(degree2_class(r1, 0, 4, list(quad))).coefficient("point")
+                assert point == tau_from_r1_04(v, r1, *quad), (level, k, quad)
+            for i in range(v.rank):
+                psi = reduce_class(degree2_class(r1, 1, 1, [i])).coefficient("psi", 1)
+                assert psi / 24 == tau_from_r1_11(v, r1, i), (level, k, i)
+    assert units == 16
 
 
 def test_degree2_class_unitary_is_zero():
