@@ -253,8 +253,8 @@ def cmd_rmatrix_class(args) -> dict:
     payload = {"class": cls.to_json()}
     try:
         payload["reduced"] = reduce_class(cls).to_json()
-    except ValueError:
-        payload["reduced"] = None
+    except ValueError as e:
+        payload["reduced"], payload["not_reduced"] = None, str(e)
     return payload
 
 

@@ -13,7 +13,9 @@ and `torus` share them without importing each other.
 
 No field arithmetic is done here: a computation that needs only these
 signs, such as a solve whose blocks are all definite, loads no cyclotomic
-field.  `frac_to_json` writes the exact rationals of every layer.
+field.  Every layer writes its exact rationals by `frac_to_json`, and tests
+a moduli space M_{g,n} by the one stability rule 2g - 2 + n > 0
+(`_is_stable`), refusing a bad (g, n) by `_check_moduli`.
 """
 
 from __future__ import annotations
@@ -106,6 +108,19 @@ def check_so3_level(level: int, emb: Embedding):
         raise ValueError("level must be an odd integer >= 3")
     if emb.order != level:
         raise ValueError("embedding must have the same order as the level")
+
+
+def _is_stable(g: int, n: int) -> bool:
+    """Whether (g, n) has 2g - 2 + n > 0, the stability of the moduli space M_{g,n}."""
+    return 2 * g - 2 + n > 0
+
+
+def _check_moduli(g: int, n: int):
+    """Refuse a negative genus or point count, and an unstable (g, n)."""
+    if g < 0 or n < 0:
+        raise ValueError(f"genus and number of points must be nonnegative, got ({g},{n})")
+    if not _is_stable(g, n):
+        raise ValueError(f"unstable moduli space ({g},{n})")
 
 
 def so3_structure_sign(emb: Embedding, i: int, j: int, k: int) -> int:

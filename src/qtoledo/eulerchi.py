@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
+from .embedding import _check_moduli, _is_stable
 
 
 @lru_cache(maxsize=None)
@@ -32,14 +33,6 @@ def bernoulli(n: int) -> Fraction:
     for k in range(n):
         total += math.comb(n + 1, k) * bernoulli(k)
     return -total / (n + 1)
-
-
-def _check_moduli(g: int, n: int):
-    """Refuse a negative genus or point count, and an unstable (g, n)."""
-    if g < 0 or n < 0:
-        raise ValueError(f"genus and number of points must be nonnegative, got ({g},{n})")
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"unstable moduli space ({g},{n})")
 
 
 def harer_zagier(g: int, n: int) -> Fraction:
@@ -99,9 +92,8 @@ def _chi_bar_coeffs(g: int, n: int) -> tuple[Fraction, ...]:
         g2 = g - g1
         for n1 in range(n + 1):
             n2 = n - n1
-            if 2 * g1 - 2 + n1 + 1 <= 0 or 2 * g2 - 2 + n2 + 1 <= 0:
-                continue
-            cuts.append((math.comb(n, n1), _chi_bar_coeffs(g1, n1 + 1), _chi_bar_coeffs(g2, n2 + 1)))
+            if _is_stable(g1, n1 + 1) and _is_stable(g2, n2 + 1):  # each side carries the node
+                cuts.append((math.comb(n, n1), _chi_bar_coeffs(g1, n1 + 1), _chi_bar_coeffs(g2, n2 + 1)))
     # every side over one denominator, so the integrand sums over den^2 in integers
     den = math.lcm(*[c.denominator for _w, a, b in cuts for c in a + b])
     integrand = [0] * max([1] + [len(a) + len(b) - 1 for _w, a, b in cuts])

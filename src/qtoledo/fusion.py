@@ -28,6 +28,7 @@ from fractions import Fraction
 from ._record import Record
 from .embedding import (
     Embedding,
+    _is_stable,
     _triple_sign,
     check_so3_level,
     quantum_int_sign,
@@ -338,7 +339,7 @@ def signature_table(algebra: FrobeniusAlgebra, g_max: int, n_max: int):
                 "g": g, "n": n,
                 "p": (dim + sig) // 2, "q": (dim - sig) // 2,
                 "dim": dim, "signature": sig,
-                "stable": 2 * g - 2 + n > 0,
+                "stable": _is_stable(g, n),
             })
         rows.append(row)
     return rows

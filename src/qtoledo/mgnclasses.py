@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ._record import Record
-from .embedding import frac_to_json
+from .embedding import _check_moduli, _is_stable, frac_to_json
 
 Label = tuple
 
@@ -42,17 +42,12 @@ PSI_TOTAL = "psi_total"     # reduced coordinate on symmetric cases
 POINT = "point"             # integral-one generator where H^2 is a line
 
 
-def _stable_side(genus: int, points: int) -> bool:
-    """Whether one side of a separating node, with its marked points and the node, is stable."""
-    return 2 * genus - 2 + points >= 0
-
-
 @lru_cache(maxsize=None)
 def _separating_labels(g: int, n: int) -> tuple[Label, ...]:
     return tuple(sorted({canonical_separating_label(g, n, a, subset)
                          for a in range(g + 1) for size in range(n + 1)
                          for subset in combinations(range(1, n + 1), size)
-                         if _stable_side(a, size) and _stable_side(g - a, n - size)}))
+                         if _is_stable(a, size + 1) and _is_stable(g - a, n - size + 1)}))
 
 
 def separating_labels(g: int, n: int) -> list[Label]:
@@ -64,7 +59,7 @@ def canonical_separating_label(g: int, n: int, a: int, subset) -> Label:
     subset = tuple(sorted(subset))
     rest = tuple(p for p in range(1, n + 1) if p not in subset)
     b = g - a
-    if not (_stable_side(a, len(subset)) and _stable_side(b, len(rest))):
+    if not (_is_stable(a, len(subset) + 1) and _is_stable(b, len(rest) + 1)):  # each side has the node
         raise ValueError(f"unstable boundary label ({a},{subset}) on moduli ({g},{n})")
     key = min((a, subset), (b, rest), key=lambda t: (t[0], len(t[1]), t[1]))
     return (DELTA_SEP, key[0], key[1])
@@ -96,8 +91,7 @@ class H2Class(Record):
     __hash__ = None         # equal by value, and a dict field cannot be hashed
 
     def __post_init__(self):
-        if self.g < 0 or self.n < 0 or 2 * self.g - 2 + self.n <= 0:
-            raise ValueError(f"unstable moduli space ({self.g},{self.n})")
+        _check_moduli(self.g, self.n)
         allowed = _allowed_labels(self.g, self.n)
         clean = {}
         for label, value in (self.coeffs or {}).items():
@@ -159,7 +153,8 @@ class H2Class(Record):
 def class_from_json(data: dict) -> H2Class:
     """Read the names `H2Class.to_json` writes; any other name is a label H2Class refuses."""
     g, n = int(data["g"]), int(data["n"])
-    coeffs = {}
+    _check_moduli(g, n)  # before a boundary name is read on the space
+    coeffs, names = {}, {}
     for name, value in data["coeffs"].items():
         if psi := re.fullmatch(r"psi_([1-9][0-9]*)", name):
             label: Label = (PSI, int(psi[1]))
@@ -168,6 +163,8 @@ def class_from_json(data: dict) -> H2Class:
             label = canonical_separating_label(g, n, int(sep[1]), pts)
         else:
             label = (name,)
+        if (first := names.setdefault(label, name)) != name:
+            raise ValueError(f"names {first} and {name} give one label on moduli ({g},{n})")
         coeffs[label] = Fraction(value)
     return H2Class(g, n, coeffs)
 
@@ -190,8 +187,6 @@ def psi_sum(g: int, n: int) -> H2Class:
 
 def canonical_class(level: int, g: int, n: int) -> H2Class:
     """First Chern class of the canonical bundle of the level-twisted space."""
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable moduli space")
     out = H2Class(g, n, {(KAPPA1T,): Fraction(13, 12)})
     out = out + delta_total(g, n).scale(Fraction(1, 12) - Fraction(1, level))
     out = out + psi_sum(g, n)
@@ -202,8 +197,8 @@ def elliptic_pullback(g: int, n: int) -> H2Class:
     """Pullback of the canonical class of the elliptic-tail contraction (level 5)."""
     if (g, n) == (2, 0):
         raise ValueError("the (2,0) contraction is excluded")
+    base = canonical_class(5, g, n)  # refuses an unstable (g, n) before the tail label does
     tail = canonical_separating_label(g, n, 1, ())
-    base = canonical_class(5, g, n)
     return base - H2Class(g, n, {tail: Fraction(1, 5)})
 
 
@@ -293,6 +288,10 @@ def reduce_class(cls: H2Class) -> H2Class:
 
 # -- uniformization identities ---------------------------------------------------
 
+# c in tau = c c1(K) on (0,5) and tau = c c*c1(K^E) on the others, in the golden's order
+UNIFORMIZATION = {(0, 5): Fraction(2, 3), (1, 2): Fraction(2, 3), (1, 3): Fraction(-1, 2),
+                  (2, 1): Fraction(2, 5)}
+
 
 def uniformization_check(case: tuple[int, int]) -> dict:
     """Level-5 proportionality between the Toledo class and the canonical class.
@@ -305,7 +304,8 @@ def uniformization_check(case: tuple[int, int]) -> dict:
     from .embedding import Embedding
     from .rmatrix import degree2_class, solve_level, tau_from_r1_04
 
-    if tuple(case) not in {(0, 5), (1, 2), (1, 3), (2, 1)}:
+    ratio = UNIFORMIZATION.get(tuple(case))
+    if ratio is None:
         raise ValueError(f"no uniformization statement for {case}")
     g, n = case
     r1 = solve_level(5, Embedding(5, 1))
@@ -316,9 +316,9 @@ def uniformization_check(case: tuple[int, int]) -> dict:
     def record(name, lhs, rhs):
         checks.append({"name": name, "lhs": str(lhs), "rhs": str(rhs), "ok": lhs == rhs})
 
-    if case == (0, 5):
+    if (g, n) == (0, 5):
         k = reduce_class(canonical_class(5, 0, 5))
-        record("tau = 2/3 c1(K)", tau, k.scale(Fraction(2, 3)))
+        record(f"tau = {ratio} c1(K)", tau, k.scale(ratio))
         record("c1(K)^2 = 9/5", intersect(k, k), Fraction(9, 5))
         tau04 = tau_from_r1_04(v, r1, 1, 1, 1, 1)
         record("integral tau_04 = -2/5", tau04, Fraction(-2, 5))
@@ -327,10 +327,9 @@ def uniformization_check(case: tuple[int, int]) -> dict:
                        tau_from_r1_04(v, r1, 1, 1, 1, m) for m in range(v.rank))
         record("boundary restriction = 2/5 > 0", pullback, Fraction(2, 5))
     else:
-        ratio = {(1, 2): Fraction(2, 3), (1, 3): Fraction(-1, 2), (2, 1): Fraction(2, 5)}[case]
         k = reduce_class(elliptic_pullback(g, n))
         record(f"tau = {ratio} c*c1(K^E)", tau, k.scale(ratio))
-        if case == (1, 2):
+        if (g, n) == (1, 2):
             record("c*c1(K^E)^2 = 3/200", intersect(k, k), Fraction(3, 200))
             restriction = Fraction(1, 2) * sum(
                 v.eps[m] * tau_from_r1_04(v, r1, 1, 1, m, m) for m in range(v.rank)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .elimination import determinant, solve
-from .embedding import Embedding, frac_to_json
+from .embedding import Embedding, _check_moduli, _is_stable, frac_to_json
 from .fusion import FrobeniusAlgebra, apply_scaled, scaled_matrix, so3_algebra
 from .linalg import conj_transpose, diagonal, lin_comb, mat_add, mat_mul
 from .qrep import pivot_tau04_table, tau11_table
@@ -272,14 +272,6 @@ def solve_level(level: int, emb: Embedding) -> R1Matrix:
 # -- degree-2 classes -------------------------------------------------------------
 
 
-def _check_moduli(g: int, n: int):
-    """Refuse a negative genus or point count, then an unstable (g, n)."""
-    if g < 0 or n < 0:
-        raise ValueError(f"genus and number of points must be nonnegative, got ({g},{n})")
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable moduli space")
-
-
 def degree2_class(r1: R1Matrix, g: int, n: int, colors) -> H2Class:
     """The Toledo class tau_{g,n}(colors) over the kappa-tilde basis, in r1's algebra.
 
@@ -384,7 +376,7 @@ def appendixB_crosscheck(g_max: int = 4, n_max: int = 4) -> dict:
     report = {"cases": [], "all_equal": True}
     for g in range(g_max + 1):
         for n in range(n_max + 1):
-            if 2 * g - 2 + n <= 0:
+            if not _is_stable(g, n):
                 continue
             direct = degree2_class(r1, g, n, [1] * n)
             viaB = presentation_class(v, g, n)

@@ -67,11 +67,11 @@ def _table_r1() -> dict:
 
 
 def _table_uniformization() -> dict:
-    from .mgnclasses import uniformization_check
+    from .mgnclasses import UNIFORMIZATION, uniformization_check
 
     return {
         "name": "uniformization",
-        "cases": [uniformization_check(c) for c in ((0, 5), (1, 2), (1, 3), (2, 1))],
+        "cases": [uniformization_check(c) for c in UNIFORMIZATION],
     }
 
 
@@ -83,13 +83,13 @@ def _table_appendixb() -> dict:
 
 
 def _table_euler() -> dict:
-    from .embedding import frac_to_json
+    from .embedding import _is_stable, frac_to_json
     from .eulerchi import chi_bar, chi_twisted
 
     rows = []
     for g in range(3):
         for n in range(6):
-            if 2 * g - 2 + n <= 0:
+            if not _is_stable(g, n):
                 continue
             poly = chi_bar(g, n)
             rows.append({

@@ -641,7 +641,7 @@ def degree2_class(r1, g: int, n: int, colors) -> H2Class:
     """The Toledo class tau_{g,n}(colors), one Fraction TFT value per term of the gluing formula."""
     v = r1.algebra
     if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable moduli space")
+        raise ValueError(f"unstable moduli space ({g},{n})")
     colors = [v.as_vector(c) for c in colors]
     if len(colors) != n:
         raise ValueError("need one color per marked point")

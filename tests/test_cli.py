@@ -134,6 +134,31 @@ def test_classes_reduce_refuses_a_name_the_space_does_not_admit(capsys, tmp_path
     assert err == f"error: ValueError: label ('{name}',) not valid on moduli ({g},{n})\n"
 
 
+def test_classes_reduce_refuses_two_names_of_one_divisor(capsys, tmp_path):
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"g": 1, "n": 2, "coeffs": {"delta_1_{}": "1", "delta_0_{1,2}": "1"}}))
+    code, out, err = run(capsys, "classes", "reduce", "--class", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: names delta_1_{} and delta_0_{1,2} give one label on moduli (1,2)\n"
+
+
+@pytest.mark.parametrize("g, n, colors, reason", [
+    ("0", "5", "0,1,1,1,1", "reduction needs symmetric boundary coefficients"),
+    ("3", "0", "", "no relation table for moduli (3,0)"),
+])
+def test_rmatrix_class_says_why_a_class_is_not_reduced(capsys, g, n, colors, reason):
+    code, out, err = run(capsys, "rmatrix", "class", "--level", "5", "--g", g, "--n", n,
+                         "--colors", colors)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert (payload["reduced"], payload["not_reduced"]) == (None, reason)
+
+
+def test_rmatrix_class_that_reduces_carries_no_reason(capsys):
+    code, out, _ = run(capsys, "rmatrix", "class", "--level", "5", "--g", "1", "--n", "3")
+    assert code == 0 and set(json.loads(out)["payload"]) == {"class", "reduced"}
+
+
 def test_reproduce_all(capsys):
     code, out, _ = run(capsys, "reproduce", "--all")
     assert code == 0

@@ -377,7 +377,7 @@ def _imports_of_cli_run(*argv: str) -> tuple[list, list]:
     return json.loads(layers), json.loads(heavy)
 
 
-def test_each_cli_call_imports_only_the_layers_it_uses():
+def test_each_cli_call_imports_only_the_layers_it_uses(tmp_path):
     # run as a script, a subcommand imports its layers inside its function
     assert _imports_of_cli_run("--help") == ([], [])
     # a torus representation needs no qrep, no elimination and no cosine bounds
@@ -407,6 +407,14 @@ def test_each_cli_call_imports_only_the_layers_it_uses():
     # a block of three gluing colors runs the exact pass
     assert _imports_of_cli_run("qrep", "tau11", "--level", "9", "--embedding", "1", "--i", "1")[0] == [
         *exact, "qrep", "torus"]
+    # the moduli-space calls: Euler characteristics and a class from a file need no algebra
+    assert _imports_of_cli_run("euler", "chibar", "--g", "1", "--n", "2")[0] == ["embedding", "eulerchi"]
+    path = tmp_path / "class13.json"
+    path.write_text('{"g": 1, "n": 3, "coeffs": {"psi_1": "1", "psi_2": "1", "psi_3": "1"}}')
+    assert _imports_of_cli_run("classes", "reduce", "--class", str(path))[0] == ["embedding", "mgnclasses"]
+    classes = [*definite, "mgnclasses"]
+    assert _imports_of_cli_run("classes", "check", "--case", "1,3")[0] == classes
+    assert _imports_of_cli_run("rmatrix", "class", "--level", "5", "--g", "1", "--n", "3")[0] == classes
 
 
 def test_rational_linear_algebra_loads_no_field():

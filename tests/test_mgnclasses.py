@@ -73,8 +73,11 @@ def test_label_caches_hand_out_fresh_lists_and_keep_every_check():
                                           (1, 0, None)])
 def test_unstable_moduli_are_refused_before_any_label_is_cached(g, n, coeffs):
     cached = _allowed_labels.cache_info().currsize
-    with pytest.raises(ValueError, match=rf"^unstable moduli space \({g},{n}\)$"):
+    want = (f"genus and number of points must be nonnegative, got ({g},{n})" if min(g, n) < 0
+            else f"unstable moduli space ({g},{n})")
+    with pytest.raises(ValueError) as err:
         H2Class(g, n, coeffs)
+    assert str(err.value) == want
     assert _allowed_labels.cache_info().currsize == cached
 
 
@@ -276,6 +279,23 @@ def test_json_round_trips_every_admitted_label(g, n):
         assert class_from_json(cls.to_json()) == cls, label
     every = H2Class(g, n, {label: F(-k - 1, 3) for k, label in enumerate(labels)})
     assert class_from_json(every.to_json()) == every
+
+
+@pytest.mark.parametrize("g, n, first, second", [(1, 2, "delta_1_{}", "delta_0_{1,2}"),
+                                                 (1, 3, "delta_1_{1}", "delta_0_{2,3}")])
+def test_json_refuses_two_names_of_one_divisor(g, n, first, second):
+    # both name one divisor: keeping the last value would drop the first
+    assert class_from_json({"g": g, "n": n, "coeffs": {first: "1"}}) == \
+        class_from_json({"g": g, "n": n, "coeffs": {second: "1"}})
+    with pytest.raises(ValueError) as err:
+        class_from_json({"g": g, "n": n, "coeffs": {first: "1", second: "1"}})
+    assert str(err.value) == f"names {first} and {second} give one label on moduli ({g},{n})"
+
+
+def test_json_refuses_an_unstable_space_before_reading_a_boundary_name():
+    with pytest.raises(ValueError) as err:
+        class_from_json({"g": 0, "n": 2, "coeffs": {"delta_0_{1}": "1"}})
+    assert str(err.value) == "unstable moduli space (0,2)"
 
 
 @pytest.mark.parametrize("name", ["psi_totally", "delta_irrational", "psi_1x", "psi_01", "delta_0_{1,2}x",

@@ -17,7 +17,9 @@ from oracles import level5_sigma_recursion_checks
 from qtoledo import rmatrix, torus
 from qtoledo.cli import main
 from qtoledo.cyclotomic import Embedding
+from qtoledo.eulerchi import chi_bar, harer_zagier
 from qtoledo.fusion import so3_algebra
+from qtoledo.mgnclasses import H2Class, canonical_class, elliptic_pullback
 from qtoledo.qrep import pivot_tau04_table, tau11_table
 from qtoledo.rmatrix import (
     R1Matrix,
@@ -112,6 +114,37 @@ def test_solve_r1_passes_an_unknown_solve_error_through(monkeypatch):
     monkeypatch.setattr(rmatrix, "solve", boom)
     with pytest.raises(ArithmeticError, match="^boom$"):
         solve_r1(so3_algebra(7, emb), pivot_tau04_table(7, emb), tau11_table(7, emb))
+
+
+def test_r1_system_is_the_tau04_form_and_the_torus_formula(monkeypatch):
+    # solve_r1 hands `solve` two systems.  Column S of the first, built from
+    # commutators, is the map S -> tau_{0,4}(w, w, ., .) of the gluing
+    # formula, row i*r + j being eps_i T_S(w, w)[j][i]; the right side of the
+    # second is -2 (tau_{1,1}(e_i) - tau_{1,1}(e_i) of R_1') for R_1' the perp part
+    calls = []
+    real = rmatrix.solve
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(rmatrix, "solve", spy)
+    for level, k in _level_units((5, 7, 9, 11, 13)) + [(21, 2), (29, 3)]:
+        emb = Embedding(level, k)
+        v = so3_algebra(level, emb)
+        tau11 = tau11_table(level, emb)
+        calls.clear()
+        r1 = solve_r1(v, pivot_tau04_table(level, emb), tau11)
+        (system, _rhs), (gram, trace_rhs) = calls
+        r, eps = v.rank, v.eps
+        basis = rmatrix._symmetric_basis(v)
+        assert len(system[0]) == len(basis) and gram == v.gram(), (level, k)
+        for s, column in zip(basis, zip(*system)):
+            form, den = rmatrix._tau04_form(v, s, r - 1, r - 1)
+            assert [F(x) for x in column[:r * r]] == [eps[i] * F(form[j][i], den)
+                                                      for i in range(r) for j in range(r)], (level, k, s)
+        assert trace_rhs == [-2 * (F(tau11[i]) - tau_from_r1_11(v, r1.perp_part, i))
+                             for i in range(r)], (level, k)
 
 
 def _perturbed_tau04(level, k, entry):
@@ -323,6 +356,30 @@ def test_degree2_class_matches_the_fraction_gluing_formula():
                         got = _outcome(degree2_class, r1, g, n, colors)
                         assert got == _outcome(oracles.degree2_class, r1, g, n, colors), (level, k, g, n, colors)
     assert solved >= 12
+
+
+@pytest.mark.parametrize("g, n, message", [
+    (-1, 5, "genus and number of points must be nonnegative, got (-1,5)"),
+    (2, -1, "genus and number of points must be nonnegative, got (2,-1)"),
+    (0, 2, "unstable moduli space (0,2)"),
+    (1, 0, "unstable moduli space (1,0)"),
+])
+def test_every_moduli_entry_point_refuses_a_bad_space_in_the_same_words(level5, g, n, message):
+    v, r1 = level5
+    colors = [1] * max(n, 0)
+    builds = {
+        "H2Class": lambda: H2Class(g, n),
+        "canonical_class": lambda: canonical_class(5, g, n),
+        "elliptic_pullback": lambda: elliptic_pullback(g, n),
+        "chi_bar": lambda: chi_bar(g, n),
+        "harer_zagier": lambda: harer_zagier(g, n),
+        "degree2_class": lambda: degree2_class(r1, g, n, colors),
+        "presentation_class": lambda: presentation_class(v, g, n),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message, name
 
 
 def test_appendix_b_crosscheck():
