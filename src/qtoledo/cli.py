@@ -3,19 +3,20 @@
 Every subcommand wraps a library call and emits a deterministic envelope
 {command, parameters, payload, format}; rationals are serialized as exact
 "p/q" strings so identical inputs give byte-identical output.  The
-``reproduce`` subcommand regenerates the published tables and matrices and
+`reproduce` subcommand regenerates the published tables and matrices and
 diffs them against the golden files shipped with the package.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error, 3 golden
 mismatch.
-
-Each subcommand is declared in ``SUBCOMMANDS``, its options in ``OPTIONS``,
-and ``main`` builds every envelope.  Run as a script, each subcommand
-imports only the modules it calls, inside its own function, and the parser
-fills in only the subcommands of the group called; the golden tables are
-in ``tables``, which only ``reproduce`` imports.  Imported as a module,
-``cli`` loads every module of the package.
 """
+
+# The docstring above is the parser's description, so it speaks to users.
+# Each subcommand is declared in ``SUBCOMMANDS``, its options in ``OPTIONS``,
+# and ``main`` builds every envelope.  Run as a script, each subcommand
+# imports only the modules it calls, inside its own function, and the parser
+# fills in only the subcommands of the group called; the golden tables are
+# in ``tables``, which only ``reproduce`` imports.  Imported as a module,
+# ``cli`` loads every module of the package.
 
 from __future__ import annotations
 

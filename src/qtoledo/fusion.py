@@ -70,7 +70,6 @@ class FrobeniusAlgebra(Record):
     rank: int
     eps: tuple[int, ...]
     omega03: tuple[tuple[tuple[int, ...], ...], ...]
-    colors: tuple[int, ...]           # underlying color labels
 
     # caches filled on first use; unannotated, so not fields
     _alpha = None
@@ -278,7 +277,7 @@ def so3_algebra(level: int, emb: Embedding) -> FrobeniusAlgebra:
         tuple(tuple(so3_structure_sign(emb, i, j, k) for k in range(r)) for j in range(r))
         for i in range(r)
     )
-    return FrobeniusAlgebra("so3", level, emb, r, eps, omega, tuple(2 * i for i in range(r)))
+    return FrobeniusAlgebra("so3", level, emb, r, eps, omega)
 
 
 def su2_algebra(r: int, emb: Embedding) -> FrobeniusAlgebra:
@@ -299,7 +298,7 @@ def su2_algebra(r: int, emb: Embedding) -> FrobeniusAlgebra:
         tuple(tuple(_triple_sign(i, j, k, q_emb) for k in range(rank)) for j in range(rank))
         for i in range(rank)
     )
-    return FrobeniusAlgebra("su2", 4 * r, emb, rank, eps, omega, tuple(range(rank)))
+    return FrobeniusAlgebra("su2", 4 * r, emb, rank, eps, omega)
 
 
 def unitary_partner(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:

@@ -57,6 +57,8 @@ def separating_labels(g: int, n: int) -> list[Label]:
 
 def canonical_separating_label(g: int, n: int, a: int, subset) -> Label:
     subset = tuple(sorted(subset))
+    if len(set(subset)) < len(subset) or not all(1 <= p <= n for p in subset):
+        raise ValueError(f"boundary label ({a},{subset}) names no distinct points of 1..{n} on moduli ({g},{n})")
     rest = tuple(p for p in range(1, n + 1) if p not in subset)
     b = g - a
     if not (_is_stable(a, len(subset) + 1) and _is_stable(b, len(rest) + 1)):  # each side has the node
@@ -306,7 +308,7 @@ def uniformization_check(case: tuple[int, int]) -> dict:
 
     ratio = UNIFORMIZATION.get(tuple(case))
     if ratio is None:
-        raise ValueError(f"no uniformization statement for {case}")
+        raise ValueError(f"no uniformization statement for ({','.join(map(str, case))})")
     g, n = case
     r1 = solve_level(5, Embedding(5, 1))
     v = r1.algebra

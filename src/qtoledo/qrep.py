@@ -15,9 +15,12 @@ tau_{1,1} of a color then takes one of three routes:
 - an indefinite form on two gluing colors is a PU(1,1) representation of a
   (2, 3, m) triangle group, and tau_{1,1} is the same triangle formula
   on three rotation numbers read from residues (`_two_color_toledo`);
-- any other form, or a two-color one whose certificate fails, runs the
-  exact pass: the Meyer signature of the punctured-torus twists plus
-  G-function corrections.
+- an indefinite form on three or more gluing colors runs the exact pass:
+  the Meyer signature of the punctured-torus twists plus G-function
+  corrections.
+
+Both triangle readers share `_triangle_toledo`, which names the block
+whose turns close no triangle.
 
 The module imports only `embedding`, which also holds the torus's gluing
 window and first-norm sign.  The exact torus representation
@@ -81,40 +84,48 @@ def toledo_triangle_pu11(turn_a: Fraction, turn_b: Fraction, turn_c: Fraction) -
     raise ValueError(f"rotation numbers sum to {s}, strictly between 1 and 2: no triangle")
 
 
+def _triangle_toledo(level: int, emb: Embedding, color: int, *turns: Fraction) -> Fraction:
+    """toledo_triangle_pu11 of a block's turns; turns that close no triangle raise ArithmeticError.
+
+    Each turn's denominator divides 6 level and tau = 1 - s or 2 - s for their
+    sum s, so |tau| < 1 and 6 level tau is an integer.
+    """
+    try:
+        return toledo_triangle_pu11(*turns)
+    except ValueError:
+        shown = ", ".join(str(t % 1) for t in turns)
+        raise ArithmeticError(f"turns {shown} of color {color} at level {level}, "
+                              f"embedding {emb.exponent}, close no triangle") from None
+
+
 def four_point_toledo(level: int, emb: Embedding, i: int, j: int) -> Fraction:
     """tau_{0,4}(w, w, e_i, e_j) with w the top color e_{r-1}.
 
-    Zero off the diagonal, for i = 0 (a one-dimensional, unitary block) and
-    when the form is definite.  Otherwise the block is two-dimensional of
-    signature (1, 1), and the twists about the three curves that split the
-    four points in pairs act on the disc as elliptics with product 1.  Each
-    turns by the ratio of its two eigenvalues, in the direction set by the
-    sign of its eigenspaces: the two twists pairing w with e_i by
-    q^(4(r-i) s_lo), the twist between the pairs by q^(-4 s_gamma).  At
-    q = exp(2 pi i k / level) a power q^m has the rotation number
-    m k / level mod 1, and the triangle formula toledo_triangle_pu11 takes
-    the three, whichever the orientation of the triangle.  The result is
-    certified to lie in (-1, 1) with denominator dividing the level.
+    Zero off the diagonal and when the form is definite, which covers i = 0
+    (a one-dimensional, unitary block), since [0] = 0.  Otherwise the block
+    is two-dimensional of signature (1, 1), and the twists about the three
+    curves that split the four points in pairs act on the disc as
+    elliptics with product 1.  Each turns by the ratio of its two
+    eigenvalues, in the direction set by the sign of its eigenspaces: the
+    two twists pairing w with e_i by q^(4(r-i) s_lo), the twist between the
+    pairs by q^(-4 s_gamma).  At q = exp(2 pi i k / level) a power q^m has
+    the rotation number m k / level mod 1, and the triangle formula
+    toledo_triangle_pu11 takes the three, whichever the orientation of the
+    triangle (_triangle_toledo).
     """
     check_so3_level(level, emb)
     _check_color(level, i)
     _check_color(level, j)
     if i != j:
         return Fraction(0)
-    if i == 0:
-        return Fraction(0)  # one-dimensional block, unitary
-    r = _rank(level)
     s_lo = quantum_int_sign(2 * i, emb)
     s_hi = quantum_int_sign(2 * i + 2, emb)
-    if s_lo * s_hi > 0:
-        return Fraction(0)  # definite form
-    theta_alpha = Fraction(4 * (r - i) * s_lo * emb.exponent, emb.order)
+    if s_lo * s_hi >= 0:
+        return Fraction(0)  # definite form, or the one-dimensional block i = 0
+    theta_alpha = Fraction(4 * (_rank(level) - i) * s_lo * emb.exponent, level)
     s_gamma = quantum_int_sign(2, emb) * quantum_int_sign(2 * i + 1, emb)
-    theta_gamma = Fraction(-4 * s_gamma * emb.exponent, emb.order)
-    value = toledo_triangle_pu11(theta_alpha, theta_alpha, theta_gamma)
-    if not (-1 < value < 1) or (value * level).denominator != 1:
-        raise ArithmeticError(f"tau_04 = {value} violates the (1/level)-integrality certificate")
-    return value
+    theta_gamma = Fraction(-4 * s_gamma * emb.exponent, level)
+    return _triangle_toledo(level, emb, i, theta_alpha, theta_alpha, theta_gamma)
 
 
 # -- tau_{1,1} ------------------------------------------------------------------
@@ -140,8 +151,8 @@ def _norm_signs(level: int, emb: Embedding, i: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _two_color_toledo(level: int, emb: Embedding, j0: int, s0: int) -> Fraction | None:
-    """tau_{1,1} of an indefinite form on the gluing colors (j0, j0 + 1), or None if uncertified.
+def _two_color_toledo(level: int, emb: Embedding, j0: int, s0: int) -> Fraction:
+    """tau_{1,1} of an indefinite form on the gluing colors (j0, j0 + 1), color r - 2.
 
     The form has signature (1, 1) and s0 is the sign of its first norm, so
     the representation lies in PU(1,1), where the projective relations
@@ -150,28 +161,15 @@ def _two_color_toledo(level: int, emb: Embedding, j0: int, s0: int) -> Fraction 
     Toledo invariant is the signed area of the triangle that
     toledo_triangle_pu11 reads off three rotation numbers:
     T_gamma = diag(q^(-2 j (j+1))) turns by the ratio q^(-4 (j0+1)) of its
-    eigenvalues, in the direction of s0, so by -4 (j0+1) k s0 / level mod 1;
-    T_delta T_gamma, of projective order 3, by 1/3 or 2/3, whichever closes
-    a triangle (Jankins-Neumann); and T_gamma T_delta T_gamma, of
-    projective order 2, by 1/2.
-
-    The certificate: exactly one of 1/3 and 2/3 closes a triangle, and the
-    value lies in (-1, 1) with 6 level tau an integer.  If any check fails
-    this returns None and tau_11 runs the exact pass instead.
+    eigenvalues, in the direction of s0, so by t = -4 (j0+1) k s0 / level
+    mod 1; T_gamma T_delta T_gamma, of projective order 2, by 1/2; and
+    T_delta T_gamma, of projective order 3, by 1/3 if t < 1/2 and else 2/3:
+    the turns then sum to t + 5/6 or t + 7/6, a triangle exactly when
+    t <= 1/6 or t >= 5/6, which holds for every indefinite block.
     """
-    turn_gamma = Fraction(-4 * (j0 + 1) * emb.exponent * s0, level)
-    values = []
-    for turn in (Fraction(1, 3), Fraction(2, 3)):
-        try:
-            values.append(toledo_triangle_pu11(turn_gamma, turn, Fraction(1, 2)))
-        except ValueError:
-            pass  # no triangle for this turn
-    if len(values) != 1:
-        return None
-    value = values[0]
-    if not -1 < value < 1 or (6 * level * value).denominator != 1:
-        return None
-    return value
+    turn_gamma = Fraction(-4 * (j0 + 1) * emb.exponent * s0, level) % 1
+    turn_3 = Fraction(1, 3) if turn_gamma < Fraction(1, 2) else Fraction(2, 3)
+    return _triangle_toledo(level, emb, _rank(level) - 2, turn_gamma, turn_3, Fraction(1, 2))
 
 
 def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
@@ -186,12 +184,12 @@ def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     - two colors, indefinite: the signed area of the (2, 3, m)
       triangle of the PU(1,1) representation, from three rotation numbers
       read off residues (_two_color_toledo), with nothing exact built;
-    - otherwise, or if that triangle's certificate fails: the Meyer
-      signature of the twist pair plus G-corrections (see
-      toledo_triangle_meyer).  Its exact part runs once per (level, i)
-      (torus._tau11_exact); at the embedding only signs and turns are read,
-      and the value takes the sign of the form, because negating the form
-      negates the Meyer cocycle and every eigenspace signature.
+    - three or more colors, indefinite: the Meyer signature of the twist
+      pair plus G-corrections (see toledo_triangle_meyer).  Its exact part
+      runs once per (level, i) (torus._tau11_exact); at the embedding only
+      signs and turns are read, and the value takes the sign of the form,
+      because negating the form negates the Meyer cocycle and every
+      eigenspace signature.
     """
     check_so3_level(level, emb)
     _check_color(level, i)
@@ -199,9 +197,7 @@ def tau_11(level: int, emb: Embedding, i: int) -> Fraction:
     if all(s == signs[0] for s in signs):
         return Fraction(0)  # definite form
     if len(signs) == 2:
-        value = _two_color_toledo(level, emb, _window(level, i)[0], signs[0])
-        if value is not None:
-            return value
+        return _two_color_toledo(level, emb, _window(level, i)[0], signs[0])
     from .hermitian import _read_toledo
     from .torus import _tau11_exact
 

@@ -18,7 +18,7 @@ the Meyer kernel with its congruence pivots (`_tau11_exact`).  At an
 embedding, `punctured_torus_rep` only signs the form, by the residue sign
 `embedding._form_sign`; the tau_{1,1} read off the exact part there is
 `qrep`'s, which imports this module only on an indefinite block of three
-or more colors, or of two whose triangle certificate fails.
+or more colors.
 
 The module imports `embedding`, `cyclotomic` and `linalg`, and no
 elimination: the representation needs no solve, kernel or determinant.

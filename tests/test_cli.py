@@ -142,6 +142,29 @@ def test_classes_reduce_refuses_two_names_of_one_divisor(capsys, tmp_path):
     assert err == "error: ValueError: names delta_1_{} and delta_0_{1,2} give one label on moduli (1,2)\n"
 
 
+def test_classes_reduce_refuses_a_point_outside_the_space(capsys, tmp_path):
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({"g": 1, "n": 3, "coeffs": {"delta_1_{7}": "1"}}))
+    code, out, err = run(capsys, "classes", "reduce", "--class", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: boundary label (1,(7,)) names no distinct points of 1..3 on moduli (1,3)\n"
+
+
+def test_classes_check_names_a_space_without_a_statement(capsys):
+    code, out, err = run(capsys, "classes", "check", "--case", "0,4")
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: no uniformization statement for (0,4)\n"
+
+
+def test_help_describes_only_the_commands(capsys):
+    # argparse rewraps the description, so compare the words only
+    code, out, _ = run(capsys, "--help")
+    words = " ".join(out.split())
+    assert code == 0
+    assert "Exit codes: 0 success, 1 computation failure, 2 usage error, 3 golden mismatch." in words
+    assert "SUBCOMMANDS" not in words and "Imported as a module" not in words
+
+
 @pytest.mark.parametrize("g, n, colors, reason", [
     ("0", "5", "0,1,1,1,1", "reduction needs symmetric boundary coefficients"),
     ("3", "0", "", "no relation table for moduli (3,0)"),

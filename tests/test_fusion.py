@@ -268,8 +268,7 @@ def _tables(eps, omega):
     """FrobeniusAlgebra straight from its tables; the constructor runs the structural checks."""
     rank = len(eps)
     return FrobeniusAlgebra("so3", 2 * rank + 1, Embedding(2 * rank + 1, 1), rank, tuple(eps),
-                            tuple(tuple(tuple(row) for row in m) for m in omega),
-                            tuple(2 * i for i in range(rank)))
+                            tuple(tuple(tuple(row) for row in m) for m in omega))
 
 
 def _flip_orbit(omega, triple):

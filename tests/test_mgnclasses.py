@@ -292,6 +292,21 @@ def test_json_refuses_two_names_of_one_divisor(g, n, first, second):
     assert str(err.value) == f"names {first} and {second} give one label on moduli ({g},{n})"
 
 
+@pytest.mark.parametrize("name, subset", [("delta_1_{1,1}", "(1, 1)"), ("delta_1_{7}", "(7,)")])
+def test_json_refuses_a_boundary_name_with_a_repeated_or_missing_point(name, subset):
+    # read as points, (1,1) would leave the complement (2,3) and (7) the tail delta_{0,{1,2,3}}
+    with pytest.raises(ValueError) as err:
+        class_from_json({"g": 1, "n": 3, "coeffs": {name: "1"}})
+    assert str(err.value) == f"boundary label (1,{subset}) names no distinct points of 1..3 on moduli (1,3)"
+
+
+@pytest.mark.parametrize("case", [(0, 4), [0, 4]])
+def test_uniformization_check_names_the_space_whatever_its_type(case):
+    with pytest.raises(ValueError) as err:
+        uniformization_check(case)
+    assert str(err.value) == "no uniformization statement for (0,4)"
+
+
 def test_json_refuses_an_unstable_space_before_reading_a_boundary_name():
     with pytest.raises(ValueError) as err:
         class_from_json({"g": 0, "n": 2, "coeffs": {"delta_0_{1}": "1"}})

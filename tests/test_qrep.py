@@ -12,7 +12,7 @@ from oracles import (
 
 from qtoledo.cyclotomic import CycloNum, Embedding, sign_real
 from qtoledo.elimination import kernel_basis
-from qtoledo.embedding import _window
+from qtoledo.embedding import _window, quantum_int_sign
 from qtoledo.fusion import so3_algebra
 from qtoledo.hermitian import eigen_split, g_function, signature, toledo_triangle_meyer
 from qtoledo.linalg import (
@@ -209,26 +209,50 @@ def test_two_color_tau11_builds_nothing_exact(monkeypatch):
     assert tau_11(9, Embedding(9, 1), 2) == F(-1, 18)
 
 
+def test_every_indefinite_block_of_levels_5_to_101_closes_a_triangle():
+    # residues only: each two-color turn of T_gamma lies outside (1/6, 5/6), so the order-3
+    # turn 1/3 or 2/3 closes a triangle, and every indefinite four-point block answers
+    two_color = four_point = 0
+    for level in range(5, 102, 2):
+        r = (level - 1) // 2
+        for k in range(1, level):
+            if math.gcd(k, level) != 1:
+                continue
+            emb = Embedding(level, k)
+            signs = _norm_signs(level, emb, r - 2)
+            if len(set(signs)) == 2:
+                two_color += 1
+                turn = F(-4 * (_window(level, r - 2)[0] + 1) * k * signs[0], level) % 1
+                assert not F(1, 6) < turn < F(5, 6), (level, k)
+            for i in range(1, r):
+                if quantum_int_sign(2 * i, emb) != quantum_int_sign(2 * i + 2, emb):
+                    four_point += 1
+                    four_point_toledo(level, emb, i, i)
+    assert (two_color, four_point) == (696, 33838)
+
+
 def _no_triangle(*turns):
     raise ValueError("no triangle")
 
 
-@pytest.mark.parametrize("triangle", [
-    _no_triangle,
-    lambda *turns: F(0),
-    lambda a, b, c: F(1) if b == F(1, 3) else _no_triangle(),
-    lambda a, b, c: F(1, 1000) if b == F(1, 3) else _no_triangle(),
-], ids=["no-triangle", "two-triangles", "out-of-range", "not-integral"])
-def test_a_failed_triangle_certificate_falls_back_to_the_exact_pass(monkeypatch, triangle):
+def test_turns_that_close_no_triangle_are_refused_by_name(monkeypatch):
+    # a reader whose turns close no triangle names its block, and tau_11 runs no exact pass instead
     from qtoledo import qrep, torus
 
-    monkeypatch.setattr(qrep, "toledo_triangle_pu11", triangle)
+    with pytest.raises(ArithmeticError) as refused:
+        qrep._triangle_toledo(7, Embedding(7, 1), 1, F(1, 3), F(4, 3), F(1, 2))
+    assert str(refused.value) == "turns 1/3, 1/3, 1/2 of color 1 at level 7, embedding 1, close no triangle"
+    monkeypatch.setattr(qrep, "toledo_triangle_pu11", _no_triangle)
     torus._tau11_exact.cache_clear()
-    for level, k, i, value in ((7, 1, 1, F(-1, 42)), (9, 1, 2, F(-1, 18))):
-        emb = Embedding(level, k)
-        assert _two_color_toledo(level, emb, _window(level, i)[0], _norm_signs(level, emb, i)[0]) is None
-        assert tau_11(level, emb, i) == value
-    assert torus._tau11_exact.cache_info().misses == 2
+    for call, text in (
+        (lambda: tau_11(7, Embedding(7, 1), 1), "turns 6/7, 2/3, 1/2 of color 1 at level 7, embedding 1"),
+        (lambda: tau_11(9, Embedding(9, 1), 2), "turns 8/9, 2/3, 1/2 of color 2 at level 9, embedding 1"),
+        (lambda: four_point_toledo(5, Embedding(5, 1), 1, 1), "turns 4/5, 4/5, 4/5 of color 1 at level 5, embedding 1"),
+    ):
+        with pytest.raises(ArithmeticError) as refused:
+            call()
+        assert str(refused.value) == text + ", close no triangle"
+    assert torus._tau11_exact.cache_info().misses == 0
 
 
 def test_tau11_scale_invariance():
